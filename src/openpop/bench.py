@@ -8,6 +8,7 @@ synthetic population.
 
 from __future__ import annotations
 
+import csv
 import math
 import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field, replace
@@ -28,6 +29,7 @@ from .executor import ExecOptions, WeightedRows, evaluate_aggregates, execute
 from .ipf import IpfConfig
 from .mswg import TrainConfig, generate, train
 from .transport import wasserstein_1d
+from .util import csv_text
 
 
 # --- result tables ------------------------------------------------------------
@@ -52,43 +54,30 @@ class ResultTable:
 def emit_csv(table: ResultTable, path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                handle.write(",".join(_csv_cell(v) for v in row) + "\n")
+            handle.write(csv_text(table.columns, table.rows))
     except OSError as exc:
         raise CatalogIoError(f"cannot write '{path}': {exc}") from exc
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _parse_cell(cell: str):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 def read_csv(path) -> ResultTable:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            records = [r for r in csv.reader(handle) if r]
     except OSError as exc:
         raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
-    if not lines:
+    if not records:
         return ResultTable([])
-    columns = lines[0].split(",") if lines[0] else []
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell))
-            except ValueError:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-        rows.append(tuple(cells))
-    return ResultTable(columns, rows)
+    rows = [tuple(_parse_cell(c) for c in record) for record in records[1:]]
+    return ResultTable(records[0], rows)
 
 
 # --- error metric ---------------------------------------------------------------

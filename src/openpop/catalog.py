@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -386,12 +387,10 @@ class Catalog:
                     f"non-finite value {raw!r} in numeric column '{attr.name}'",
                     line)
             return value
-        value = raw if isinstance(raw, str) else None
-        if value is None:
+        if not isinstance(raw, str):
             raise TypeMismatchError(
                 f"expected string for categorical column '{attr.name}', got {raw!r}")
-        attr.extend_domain(value)
-        return value
+        return raw
 
     def ingest_rows(self, target: str, rows) -> int:
         rel = self._target_relation(target)
@@ -402,22 +401,24 @@ class Catalog:
                     f"expected {len(rel.schema)} values, got {len(row)}", lineno)
             coerced.append(tuple(
                 self._coerce(attr, raw, lineno) for attr, raw in zip(rel.schema, row)))
-        rel.rows.extend(coerced)
-        if isinstance(rel, SampleRelation):
-            rel.weights = np.concatenate([rel.weights, np.ones(len(coerced))])
-            self._mirror_into_global(rel, coerced)
-        return len(coerced)
+        return self._commit(rel, coerced)
 
-    def _mirror_into_global(self, sample: SampleRelation, rows) -> None:
-        # Sample tuples exist in the global population; grow its domains too.
-        gp = self.global_population()
-        gp_attrs = {a.name: a for a in gp.schema}
-        for i, attr in enumerate(sample.schema):
-            if attr.kind != CATEGORICAL or attr.name not in gp_attrs:
-                continue
-            target = gp_attrs[attr.name]
-            for row in rows:
-                target.extend_domain(row[i])
+    def _commit(self, rel, rows: list[tuple]) -> int:
+        """Append fully coerced rows with unit weights, and grow the
+        categorical domains they reach: the relation's own and, since sample
+        tuples exist in the global population, the global population's."""
+        rel.rows.extend(rows)
+        schemas = [rel.schema]
+        if isinstance(rel, SampleRelation):
+            rel.weights = np.concatenate([rel.weights, np.ones(len(rows))])
+            schemas.append(self.global_population().schema)
+        for schema in schemas:
+            attrs = {a.name: a for a in schema}
+            for i, attr in enumerate(rel.schema):
+                if attr.kind == CATEGORICAL and attr.name in attrs:
+                    for value in dict.fromkeys(row[i] for row in rows):
+                        attrs[attr.name].extend_domain(value)
+        return len(rows)
 
     def ingest_csv(self, target: str, path) -> int:
         rel = self._target_relation(target)
@@ -450,11 +451,7 @@ class Catalog:
                     rows.append(tuple(row))
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
-        rel.rows.extend(rows)
-        if isinstance(rel, SampleRelation):
-            rel.weights = np.concatenate([rel.weights, np.ones(len(rows))])
-            self._mirror_into_global(rel, rows)
-        return len(rows)
+        return self._commit(rel, rows)
 
     # --- integrity ----------------------------------------------------------
 
@@ -518,12 +515,18 @@ class Catalog:
         return records
 
     def save(self, path) -> None:
+        # Write beside the target, then rename: a failed save leaves the old
+        # file whole.
+        tmp = f"{os.fspath(path)}.tmp"
         try:
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write(FORMAT_TAG + "\n")
                 for record in self.to_jsonable():
                     handle.write(json.dumps(record) + "\n")
+            os.replace(tmp, path)
         except OSError as exc:
+            if os.path.exists(tmp):
+                os.remove(tmp)
             raise CatalogIoError(f"cannot write '{path}': {exc}") from exc
 
     @classmethod
@@ -621,7 +624,3 @@ def _key_load(key):
     if isinstance(key, list):
         return tuple(key)
     return key
-
-
-def is_integral(value: float) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and float(value) == int(value)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 user error (bad input, failed statement),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -14,48 +15,32 @@ from . import bench
 from .catalog import Catalog
 from .engine import Engine
 from .errors import ConfigError, OpenPopError
-from .ipf import IpfConfig
-from .mswg import TrainConfig
-from .util import apply_kv, read_kv_pairs
+from .util import apply_kv, csv_text, read_kv_pairs
 
 META_HELP = """meta-commands:
   \\load <file>            run a script file
   \\save [<file>]          save the catalog (default: --catalog path)
   \\seed <n>               reseed the engine
   \\config <key> <value>   set train.<f>, ipf.<f>, or k_samples
-  \\train <sample>         force (re)training of the generator
+  \\train <sample>         train the generator (kept in the cache)
   \\experiment spiral|flights [<spec-file>]
   \\help                   this text
   \\quit                   leave"""
 
 
 def _build_engine(args) -> Engine:
-    seed = args.seed if args.seed is not None else 0
-    train_cfg = TrainConfig(seed=seed)
-    ipf_cfg = IpfConfig()
-    k_samples = 10
-    if args.config:
-        pairs = read_kv_pairs(args.config)
-        train_pairs = {k[len("train."):]: v for k, v in pairs.items()
-                       if k.startswith("train.")}
-        ipf_pairs = {k[len("ipf."):]: v for k, v in pairs.items()
-                     if k.startswith("ipf.")}
-        train_cfg = replace(train_cfg, **apply_kv(train_cfg, train_pairs))
-        ipf_cfg = replace(ipf_cfg, **apply_kv(ipf_cfg, ipf_pairs))
-        if "k_samples" in pairs:
-            k_samples = int(pairs["k_samples"])
-        if "seed" in pairs and args.seed is None:
-            seed = int(pairs["seed"])
-            train_cfg = replace(train_cfg, seed=seed)
+    pairs = read_kv_pairs(args.config) if args.config else {}
+    seed = int(pairs.pop("seed", 0))
+    if args.seed is not None:
+        seed = args.seed
     log = (lambda message: None) if args.quiet else \
         (lambda message: print(message, file=sys.stderr))
-    engine = Engine(seed=seed, train_config=train_cfg, ipf_config=ipf_cfg,
-                    k_samples=k_samples, log=log)
-    if args.catalog:
-        try:
-            engine.catalog = Catalog.load(args.catalog)
-        except OpenPopError:
-            pass  # fresh catalog; \save will create the file
+    engine = Engine(seed=seed, log=log)
+    for key, value in pairs.items():
+        engine.set_config(key, value)
+    # Only a missing file is a fresh start; \save will create it.
+    if args.catalog and os.path.exists(args.catalog):
+        engine.catalog = Catalog.load(args.catalog)
     return engine
 
 
@@ -116,9 +101,7 @@ def _run_experiment(engine: Engine, kind: str, spec_path: str | None,
             bench.emit_svg_boxplot(table, out_svg)
         engine.log(f"wrote {out_svg}")
     if output == "csv":
-        sys.stdout.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            sys.stdout.write(",".join(str(v) for v in row) + "\n")
+        sys.stdout.write(csv_text(table.columns, table.rows))
 
 
 def _handle_meta(engine: Engine, line: str, args) -> bool:

@@ -33,10 +33,6 @@ class AttrEncoding:
         span = self.hi - self.lo
         return (float(value) - self.lo) / span if span > 0 else 0.5
 
-    def unscale(self, unit: float) -> float:
-        span = self.hi - self.lo
-        return self.lo + float(unit) * span if span > 0 else self.lo
-
 
 class Encoding:
     def __init__(self, attrs: list[AttrEncoding]):

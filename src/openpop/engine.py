@@ -26,15 +26,22 @@ from .dialect import (
     Statement,
 )
 from .errors import (
+    ConfigError,
     OpenPopError,
     TypeMismatchError,
     UnknownAttributeError,
     UnknownRelationError,
 )
-from .executor import ExecOptions, QueryAnswer, execute
+from .executor import (
+    ExecOptions,
+    QueryAnswer,
+    _trained_generator,
+    applicable_marginals,
+    execute,
+)
 from .ipf import IpfConfig
-from .mswg import TrainConfig, train
-from .util import coerce_like
+from .mswg import TrainConfig
+from .util import apply_kv
 
 
 class Engine:
@@ -69,20 +76,17 @@ class Engine:
 
     def set_config(self, key: str, value: str) -> None:
         """Dotted config keys: train.<field>, ipf.<field>, k_samples."""
+        section, _, name = key.partition(".")
         if key == "k_samples":
             self.k_samples = int(value)
-        elif key.startswith("train."):
-            field_name = key[len("train."):]
-            current = getattr(self.train_config, field_name)
-            self.train_config = replace(self.train_config,
-                                        **{field_name: coerce_like(current, value)})
-        elif key.startswith("ipf."):
-            field_name = key[len("ipf."):]
-            current = getattr(self.ipf_config, field_name)
-            self.ipf_config = replace(self.ipf_config,
-                                      **{field_name: coerce_like(current, value)})
+        elif section == "train":
+            self.train_config = replace(
+                self.train_config, **apply_kv(self.train_config, {name: value}))
+        elif section == "ipf":
+            self.ipf_config = replace(
+                self.ipf_config, **apply_kv(self.ipf_config, {name: value}))
         else:
-            raise OpenPopError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         self.options = self._make_options()
 
     # --- statement execution ---------------------------------------------
@@ -189,11 +193,9 @@ class Engine:
     # --- direct operations (REPL meta-commands) ---------------------------
 
     def force_train(self, sample_name: str):
+        """Train (or fetch from the cache) the generator that OPEN queries
+        over the global population use with this sample."""
         sample = self.catalog.sample(sample_name)
-        gp = self.catalog.global_population()
-        marginals = self.catalog.marginals_for(gp.name)
-        trained = train(sample, marginals, self.train_config, log=self.log)
-        from .mswg import fingerprint
-        key = fingerprint(sample, marginals, self.train_config)
-        self.options.generator_cache[key] = trained
-        return trained
+        marginals, _ = applicable_marginals(
+            self.catalog, self.catalog.global_population().name)
+        return _trained_generator(sample, marginals, self.options, log=self.log)

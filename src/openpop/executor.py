@@ -11,8 +11,6 @@ sum of weights, SUM(a) the weighted sum, AVG(a) their ratio.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +35,7 @@ from .errors import (
 from .ipf import IpfConfig, IpfReport, ipf_fit
 from .mswg import TrainConfig, TrainedGenerator, fingerprint, generate, train
 from .predicate import Predicate, filter_rows
+from .util import csv_text, format_cell
 
 PROVENANCE_CLOSED = "closed"
 PROVENANCE_MECHANISM = "semi_open_mechanism"
@@ -81,7 +80,7 @@ class QueryAnswer:
         return {row[:n_group] for row in self.rows}
 
     def to_text(self) -> str:
-        cells = [[_fmt(v) for v in row] for row in self.rows]
+        cells = [[format_cell(v) for v in row] for row in self.rows]
         widths = [max([len(c)] + [len(row[i]) for row in cells])
                   for i, c in enumerate(self.columns)]
         lines = [" | ".join(c.ljust(w) for c, w in zip(self.columns, widths)),
@@ -90,21 +89,18 @@ class QueryAnswer:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
         lines.append(f"({len(self.rows)} row{'s' if len(self.rows) != 1 else ''}, "
                      f"{self.provenance})")
+        report = self.diagnostics.get("ipf")
+        if report is not None and not report.converged:
+            lines.append(f"warning: IPF did not converge in {report.rounds} rounds "
+                         f"(max discrepancy {report.max_discrepancy():.3g})")
+        if report is not None and report.structural_zeros:
+            lines.append(f"warning: IPF dropped {sum(report.dropped_mass):g} target "
+                         f"mass in {len(report.structural_zeros)} structural-zero "
+                         "cells")
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_fmt(v) for v in row])
-        return buffer.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return csv_text(self.columns, self.rows)
 
 
 @dataclass
@@ -121,8 +117,19 @@ class ExecOptions:
 class Plan:
     sample_name: str
     population: str
-    metadata_owner: str | None  # population whose marginals apply
     metadata_path: str | None   # "direct" | "global" | None
+
+
+def applicable_marginals(catalog: Catalog, population: str):
+    """The one rule for which marginals describe a population: its own
+    ("direct"), else the global population's ("global"), else none."""
+    direct = catalog.marginals_for(population)
+    if direct:
+        return direct, "direct"
+    gp = catalog.global_population()
+    if gp.name != population and catalog.marginals_for(gp.name):
+        return catalog.marginals_for(gp.name), "global"
+    return [], None
 
 
 def _query_attributes(query: Select, pop: PopulationDef) -> set[str]:
@@ -151,14 +158,7 @@ def plan(query: Select, catalog: Catalog) -> Plan:
     candidates.sort(reverse=True)  # most rows, ties by declaration order
     sample_name = candidates[0][2]
 
-    metadata_owner = metadata_path = None
-    if catalog.marginals_for(pop.name):
-        metadata_owner, metadata_path = pop.name, "direct"
-    else:
-        gp = catalog.global_population()
-        if gp.name != pop.name and catalog.marginals_for(gp.name):
-            metadata_owner, metadata_path = gp.name, "global"
-
+    _, metadata_path = applicable_marginals(catalog, pop.name)
     sample = catalog.sample(sample_name)
     if query.visibility == Visibility.OPEN and metadata_path is None:
         raise NoMetadataError(
@@ -168,7 +168,7 @@ def plan(query: Select, catalog: Catalog) -> Plan:
         raise UnknownMechanismNoMetadataError(
             f"sample '{sample_name}' has no declared mechanism and no "
             "marginals are registered")
-    return Plan(sample_name, pop.name, metadata_owner, metadata_path)
+    return Plan(sample_name, pop.name, metadata_path)
 
 
 # --- aggregation over weighted rows -------------------------------------------
@@ -291,31 +291,24 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
         weighted = _view(catalog, pop.name, weighted)
         provenance = PROVENANCE_MECHANISM
     elif not options.use_ipf:
-        stored = sample.weights if len(sample.weights) else np.ones(len(sample.rows))
-        weighted = _view(catalog, pop.name, _as_weighted(sample, stored))
+        weighted = _view(catalog, pop.name, _as_weighted(sample, sample.weights))
         provenance = PROVENANCE_STORED
     else:
-        direct = catalog.marginals_for(pop.name)
-        if direct:
-            # Restrict to the population view, then fit its marginals.
-            base = _view(catalog, pop.name, _as_weighted(
-                sample, sample.weights if len(sample.weights)
-                else np.ones(len(sample.rows))))
-            scoped = SampleRelation(sample.name, sample.schema, base.rows,
-                                    base.weights)
-            fitted, report = ipf_fit(scoped, direct, options.ipf)
-            weighted = WeightedRows(sample.schema, base.rows, fitted)
-            provenance = PROVENANCE_IPF_DIRECT
-        else:
-            gp = catalog.global_population()
-            marginals = catalog.marginals_for(gp.name)
-            if not marginals:
-                raise UnknownMechanismNoMetadataError(
-                    f"no marginals for '{pop.name}' or the global population")
-            fitted, report = ipf_fit(sample, marginals, options.ipf)
-            weighted = _view(catalog, pop.name,
-                             WeightedRows(sample.schema, list(sample.rows), fitted))
-            provenance = PROVENANCE_IPF_GLOBAL
+        marginals, path = applicable_marginals(catalog, pop.name)
+        if path is None:
+            raise UnknownMechanismNoMetadataError(
+                f"no marginals for '{pop.name}' or the global population")
+        # Direct marginals describe the population's view, so fit its rows;
+        # global ones describe everything, so fit the whole sample.
+        base = _as_weighted(sample, sample.weights)
+        if path == "direct":
+            base = _view(catalog, pop.name, base)
+        scoped = SampleRelation(sample.name, sample.schema, base.rows, base.weights)
+        fitted, report = ipf_fit(scoped, marginals, options.ipf)
+        weighted = _view(catalog, pop.name,
+                         WeightedRows(sample.schema, base.rows, fitted))
+        provenance = (PROVENANCE_IPF_DIRECT if path == "direct"
+                      else PROVENANCE_IPF_GLOBAL)
 
     answer = evaluate_aggregates(weighted, query)
     answer.provenance = provenance
@@ -342,42 +335,33 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     in all k and averages their aggregate values."""
     options = options or ExecOptions()
     pop = catalog.population(query.source)
-    marginals = catalog.marginals_for(pop.name)
-    if not marginals:
-        gp = catalog.global_population()
-        marginals = catalog.marginals_for(gp.name)
-    if not marginals:
+    marginals, path = applicable_marginals(catalog, pop.name)
+    if path is None:
         raise NoMetadataError(f"OPEN query over '{pop.name}' needs marginals")
 
     trained = _trained_generator(sample, marginals, options, log=log)
     n_generated = max(1, len(sample.rows))
     weight = trained.population_total / n_generated
-    k = max(1, options.k_samples)
-
     aggs = query.aggregates()
+    # Plain tuples come from a single generated sample.
+    k = max(1, options.k_samples) if aggs else 1
     answers = []
-    first_rows: QueryAnswer | None = None
     for _ in range(k):
         rows = generate(trained, n_generated, options.rng)
         weighted = WeightedRows(sample.schema, rows, np.full(len(rows), weight))
-        weighted = _view(catalog, pop.name, weighted)
-        answer = evaluate_aggregates(weighted, query)
-        if not aggs:
-            first_rows = answer
-            break
-        answers.append(answer)
+        answers.append(evaluate_aggregates(_view(catalog, pop.name, weighted), query))
 
     diagnostics = {
-        "k": 1 if not aggs else k,
+        "k": k,
         "generated_rows": n_generated,
         "row_weight": weight,
         "materialized": not aggs,
         "generator_params": trained.net.num_params(),
     }
     if not aggs:
-        first_rows.provenance = PROVENANCE_OPEN
-        first_rows.diagnostics.update(diagnostics)
-        return first_rows
+        answers[0].provenance = PROVENANCE_OPEN
+        answers[0].diagnostics.update(diagnostics)
+        return answers[0]
 
     columns = list(query.group_by) + [a.label() for a in aggs]
     out_rows = intersect_group_answers(answers, len(query.group_by))

@@ -78,16 +78,13 @@ def discrepancy(sample: SampleRelation, weights, marginal: Marginal) -> float:
 
 
 def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
-            cfg: IpfConfig | None = None,
-            initial_weights=None) -> tuple[np.ndarray, IpfReport]:
+            cfg: IpfConfig | None = None) -> tuple[np.ndarray, IpfReport]:
     """Fit sample weights to the given marginals; returns (weights, report)
     without mutating the sample."""
     cfg = cfg or IpfConfig()
     if not sample.rows:
         raise EmptySampleError(f"sample '{sample.name}' has no rows")
-    if initial_weights is None:
-        initial_weights = sample.weights if len(sample.weights) else np.ones(len(sample.rows))
-    weights = np.asarray(initial_weights, dtype=float).copy()
+    weights = np.asarray(sample.weights, dtype=float).copy()
     if weights.shape != (len(sample.rows),):
         raise ConfigError("initial weights must align with sample rows")
     if np.any(weights < 0) or not np.any(weights > 0):

@@ -94,21 +94,20 @@ class MarginalTarget:
         return self.weights
 
 
-def augment_marginals(pop_marginals: list[Marginal], sample: SampleRelation,
-                      schema=None) -> list[Marginal]:
+def augment_marginals(pop_marginals: list[Marginal],
+                      sample: SampleRelation) -> list[Marginal]:
     """Add 1-D sample marginals for attributes no population marginal covers,
     rescaled so every marginal carries the population total."""
     if not pop_marginals:
         raise NoPopulationMarginalsError(
             "at least one population marginal is required (population size "
             "is unknowable without one)")
-    schema = schema if schema is not None else sample.schema
     covered = set()
     for marginal in pop_marginals:
         covered.update(marginal.attributes)
     total = pop_marginals[0].total()
     out = list(pop_marginals)
-    for attr in schema:
+    for attr in sample.schema:
         if attr.name in covered:
             continue
         marginal = build_marginal(pop_marginals[0].owner, (attr.name,),
@@ -153,19 +152,13 @@ def resample_target(target: MarginalTarget, size: int,
 # --- loss ----------------------------------------------------------------------
 
 
-def coverage_penalty(batch: np.ndarray, refs: np.ndarray,
-                     subsample: int | None = None,
-                     rng: np.random.Generator | None = None):
+def coverage_penalty(batch: np.ndarray, refs: np.ndarray):
     """Mean distance from each generated point to its nearest reference point,
     plus the gradient with respect to the batch."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
     refs = np.atleast_2d(np.asarray(refs, dtype=float))
     if batch.size == 0 or refs.size == 0:
         raise EmptyDistributionError("coverage penalty needs nonempty inputs")
-    if subsample is not None and len(refs) > subsample:
-        if rng is None:
-            raise ConfigError("subsampling the reference set requires an rng")
-        refs = refs[rng.choice(len(refs), size=subsample, replace=False)]
     d2 = (np.sum(batch ** 2, axis=1)[:, None]
           + np.sum(refs ** 2, axis=1)[None, :]
           - 2.0 * batch @ refs.T)
@@ -321,8 +314,6 @@ def train(sample: SampleRelation, marginals: list[Marginal],
 def generate(trained: TrainedGenerator, n: int, rng) -> list[tuple]:
     """Draw n tuples: forward pass in inference mode, categorical blocks
     hardened by argmax, numeric dimensions inverse-scaled."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     if n == 0:
         return []
     latents = rng.standard_normal((n, trained.net.latent_dim))

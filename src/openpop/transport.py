@@ -37,17 +37,24 @@ def _prepare(values, weights):
     return values[order], weights[order], order
 
 
-def wasserstein_1d(p_values, q_values, p_weights=None, q_weights=None) -> float:
-    """Exact W1 between two weighted 1-D distributions."""
-    pv, pw, _ = _prepare(p_values, p_weights)
-    qv, qw, _ = _prepare(q_values, q_weights)
+def _merge(pw, qw):
+    """Merge the two cumulative-weight sequences: the length of each quantile
+    segment and the P and Q atoms (sorted positions) that own it."""
     cp = np.cumsum(pw)
     cq = np.cumsum(qw)
     cp[-1] = cq[-1] = 1.0
     levels = np.sort(np.concatenate([cp, cq]))
-    p_idx = np.clip(np.searchsorted(cp, levels, side="left"), 0, pv.size - 1)
-    q_idx = np.clip(np.searchsorted(cq, levels, side="left"), 0, qv.size - 1)
+    p_idx = np.clip(np.searchsorted(cp, levels, side="left"), 0, pw.size - 1)
+    q_idx = np.clip(np.searchsorted(cq, levels, side="left"), 0, qw.size - 1)
     seg = np.diff(np.concatenate([[0.0], levels]))
+    return seg, p_idx, q_idx
+
+
+def wasserstein_1d(p_values, q_values, p_weights=None, q_weights=None) -> float:
+    """Exact W1 between two weighted 1-D distributions."""
+    pv, pw, _ = _prepare(p_values, p_weights)
+    qv, qw, _ = _prepare(q_values, q_weights)
+    seg, p_idx, q_idx = _merge(pw, qw)
     return float(np.sum(seg * np.abs(pv[p_idx] - qv[q_idx])))
 
 
@@ -59,13 +66,7 @@ def wasserstein_1d_grad(p_values, p_weights, q_values):
     """
     pv, pw, _ = _prepare(p_values, p_weights)
     qv, qw, q_order = _prepare(q_values, None)
-    cp = np.cumsum(pw)
-    cq = np.cumsum(qw)
-    cp[-1] = cq[-1] = 1.0
-    levels = np.sort(np.concatenate([cp, cq]))
-    p_idx = np.clip(np.searchsorted(cp, levels, side="left"), 0, pv.size - 1)
-    q_idx = np.clip(np.searchsorted(cq, levels, side="left"), 0, qv.size - 1)
-    seg = np.diff(np.concatenate([[0.0], levels]))
+    seg, p_idx, q_idx = _merge(pw, qw)
     diff = qv[q_idx] - pv[p_idx]
     w = float(np.sum(seg * np.abs(diff)))
     grad_sorted = np.zeros(qv.size)

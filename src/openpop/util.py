@@ -1,6 +1,10 @@
-"""Key-value config files: `key = value` lines, `#` comments."""
+"""Key-value config files (`key = value` lines, `#` comments) and CSV text."""
 
 from __future__ import annotations
+
+import csv
+import io
+from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -19,7 +23,7 @@ def read_kv_pairs(path) -> dict[str, str]:
     return out
 
 
-def coerce_like(current, value: str):
+def _coerce_like(current, value: str):
     """Parse `value` with the type of `current` (bool, int, float, tuple, str)."""
     if isinstance(current, bool):
         return value.lower() in ("1", "true", "yes", "on")
@@ -34,9 +38,23 @@ def coerce_like(current, value: str):
 
 def apply_kv(defaults, pairs: dict[str, str]) -> dict:
     """Coerce a kv dict against a defaults dataclass instance's field types."""
+    names = {f.name for f in fields(defaults)}
     out = {}
     for key, value in pairs.items():
-        if not hasattr(defaults, key):
+        if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        out[key] = coerce_like(getattr(defaults, key), value)
+        out[key] = _coerce_like(getattr(defaults, key), value)
     return out
+
+
+def format_cell(value) -> str:
+    """Floats by repr, so written values read back exactly."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def csv_text(columns, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_cell(v) for v in row] for row in rows)
+    return buffer.getvalue()

@@ -194,6 +194,14 @@ class TestArtifacts:
         assert parsed.columns == table.columns
         assert parsed.rows == table.rows
 
+    def test_csv_round_trip_quoted_comma(self, tmp_path):
+        table = ResultTable(["label", "value"], [("a, b", 1.5), ('say "hi"', 2)])
+        path = tmp_path / "quoted.csv"
+        emit_csv(table, path)
+        parsed = read_csv(path)
+        assert parsed.columns == table.columns
+        assert parsed.rows == table.rows
+
     def test_empty_table_header_only(self, tmp_path):
         table = ResultTable(["a", "b"])
         path = tmp_path / "empty.csv"

@@ -15,6 +15,7 @@ from openpop.catalog import (
     build_marginal,
 )
 from openpop.errors import (
+    CatalogIoError,
     CsvParseError,
     DuplicateNameError,
     FormatVersionMismatchError,
@@ -138,6 +139,52 @@ class TestIngestCsv:
             cat.ingest_csv("S", path)
 
 
+class TestAtomicIngest:
+    """A failed ingest leaves rows, weights and every domain as they were."""
+
+    def build(self) -> Catalog:
+        cat = Catalog()
+        cat.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("n", "numeric")]))
+        cat.create_sample("S")
+        cat.ingest_rows("S", [("UK", 1.0)])
+        return cat
+
+    def state(self, cat: Catalog):
+        sample = cat.sample("S")
+        return ([list(a.domain) for a in sample.schema],
+                [list(a.domain) for a in cat.global_population().schema],
+                list(sample.rows), sample.weights.tolist())
+
+    def test_failed_csv_keeps_domains(self, tmp_path):
+        cat = self.build()
+        before = self.state(cat)
+        path = tmp_path / "bad.csv"
+        path.write_text("country,n\nNL,2\nFR,oops\n", encoding="utf-8")
+        with pytest.raises(CsvParseError) as err:
+            cat.ingest_csv("S", path)
+        assert err.value.line == 3
+        assert self.state(cat) == before
+
+    def test_failed_rows_keep_domains(self):
+        cat = self.build()
+        before = self.state(cat)
+        with pytest.raises(CsvParseError):
+            cat.ingest_rows("S", [("NL", 2.0), ("FR", "oops")])
+        assert self.state(cat) == before
+
+    def test_commit_grows_both_domains_in_order(self, tmp_path):
+        cat = self.build()
+        path = tmp_path / "good.csv"
+        path.write_text("n,country\n2,NL\n3,FR\n4,NL\n", encoding="utf-8")
+        assert cat.ingest_csv("S", path) == 3
+        sample_domains, global_domains, rows, weights = self.state(cat)
+        assert sample_domains[0] == global_domains[0] == ["UK", "NL", "FR"]
+        assert rows[1:] == [("NL", 2.0), ("FR", 3.0), ("NL", 4.0)]
+        assert weights == [1.0] * 4
+
+
 class TestMarginals:
     def test_one_dimensional(self, catalog):
         catalog.create_metadata("Migrants", ("country",),
@@ -217,6 +264,21 @@ class TestPersistence:
         assert restored.to_jsonable() == cat.to_jsonable()
         assert len(restored.marginals) == 3
         assert len(restored.samples) == 1
+
+    def test_save_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "catalog.opc"
+        path.write_text("old contents\n", encoding="utf-8")
+        cat = self.build_catalog()
+        cat.save(path)
+        assert Catalog.load(path).to_jsonable() == cat.to_jsonable()
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.opc"]
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken.opc"
+        target.mkdir()
+        with pytest.raises(CatalogIoError):
+            self.build_catalog().save(target)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken.opc"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.opc"

@@ -1,14 +1,16 @@
 """Engine statement dispatch and the command-line surface."""
 
+import argparse
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from openpop.cli import main
+import openpop.executor
+from openpop.cli import _build_engine, main
 from openpop.engine import Engine
-from openpop.errors import DialectSyntaxError, UnknownRelationError
+from openpop.errors import ConfigError, DialectSyntaxError, UnknownRelationError
 from openpop.mswg import TrainConfig
 
 COUNTRY_CSV = "country,reported_count\nUK,600\nFR,400\n"
@@ -134,6 +136,50 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
         assert trained.net.num_params() > 0
         assert len(engine.options.generator_cache) == 1
 
+    def test_force_train_then_open_trains_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_train = openpop.executor.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(openpop.executor, "train", counting_train)
+        write_fixture_files(tmp_path)
+        engine = fast_engine()
+        for stmt in migrants_script(tmp_path).split(";")[:-3]:
+            if stmt.strip():
+                engine.run_script(stmt + ";")
+        engine.force_train("YahooUsers")
+        engine.run_script(
+            "SELECT OPEN country, COUNT(*) FROM Migrants GROUP BY country;")
+        assert len(calls) == 1
+        assert len(engine.options.generator_cache) == 1
+
+    def test_set_config_rejects_unknown_keys(self):
+        engine = fast_engine()
+        for key in ("train.bogus", "ipf.bogus", "train.__init__", "train.",
+                    "bogus"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                engine.set_config(key, "1")
+        engine.set_config("k_samples", "3")
+        assert engine.options.k_samples == 3
+
+    def test_config_file_seed_then_flag(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 5\ntrain.epochs = 3\nipf.max_rounds = 7\n"
+                          "k_samples = 4\n", encoding="utf-8")
+        args = argparse.Namespace(seed=None, config=str(config), quiet=True,
+                                  catalog=None)
+        engine = _build_engine(args)
+        assert (engine.seed, engine.train_config.seed) == (5, 5)
+        assert engine.train_config.epochs == 3
+        assert engine.ipf_config.max_rounds == 7
+        assert engine.options.k_samples == 4
+        args.seed = 9
+        engine = _build_engine(args)
+        assert (engine.seed, engine.train_config.seed) == (9, 9)
+
     def test_malformed_config_file(self, tmp_path):
         from openpop.errors import ConfigError
         from openpop.util import read_kv_pairs
@@ -224,6 +270,41 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert catalog_path.exists()
         assert "saved catalog" in out
 
+    def test_repl_unknown_config_key_continues(self):
+        stdin = "\\config train.bogus 1\n\\config k_samples 3\n\\quit\n"
+        code, _, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert "error: unknown config key" in err
+        assert "internal error" not in err
+
+    def test_config_file_unknown_key_exit_one(self, tmp_path):
+        for text in ("bogus = 1\n", "train.bogus = 1\n"):
+            config = tmp_path / "bad.conf"
+            config.write_text(text, encoding="utf-8")
+            code, _, err = self.run_cli(["--quiet", "--config", str(config)],
+                                        stdin="\\quit\n")
+            assert code == 1
+            assert "unknown config key" in err
+
+    def test_corrupt_catalog_is_not_overwritten(self, tmp_path):
+        catalog_path = tmp_path / "cat.opc"
+        catalog_path.write_bytes(b"\x00 not a catalog\n")
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="\\save\n\\quit\n")
+        assert code == 1
+        assert "error" in err
+        assert catalog_path.read_bytes() == b"\x00 not a catalog\n"
+
+    def test_missing_catalog_starts_fresh(self, tmp_path):
+        catalog_path = tmp_path / "new.opc"
+        stdin = "CREATE GLOBAL POPULATION P (a TEXT);\n\\save\n\\quit\n"
+        code, out, _ = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin=stdin)
+        assert code == 0 and "saved catalog" in out
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="CREATE GLOBAL POPULATION P (a TEXT);\n")
+        assert code == 0 and "already in use" in err  # P was loaded
+
     def test_entry_point_runs(self):
         result = subprocess.run(
             [sys.executable, "-m", "openpop.cli", "--help"],
@@ -252,6 +333,21 @@ class TestCliExperiment:
                                    "--config", str(config)], stdin=stdin)
         assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_experiment_csv_stdout_matches_file(self, tmp_path):
+        spec = tmp_path / "spiral.conf"
+        out_csv = tmp_path / "spiral.csv"
+        spec.write_text("population_size = 2000\nsample_size = 200\n"
+                        "coverages = 0.6\nrepeats = 1\nquery_count = 5\n"
+                        f"output_csv = {out_csv}\n", encoding="utf-8")
+        config = tmp_path / "train.conf"
+        config.write_text("train.epochs = 1\ntrain.batch_size = 32\n"
+                          "train.layers = 8 8\n", encoding="utf-8")
+        code, out, _ = self.run_cli(
+            ["--quiet", "--output", "csv", "--config", str(config)],
+            stdin=f"\\experiment spiral {spec}\n\\quit\n")
+        assert code == 0
+        assert out == out_csv.read_text(encoding="utf-8")
 
     def test_flights_experiment_writes_artifacts(self, tmp_path):
         spec = tmp_path / "flights.conf"

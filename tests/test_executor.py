@@ -29,6 +29,7 @@ from openpop.executor import (
     intersect_group_answers,
     plan,
 )
+from openpop.ipf import IpfReport
 from openpop.mswg import TrainConfig
 from openpop.predicate import Comparison, Predicate
 
@@ -343,6 +344,23 @@ class TestAnswerRendering:
             "SELECT country, COUNT(*) FROM Migrants GROUP BY country"), catalog)
         text = answer.to_text()
         assert "country" in text and "COUNT(*)" in text and "closed" in text
+
+    def test_text_warns_when_ipf_degrades(self):
+        # The sample holds no AOL tuple, so the AOL cell is a structural zero.
+        answer = execute(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"),
+                         fresh_catalog())
+        text = answer.to_text()
+        assert ("warning: IPF dropped 30 target mass in 1 structural-zero "
+                "cells") in text
+        assert "did not converge" not in text
+        answer.diagnostics["ipf"] = IpfReport(1000, [0.25, 1e-3], False)
+        assert ("warning: IPF did not converge in 1000 rounds "
+                "(max discrepancy 0.25)") in answer.to_text()
+
+    def test_text_has_no_warning_without_ipf(self):
+        answer = execute(parse_one("SELECT COUNT(*) FROM Migrants"),
+                         fresh_catalog())
+        assert "warning" not in answer.to_text()
 
     def test_csv(self):
         catalog = fresh_catalog()
