@@ -23,7 +23,7 @@ picked = np.argsort(keys)[:2_000]
 rows = [(str(device[i]), str(plan[i])) for i in picked]
 
 schema = [AttributeDef("device", "categorical"), AttributeDef("plan", "categorical")]
-sample = SampleRelation("survey", schema, rows, np.ones(len(rows)))
+sample = SampleRelation.from_rows(schema, rows, name="survey")
 
 marginal_device = Marginal("Users", ("device",), {
     str(value): float(count) for value, count in

@@ -32,12 +32,11 @@ config = TrainConfig(coverage_weight=0.04, latent_dim=2, batch_size=500,
 print("training the generator (10 epochs)...")
 trained = train_spiral_generator(data, marginals, config, log=print)
 
-generated = np.asarray(generate(trained, spec.sample_size,
-                                np.random.default_rng(1)))
+generated = generate(trained, spec.sample_size, np.random.default_rng(1))
 print("\ndistance of each 1-D marginal to the population marginal (W1):")
 for column, attr in enumerate(("x", "y")):
     sample_w1 = w1_to_marginal(data.sample[:, column], marginals[column], attr)
-    gen_w1 = w1_to_marginal(generated[:, column], marginals[column], attr)
+    gen_w1 = w1_to_marginal(generated.columns[attr], marginals[column], attr)
     print(f"  {attr}: biased sample {sample_w1:.3f}  ->  generated {gen_w1:.3f}")
 
 print("\nrange-query percent differences (100 queries, 10 generated samples):")

@@ -16,6 +16,7 @@ from .catalog import (
     Mechanism,
     NumericBinning,
     PopulationDef,
+    Relation,
     SampleRelation,
     build_marginal,
 )
@@ -25,7 +26,6 @@ from .errors import OpenPopError
 from .executor import (
     ExecOptions,
     QueryAnswer,
-    WeightedRows,
     execute,
     execute_closed,
     execute_open,
@@ -51,10 +51,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttributeDef", "AuxRelation", "Catalog", "Marginal", "Mechanism",
-    "NumericBinning", "PopulationDef", "SampleRelation", "build_marginal",
+    "NumericBinning", "PopulationDef", "Relation", "SampleRelation",
+    "build_marginal",
     "Select", "Visibility", "parse", "parse_one", "render",
     "Engine", "OpenPopError",
-    "ExecOptions", "QueryAnswer", "WeightedRows", "execute", "execute_closed",
+    "ExecOptions", "QueryAnswer", "execute", "execute_closed",
     "execute_open", "execute_semi_open", "plan",
     "IpfConfig", "IpfReport", "discrepancy", "ipf_fit",
     "TrainConfig", "TrainedGenerator", "augment_marginals", "coverage_penalty",

@@ -20,12 +20,13 @@ from .catalog import (
     Catalog,
     Marginal,
     PopulationDef,
+    Relation,
     SampleRelation,
     build_marginal,
 )
 from .dialect import Visibility, parse_one
 from .errors import CatalogIoError, ConfigError
-from .executor import ExecOptions, WeightedRows, evaluate_aggregates, execute
+from .executor import ExecOptions, evaluate_aggregates, execute
 from .ipf import IpfConfig
 from .mswg import TrainConfig, generate, train
 from .transport import wasserstein_1d
@@ -205,18 +206,22 @@ def w1_to_marginal(values, marginal: Marginal, attr: str, weights=None) -> float
 SPIRAL_SCHEMA = [AttributeDef("x", "numeric"), AttributeDef("y", "numeric")]
 
 
+def _spiral_columns(points: np.ndarray) -> dict[str, np.ndarray]:
+    return {"x": points[:, 0], "y": points[:, 1]}
+
+
 def spiral_marginals(data: SpiralData, nbins: int = 64) -> list[Marginal]:
-    rows = [tuple(p) for p in data.population]
-    return [build_marginal("population", (attr,), rows, SPIRAL_SCHEMA, nbins=nbins)
+    population = Relation(SPIRAL_SCHEMA, _spiral_columns(data.population),
+                          np.ones(len(data.population)))
+    return [build_marginal("population", (attr,), population, nbins=nbins)
             for attr in ("x", "y")]
 
 
 def train_spiral_generator(data: SpiralData, marginals=None,
                            cfg: TrainConfig | None = None, log=None):
     marginals = marginals or spiral_marginals(data)
-    sample = SampleRelation("spiral_sample", SPIRAL_SCHEMA,
-                            [tuple(p) for p in data.sample],
-                            np.ones(len(data.sample)))
+    sample = SampleRelation(SPIRAL_SCHEMA, _spiral_columns(data.sample),
+                            np.ones(len(data.sample)), name="spiral_sample")
     return train(sample, marginals, cfg or TrainConfig(), log=log)
 
 
@@ -239,8 +244,8 @@ def run_spiral_experiment(spec: SpiralSpec, coverages,
             trained = train_spiral_generator(data, cfg=train_cfg, log=log)
         rng = np.random.default_rng(spec.seed + 1)
         for _ in range(repeats):
-            rows = generate(trained, n_sample, rng)
-            generated.append(np.asarray(rows, dtype=float))
+            points = generate(trained, n_sample, rng).columns
+            generated.append(np.column_stack([points["x"], points["y"]]))
 
     table = ResultTable(["coverage", "method", "mean", "p3", "q1", "median",
                          "q3", "p97", "excluded"])
@@ -316,14 +321,8 @@ FLIGHTS_SCHEMA = [
 
 @dataclass
 class FlightsLikeData:
-    columns: dict[str, np.ndarray]  # population columns; C holds carrier codes
-    sample_rows: list[tuple]
-
-    def population_rows(self) -> list[tuple]:
-        cols = [self.columns[a.name] for a in FLIGHTS_SCHEMA]
-        return [tuple(col[i] if isinstance(col[i], str) else float(col[i])
-                      for col in cols)
-                for i in range(len(cols[0]))]
+    population: Relation
+    sample: Relation
 
 
 def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
@@ -346,10 +345,10 @@ def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
                        1, 120)
     taxi_in = np.clip(np.round(4 + 0.012 * elapsed + rng.normal(0, 2.5, n)),
                       1, 60)
-    columns = {
+    population = Relation(FLIGHTS_SCHEMA, {
         "C": np.asarray(CARRIERS, dtype=object)[carrier_idx],
         "O": taxi_out, "I": taxi_in, "E": elapsed, "D": distance,
-    }
+    }, np.ones(n))
 
     n_sample = max(1, int(spec.sample_fraction * n))
     long_idx = np.flatnonzero(elapsed > spec.bias_threshold)
@@ -361,34 +360,19 @@ def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
         rng.choice(short_idx, size=n_short, replace=False),
     ])
     picked.sort()
-    sample_rows = [(str(columns["C"][i]), float(taxi_out[i]), float(taxi_in[i]),
-                    float(elapsed[i]), float(distance[i])) for i in picked]
-    return FlightsLikeData(columns, sample_rows)
+    return FlightsLikeData(population, population.take(picked))
 
 
 def flights_pair_marginals(data: FlightsLikeData,
                            pairs=(("C", "E"), ("O", "E"), ("I", "E"), ("D", "E")),
                            owner: str = "FlightsLike") -> list[Marginal]:
-    """Joint integer-cell histograms of the population for each pair."""
+    """Joint integer-cell histograms of the population for each pair, cells
+    in sorted key order."""
     marginals = []
     for a, b in pairs:
-        col_a, col_b = data.columns[a], data.columns[b]
-        if col_a.dtype == object:
-            codes, inverse = np.unique(col_a, return_inverse=True)
-            key_a = inverse
-            decode_a = list(codes)
-        else:
-            key_a = col_a.astype(np.int64)
-            decode_a = None
-        key_b = col_b.astype(np.int64)
-        packed = key_a.astype(np.int64) * 1_000_000 + key_b
-        uniq, counts = np.unique(packed, return_counts=True)
-        cells = {}
-        for code, count in zip(uniq, counts):
-            ka, kb = divmod(int(code), 1_000_000)
-            left = decode_a[ka] if decode_a is not None else ka
-            cells[(left, kb)] = float(count)
-        marginals.append(Marginal(owner, (a, b), cells, name=f"{owner}_{a}{b}"))
+        counts = build_marginal(owner, (a, b), data.population).cells
+        marginals.append(Marginal(owner, (a, b), dict(sorted(counts.items())),
+                                  name=f"{owner}_{a}{b}"))
     return marginals
 
 
@@ -413,16 +397,11 @@ def flights_catalog(data: FlightsLikeData, spec: FlightsLikeSpec) -> Catalog:
     schema = [AttributeDef(a.name, a.kind, list(a.domain)) for a in FLIGHTS_SCHEMA]
     catalog.create_population(PopulationDef("FlightsLike", True, schema))
     catalog.create_sample("FlightsSample")
-    catalog.ingest_rows("FlightsSample", data.sample_rows)
+    catalog.ingest_rows("FlightsSample", data.sample.to_rows())
     for marginal in flights_pair_marginals(data):
         catalog.create_metadata(marginal.owner, marginal.attributes,
                                 marginal.cells, name=marginal.name)
     return catalog
-
-
-def _truth_answer(pop_rows: list[tuple], query):
-    weighted = WeightedRows(FLIGHTS_SCHEMA, pop_rows, np.ones(len(pop_rows)))
-    return evaluate_aggregates(weighted, query)
 
 
 def _answer_error(answer, truth, n_group: int):
@@ -460,7 +439,7 @@ def run_flightslike_experiment(spec: FlightsLikeSpec,
     catalog = flights_catalog(data, spec)
     sample = catalog.sample("FlightsSample")
     n_pop = spec.population_size
-    unif_weight = n_pop / len(sample.rows)
+    unif_weight = n_pop / len(sample)
 
     mswg_cfg = train_cfg or TrainConfig(
         coverage_weight=1e-7, latent_dim=18, projections=1000,
@@ -471,16 +450,14 @@ def run_flightslike_experiment(spec: FlightsLikeSpec,
 
     table = ResultTable(["query", "method", "pct_diff", "false_negatives",
                          "excluded"])
-    pop_rows = data.population_rows()
     for label, text in FLIGHTS_QUERIES:
         query = parse_one(text)
         n_group = len(query.group_by)
-        truth = _truth_answer(pop_rows, query)
+        truth = evaluate_aggregates(data.population, query)
         for method in methods:
             if method == "unif":
-                weighted = WeightedRows(sample.schema, sample.rows,
-                                        np.full(len(sample.rows), unif_weight))
-                answer = evaluate_aggregates(weighted, query)
+                answer = evaluate_aggregates(
+                    replace(sample, weights=np.full(len(sample), unif_weight)), query)
             elif method == "ipf":
                 answer = execute(query, catalog, options)
             elif method == "mswg":

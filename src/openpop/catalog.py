@@ -103,29 +103,84 @@ class PopulationDef:
     predicate: Predicate | None = None
 
 
-@dataclass
-class SampleRelation:
-    name: str
+def group_rows(columns: list[np.ndarray], n: int):
+    """Group n rows by their values in `columns`: (keys, ids, first), where
+    keys are the distinct value tuples in sorted order, as plain Python
+    values, row r is in group ids[r], and first[g] is group g's first row."""
+    ids = np.zeros(n, dtype=np.int64)
+    parts = []
+    for col in columns:
+        if col.dtype == object:
+            distinct = sorted(dict.fromkeys(col.tolist()))
+            position = {value: i for i, value in enumerate(distinct)}
+            codes = np.fromiter(map(position.__getitem__, col), dtype=np.int64,
+                                count=n)
+        else:
+            distinct, codes = np.unique(col, return_inverse=True)
+            distinct = distinct.tolist()
+        _, ids = np.unique(ids * len(distinct) + codes, return_inverse=True)
+        parts.append((distinct, codes))
+    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+    keys = [tuple(distinct[codes[row]] for distinct, codes in parts)
+            for row in first]
+    return keys, ids, first
+
+
+@dataclass(eq=False)
+class Relation:
+    """Rows stored as one array per attribute (float64 for numeric, an object
+    array of str for categorical) plus one nonnegative weight per row."""
+
     schema: Schema
-    rows: list[tuple] = field(default_factory=list)
-    weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    columns: dict[str, np.ndarray]
+    weights: np.ndarray
+
+    def __post_init__(self):
+        kinds = schema_kinds(self.schema)
+        self.columns = {
+            name: np.ascontiguousarray(
+                col, dtype=float if kinds[name] == NUMERIC else object)
+            for name, col in self.columns.items()}
+        self.weights = np.asarray(self.weights, dtype=float)
+
+    @classmethod
+    def from_rows(cls, schema: Schema, rows, weights=None, **identity):
+        """The one row -> column step: the i-th value of every row becomes
+        the column of the i-th attribute (unit weights by default)."""
+        rows = list(rows)
+        values = list(zip(*rows)) if rows else [()] * len(schema)
+        if weights is None:
+            weights = np.ones(len(rows))
+        return cls(schema, {a.name: v for a, v in zip(schema, values)},
+                   weights, **identity)
+
+    def to_rows(self) -> list[tuple]:
+        """The one column -> row view: tuples of plain Python values in
+        schema order."""
+        return list(zip(*(self.columns[a.name].tolist() for a in self.schema)))
+
+    def take(self, indices) -> "Relation":
+        """The rows at `indices`, in that order, with the same identity."""
+        return replace(self, columns={name: col[indices]
+                                      for name, col in self.columns.items()},
+                       weights=self.weights[indices])
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+@dataclass(eq=False, kw_only=True)
+class SampleRelation(Relation):
+    name: str
     predicate: Predicate | None = None
     mechanism: Mechanism | None = None
 
-    def index(self) -> dict[str, int]:
-        return schema_index(self.schema)
 
-
-@dataclass
-class AuxRelation:
+@dataclass(eq=False, kw_only=True)
+class AuxRelation(Relation):
     """Plain table used for staging data before it feeds samples or metadata."""
 
     name: str
-    schema: Schema
-    rows: list[tuple] = field(default_factory=list)
-
-    def index(self) -> dict[str, int]:
-        return schema_index(self.schema)
 
 
 @dataclass(frozen=True)
@@ -136,12 +191,18 @@ class NumericBinning:
     hi: float
     nbins: int
 
-    def cell(self, value: float) -> int:
-        # Values outside [lo, hi] clamp to the boundary bin.
+    def cells(self, values) -> np.ndarray:
+        """Bin ids of `values`; values outside [lo, hi] clamp to the boundary
+        bin."""
+        values = np.asarray(values, dtype=float)
         if self.hi <= self.lo:
-            return 0
-        frac = (value - self.lo) / (self.hi - self.lo)
-        return min(self.nbins - 1, max(0, int(frac * self.nbins)))
+            return np.zeros(len(values), dtype=np.int64)
+        frac = (values - self.lo) / (self.hi - self.lo)
+        return np.clip(np.floor(frac * self.nbins), 0,
+                       self.nbins - 1).astype(np.int64)
+
+    def cell(self, value: float) -> int:
+        return int(self.cells([value])[0])
 
     def midpoint(self, cell: int) -> float:
         width = (self.hi - self.lo) / self.nbins
@@ -173,14 +234,33 @@ class Marginal:
     def total(self) -> float:
         return float(sum(self.cells.values()))
 
+    def cell_index(self, columns: dict[str, np.ndarray]) -> tuple[np.ndarray, list]:
+        """The cell rule, over whole columns: (ids, keys) such that row r
+        falls in cell keys[ids[r]]. `keys` lists this marginal's cells in
+        order, then the cells only the rows reach, by first appearance.
+        Numeric attributes are binned when the marginal has a binning; an
+        unbinned whole number keys as an int."""
+        cols = [self.binnings[a].cells(columns[a]) if a in self.binnings
+                else columns[a] for a in self.attributes]
+        found, row_groups, first = group_rows(cols, len(cols[0]))
+        keys = list(self.cells)
+        ids = {key: i for i, key in enumerate(keys)}
+        group_ids = np.empty(len(found), dtype=np.int64)
+        for group in np.argsort(first):
+            key = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
+                        for v in found[group])
+            key = key[0] if len(key) == 1 else key
+            if key not in ids:
+                ids[key] = len(keys)
+                keys.append(key)
+            group_ids[group] = ids[key]
+        return group_ids[row_groups], keys
+
     def cell_of(self, row: tuple, index: dict[str, int]):
         """The (binned) cell key a tuple falls in."""
-        parts = []
-        for attr in self.attributes:
-            value = row[index[attr]]
-            binning = self.binnings.get(attr)
-            parts.append(binning.cell(value) if binning is not None else value)
-        return parts[0] if len(parts) == 1 else tuple(parts)
+        ids, keys = self.cell_index({a: np.asarray([row[index[a]]])
+                                     for a in self.attributes})
+        return keys[ids[0]]
 
     def position_of(self, key, attr: str) -> float:
         """Numeric position of a cell key on `attr` (bin midpoint when binned)."""
@@ -189,46 +269,28 @@ class Marginal:
         return binning.midpoint(part) if binning is not None else float(part)
 
 
-def _values_look_integral(values) -> bool:
-    return all(float(v) == int(v) for v in values)
-
-
-def build_marginal(owner, attributes, rows, schema, name=None, nbins=64,
+def build_marginal(owner, attributes, relation: Relation, name=None, nbins=64,
                    weights=None) -> Marginal:
-    """Aggregate rows into a marginal, attaching equi-width binning to any
-    numeric attribute whose values are not whole numbers."""
+    """Aggregate a relation's rows (unit weights unless given) into a
+    marginal, attaching equi-width binning to any numeric attribute whose
+    values are not whole numbers."""
     attributes = tuple(attributes)
-    index = schema_index(schema)
-    kinds = schema_kinds(schema)
+    kinds = schema_kinds(relation.schema)
     for attr in attributes:
-        if attr not in index:
+        if attr not in kinds:
             raise UnknownAttributeError(f"unknown attribute '{attr}'")
     binnings: dict[str, NumericBinning] = {}
     for attr in attributes:
-        if kinds[attr] != NUMERIC:
-            continue
-        col = [row[index[attr]] for row in rows]
-        if col and not _values_look_integral(col):
-            binnings[attr] = NumericBinning(float(min(col)), float(max(col)), nbins)
-    cells: dict = {}
-    if weights is None:
-        weights = np.ones(len(rows))
-    probe = Marginal(owner, attributes, {}, binnings, name)
-    for row, w in zip(rows, weights):
-        key = probe.cell_of(row, index)
-        key = _normalize_cell_key(key, attributes, kinds, binnings)
-        cells[key] = cells.get(key, 0.0) + float(w)
-    return Marginal(owner, attributes, cells, binnings, name)
-
-
-def _normalize_cell_key(key, attributes, kinds, binnings):
-    parts = key if isinstance(key, tuple) else (key,)
-    out = []
-    for attr, part in zip(attributes, parts):
-        if kinds[attr] == NUMERIC and attr not in binnings:
-            part = int(part) if float(part) == int(part) else float(part)
-        out.append(part)
-    return out[0] if len(out) == 1 else tuple(out)
+        col = relation.columns[attr]
+        if (kinds[attr] == NUMERIC and len(col)
+                and not np.array_equal(col, np.trunc(col))):
+            binnings[attr] = NumericBinning(float(col.min()), float(col.max()), nbins)
+    ids, keys = Marginal(owner, attributes, {}, binnings, name).cell_index(
+        relation.columns)
+    weights = np.ones(len(relation)) if weights is None else weights
+    counts = np.bincount(ids, weights=weights, minlength=len(keys))
+    return Marginal(owner, attributes, dict(zip(keys, counts.tolist())),
+                    binnings, name)
 
 
 class Catalog:
@@ -315,7 +377,8 @@ class Catalog:
                 raise UnknownAttributeError(
                     f"stratification attribute '{mechanism.strat_attribute}' "
                     "not in global population schema")
-        sample = SampleRelation(name, schema, [], np.zeros(0), predicate, mechanism)
+        sample = SampleRelation.from_rows(schema, [], name=name, predicate=predicate,
+                                          mechanism=mechanism)
         self.samples[name] = sample
         return sample
 
@@ -323,7 +386,7 @@ class Catalog:
         if name in self._all_names():
             raise DuplicateNameError(f"name '{name}' already in use")
         _check_schema(schema)
-        rel = AuxRelation(name, schema)
+        rel = AuxRelation.from_rows(schema, [], name=name)
         self.aux[name] = rel
         return rel
 
@@ -355,9 +418,9 @@ class Catalog:
         """Replace a sample's initial tuple weights (all-ones by default)."""
         sample = self.sample(sample_name)
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(sample.rows),):
+        if weights.shape != (len(sample),):
             raise TypeMismatchError(
-                f"expected {len(sample.rows)} weights, got {weights.shape}")
+                f"expected {len(sample)} weights, got {weights.shape}")
         if np.any(weights < 0):
             raise NegativeCountError("weights must be nonnegative")
         sample.weights = weights
@@ -394,31 +457,35 @@ class Catalog:
 
     def ingest_rows(self, target: str, rows) -> int:
         rel = self._target_relation(target)
-        coerced = []
+        values = [[] for _ in rel.schema]
         for lineno, row in enumerate(rows, start=1):
             if len(row) != len(rel.schema):
                 raise CsvParseError(
                     f"expected {len(rel.schema)} values, got {len(row)}", lineno)
-            coerced.append(tuple(
-                self._coerce(attr, raw, lineno) for attr, raw in zip(rel.schema, row)))
-        return self._commit(rel, coerced)
+            for attr, raw, column in zip(rel.schema, row, values):
+                column.append(self._coerce(attr, raw, lineno))
+        return self._commit(rel, values)
 
-    def _commit(self, rel, rows: list[tuple]) -> int:
-        """Append fully coerced rows with unit weights, and grow the
-        categorical domains they reach: the relation's own and, since sample
-        tuples exist in the global population, the global population's."""
-        rel.rows.extend(rows)
+    def _commit(self, rel: Relation, values: list[list]) -> int:
+        """Append fully coerced per-attribute values with unit weights, and
+        grow the categorical domains they reach: the relation's own and,
+        since sample tuples exist in the global population, the global
+        population's."""
+        batch = Relation(rel.schema, {a.name: v for a, v in zip(rel.schema, values)},
+                         np.ones(len(values[0]) if values else 0))
+        rel.columns = {name: np.concatenate([col, batch.columns[name]])
+                       for name, col in rel.columns.items()}
+        rel.weights = np.concatenate([rel.weights, batch.weights])
         schemas = [rel.schema]
         if isinstance(rel, SampleRelation):
-            rel.weights = np.concatenate([rel.weights, np.ones(len(rows))])
             schemas.append(self.global_population().schema)
         for schema in schemas:
             attrs = {a.name: a for a in schema}
-            for i, attr in enumerate(rel.schema):
+            for attr, column in zip(rel.schema, values):
                 if attr.kind == CATEGORICAL and attr.name in attrs:
-                    for value in dict.fromkeys(row[i] for row in rows):
+                    for value in dict.fromkeys(column):
                         attrs[attr.name].extend_domain(value)
-        return len(rows)
+        return len(batch)
 
     def ingest_csv(self, target: str, path) -> int:
         rel = self._target_relation(target)
@@ -434,24 +501,25 @@ class Catalog:
                 for name in header:
                     if name not in index:
                         raise CsvParseError(f"unknown column '{name}' in header", 1)
+                    if index[name] in cols:
+                        raise CsvParseError(f"duplicate column '{name}' in header", 1)
                     cols.append(index[name])
-                if len(set(cols)) != len(rel.schema):
+                if len(cols) != len(rel.schema):
                     raise CsvParseError(
                         f"header must name all of {[a.name for a in rel.schema]}", 1)
-                rows = []
+                values = [[] for _ in rel.schema]
+                fields = [(rel.schema[pos], values[pos]) for pos in cols]
                 for lineno, record in enumerate(reader, start=2):
                     if not record:
                         continue
                     if len(record) != len(cols):
                         raise CsvParseError(
                             f"expected {len(cols)} fields, got {len(record)}", lineno)
-                    row = [None] * len(rel.schema)
-                    for pos, raw in zip(cols, record):
-                        row[pos] = self._coerce(rel.schema[pos], raw, lineno)
-                    rows.append(tuple(row))
+                    for (attr, column), raw in zip(fields, record):
+                        column.append(self._coerce(attr, raw, lineno))
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
-        return self._commit(rel, rows)
+        return self._commit(rel, values)
 
     # --- integrity ----------------------------------------------------------
 
@@ -465,7 +533,8 @@ class Catalog:
                     raise UnknownPopulationError(
                         f"population '{pop.name}' references missing global")
         for sample in self.samples.values():
-            if len(sample.weights) != len(sample.rows):
+            if any(len(col) != len(sample.weights)
+                   for col in sample.columns.values()):
                 raise TypeMismatchError(
                     f"sample '{sample.name}' weight/row length mismatch")
             if np.any(sample.weights < 0):
@@ -490,8 +559,8 @@ class Catalog:
             records.append({
                 "kind": "sample", "name": sample.name,
                 "schema": _schema_json(sample.schema),
-                "rows": [list(r) for r in sample.rows],
-                "weights": [float(w) for w in sample.weights],
+                "rows": [list(r) for r in sample.to_rows()],
+                "weights": sample.weights.tolist(),
                 "predicate": _pred_json(sample.predicate),
                 "mechanism": None if sample.mechanism is None else {
                     "kind": sample.mechanism.kind,
@@ -510,7 +579,7 @@ class Catalog:
         for rel in self.aux.values():
             records.append({
                 "kind": "aux", "name": rel.name, "schema": _schema_json(rel.schema),
-                "rows": [list(r) for r in rel.rows],
+                "rows": [list(r) for r in rel.to_rows()],
             })
         return records
 
@@ -561,12 +630,10 @@ class Catalog:
                 record["source"], _pred_load(record["predicate"]))
         elif kind == "sample":
             mech = record["mechanism"]
-            self.samples[record["name"]] = SampleRelation(
-                record["name"], _schema_load(record["schema"]),
-                [tuple(r) for r in record["rows"]],
-                np.asarray(record["weights"], dtype=float),
-                _pred_load(record["predicate"]),
-                None if mech is None else Mechanism(
+            self.samples[record["name"]] = SampleRelation.from_rows(
+                _schema_load(record["schema"]), record["rows"], record["weights"],
+                name=record["name"], predicate=_pred_load(record["predicate"]),
+                mechanism=None if mech is None else Mechanism(
                     mech["kind"], mech["percent"], mech["strat_attribute"]))
         elif kind == "marginal":
             self.marginals.append(Marginal(
@@ -575,9 +642,8 @@ class Catalog:
                 {a: NumericBinning(*vals) for a, vals in record["binnings"].items()},
                 record["name"]))
         elif kind == "aux":
-            self.aux[record["name"]] = AuxRelation(
-                record["name"], _schema_load(record["schema"]),
-                [tuple(r) for r in record["rows"]])
+            self.aux[record["name"]] = AuxRelation.from_rows(
+                _schema_load(record["schema"]), record["rows"], name=record["name"])
         else:
             raise FormatVersionMismatchError(f"unknown record kind {kind!r}")
 

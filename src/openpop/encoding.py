@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CATEGORICAL, NUMERIC, Marginal, Schema, schema_index
+from .catalog import (
+    CATEGORICAL,
+    NUMERIC,
+    AttributeDef,
+    Marginal,
+    Relation,
+    Schema,
+    group_rows,
+)
 from .errors import ConfigError
 
 
@@ -41,16 +49,16 @@ class Encoding:
         self.dim = sum(a.width for a in attrs)
 
     @classmethod
-    def build(cls, schema: Schema, rows, marginals: list[Marginal] | None = None) -> "Encoding":
+    def build(cls, schema: Schema, columns: dict[str, np.ndarray],
+              marginals: list[Marginal] | None = None) -> "Encoding":
         marginals = marginals or []
-        index = schema_index(schema)
         attrs: list[AttrEncoding] = []
         offset = 0
         for attr in schema:
-            col = [row[index[attr.name]] for row in rows]
+            col = columns[attr.name]
             if attr.kind == NUMERIC:
-                lo = min(col) if col else 0.0
-                hi = max(col) if col else 1.0
+                lo = float(col.min()) if len(col) else 0.0
+                hi = float(col.max()) if len(col) else 1.0
                 if attr.lo is not None:
                     lo = min(lo, attr.lo)
                 if attr.hi is not None:
@@ -69,22 +77,16 @@ class Encoding:
                                           float(lo), float(hi)))
                 offset += 1
             else:
-                values = list(attr.domain)
-                seen = set(values)
-                for v in col:
-                    if v not in seen:
-                        values.append(v)
-                        seen.add(v)
+                # Insertion-ordered: the domain, then values the rows and the
+                # marginal cells add.
+                values = dict.fromkeys(attr.domain)
+                values.update(dict.fromkeys(col.tolist()))
                 for marginal in marginals:
-                    if attr.name not in marginal.attributes:
-                        continue
-                    pos = (0 if len(marginal.attributes) == 1
-                           else marginal.attributes.index(attr.name))
-                    for key in marginal.cells:
-                        v = key if not isinstance(key, tuple) else key[pos]
-                        if v not in seen:
-                            values.append(v)
-                            seen.add(v)
+                    if attr.name in marginal.attributes:
+                        pos = marginal.attributes.index(attr.name)
+                        values.update(dict.fromkeys(
+                            key[pos] if isinstance(key, tuple) else key
+                            for key in marginal.cells))
                 if not values:
                     raise ConfigError(
                         f"categorical attribute '{attr.name}' has an empty domain")
@@ -96,22 +98,24 @@ class Encoding:
     def categorical_blocks(self) -> list[tuple[int, int]]:
         return [(a.offset, a.width) for a in self.attrs if a.kind == CATEGORICAL]
 
-    def encode_rows(self, rows, index: dict[str, int]) -> np.ndarray:
-        out = np.zeros((len(rows), self.dim))
+    def encode_rows(self, columns: dict[str, np.ndarray]) -> np.ndarray:
+        n = len(columns[self.attrs[0].name]) if self.attrs else 0
+        out = np.zeros((n, self.dim))
         for enc in self.attrs:
-            col = index[enc.name]
+            values = columns[enc.name]
             if enc.kind == NUMERIC:
-                values = np.asarray([row[col] for row in rows], dtype=float)
                 span = enc.hi - enc.lo
                 out[:, enc.offset] = (values - enc.lo) / span if span > 0 else 0.5
             else:
                 positions = {v: i for i, v in enumerate(enc.values)}
-                for r, row in enumerate(rows):
-                    out[r, enc.offset + positions[row[col]]] = 1.0
+                keys, ids, _ = group_rows([values], n)
+                picks = np.asarray([positions[v] for (v,) in keys], dtype=np.int64)
+                out[np.arange(n), enc.offset + picks[ids]] = 1.0
         return out
 
-    def decode_rows(self, matrix: np.ndarray, attr_order: list[str]) -> list[tuple]:
-        """Harden categorical blocks by argmax and invert the numeric maps."""
+    def decode_rows(self, matrix: np.ndarray, attr_order: list[str]) -> Relation:
+        """Harden categorical blocks by argmax and invert the numeric maps;
+        the rows come back as a unit-weight relation over `attr_order`."""
         matrix = np.asarray(matrix, dtype=float)
         cols = {}
         for enc in self.attrs:
@@ -121,15 +125,11 @@ class Encoding:
                     if span > 0 else np.full(len(matrix), enc.lo)
             else:
                 block = matrix[:, enc.offset:enc.offset + enc.width]
-                picks = np.argmax(block, axis=1)
-                cols[enc.name] = [enc.values[i] for i in picks]
-        rows = []
-        for r in range(len(matrix)):
-            rows.append(tuple(
-                float(cols[name][r]) if self.by_name[name].kind == NUMERIC
-                else cols[name][r]
-                for name in attr_order))
-        return rows
+                cols[enc.name] = np.asarray(enc.values, dtype=object)[
+                    np.argmax(block, axis=1)]
+        schema = [AttributeDef(name, self.by_name[name].kind) for name in attr_order]
+        return Relation(schema, {name: cols[name] for name in attr_order},
+                        np.ones(len(matrix)))
 
     def encode_cell(self, marginal: Marginal, key) -> np.ndarray:
         """A marginal cell as a point in the encoded subspace of its attributes

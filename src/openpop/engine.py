@@ -14,7 +14,7 @@ from .catalog import (
     Mechanism,
     PopulationDef,
     build_marginal,
-    schema_index,
+    schema_kinds,
 )
 from .dialect import (
     CreateAuxTable,
@@ -170,23 +170,23 @@ class Engine:
             raise UnknownRelationError(
                 f"metadata source '{stmt.source}' is not an ingested table")
         aux = self.catalog.aux[stmt.source]
-        index = schema_index(aux.schema)
+        kinds = schema_kinds(aux.schema)
         for attr in stmt.attributes:
-            if attr not in index:
+            if attr not in kinds:
                 raise UnknownAttributeError(
                     f"attribute '{attr}' not in table '{stmt.source}'")
         if stmt.count_column is None:
             weights = None  # COUNT(*) form: each staged row counts once
         else:
-            if stmt.count_column not in index:
+            if stmt.count_column not in kinds:
                 raise UnknownAttributeError(
                     f"count column '{stmt.count_column}' not in '{stmt.source}'")
-            if aux.schema[index[stmt.count_column]].kind != "numeric":
+            if kinds[stmt.count_column] != "numeric":
                 raise TypeMismatchError(
                     f"count column '{stmt.count_column}' must be numeric")
-            weights = [row[index[stmt.count_column]] for row in aux.rows]
-        marginal = build_marginal(owner, stmt.attributes, aux.rows, aux.schema,
-                                  name=stmt.name, weights=weights)
+            weights = aux.columns[stmt.count_column]
+        marginal = build_marginal(owner, stmt.attributes, aux, name=stmt.name,
+                                  weights=weights)
         self.catalog.create_metadata(owner, marginal.attributes, marginal.cells,
                                      marginal.binnings, name=stmt.name)
 

@@ -5,14 +5,15 @@ CLOSED answers straight off the chosen sample; SEMI-OPEN reweights it
 marginals otherwise); OPEN additionally synthesizes tuples with a trained
 generator and intersects the groups of several generated samples.
 
-Every path flows through the same weighted-rows currency: COUNT(*) becomes
-sum of weights, SUM(a) the weighted sum, AVG(a) their ratio.
+Every path flows through the same currency, a relation with row weights:
+COUNT(*) becomes sum of weights, SUM(a) the weighted sum, AVG(a) their
+ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,9 +21,10 @@ from .catalog import (
     NUMERIC,
     Catalog,
     PopulationDef,
+    Relation,
     SampleRelation,
     Schema,
-    schema_index,
+    group_rows,
     schema_kinds,
 )
 from .dialect import Select, Visibility
@@ -43,30 +45,6 @@ PROVENANCE_IPF_DIRECT = "semi_open_ipf_direct"
 PROVENANCE_IPF_GLOBAL = "semi_open_ipf_global"
 PROVENANCE_STORED = "semi_open_stored"
 PROVENANCE_OPEN = "open"
-
-
-@dataclass
-class WeightedRows:
-    """Tuples paired with nonnegative representation weights."""
-
-    schema: Schema
-    rows: list[tuple]
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (len(self.rows),):
-            raise TypeMismatchError("weights must align with rows")
-
-    def index(self) -> dict[str, int]:
-        return schema_index(self.schema)
-
-    def filtered(self, predicate: Predicate | None) -> "WeightedRows":
-        if predicate is None or not predicate:
-            return self
-        keep = filter_rows(predicate, self.rows, self.index())
-        return WeightedRows(self.schema, [self.rows[i] for i in keep],
-                            self.weights[keep])
 
 
 @dataclass
@@ -151,7 +129,7 @@ def plan(query: Select, catalog: Catalog) -> Plan:
     for position, sample in enumerate(catalog.samples.values()):
         names = {a.name for a in sample.schema}
         if needed <= names:
-            candidates.append((len(sample.rows), -position, sample.name))
+            candidates.append((len(sample), -position, sample.name))
     if not candidates:
         raise NoUsableSampleError(
             f"no sample covers attributes {sorted(needed)} of '{query.source}'")
@@ -182,31 +160,33 @@ def _check_aggregate_args(query: Select, schema: Schema) -> None:
                 f"{agg.label()} requires a numeric attribute")
 
 
-def evaluate_aggregates(weighted: WeightedRows, query: Select) -> QueryAnswer:
+def _filtered(relation: Relation, predicate: Predicate | None) -> Relation:
+    if not predicate:
+        return relation
+    return relation.take(filter_rows(predicate, relation))
+
+
+def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
     """Group/aggregate filtered weighted rows; provenance filled by callers."""
-    _check_aggregate_args(query, weighted.schema)
-    data = weighted.filtered(query.predicate)
-    index = data.index()
+    _check_aggregate_args(query, relation.schema)
+    data = _filtered(relation, query.predicate)
     aggs = query.aggregates()
 
     if not aggs:
         cols = [i for i in query.items if isinstance(i, str)]
-        positions = [index[c] for c in cols]
+        rows = list(zip(*(data.columns[c].tolist() for c in cols)))
         if query.group_by:
-            keys = sorted({tuple(row[p] for p in positions) for row in data.rows})
-            return QueryAnswer(list(cols), keys, "")
-        rows = [tuple(row[p] for p in positions) for row in data.rows]
+            rows = sorted(set(rows))
         return QueryAnswer(list(cols), rows, "")
 
-    group_positions = [index[g] for g in query.group_by]
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(data.rows):
-        groups.setdefault(tuple(row[p] for p in group_positions), []).append(i)
+    keys, group_ids, _ = group_rows([data.columns[g] for g in query.group_by],
+                                    len(data))
+    bounds = np.cumsum(np.bincount(group_ids))[:-1]
+    members_of = np.split(np.argsort(group_ids, kind="stable"), bounds)
 
     columns = list(query.group_by) + [a.label() for a in aggs]
     out_rows = []
-    for key in sorted(groups):
-        members = groups[key]
+    for key, members in zip(keys, members_of):
         w = data.weights[members]
         total = float(w.sum())
         if total <= 0:
@@ -216,9 +196,7 @@ def evaluate_aggregates(weighted: WeightedRows, query: Select) -> QueryAnswer:
             if agg.func == "count":
                 values.append(total)
                 continue
-            col = np.asarray([data.rows[i][index[agg.arg]] for i in members],
-                             dtype=float)
-            weighted_sum = float(np.dot(w, col))
+            weighted_sum = float(np.dot(w, data.columns[agg.arg][members]))
             values.append(weighted_sum if agg.func == "sum" else weighted_sum / total)
         if not all(math.isfinite(v) for v in values):
             raise TypeMismatchError("non-finite aggregate value")
@@ -226,13 +204,8 @@ def evaluate_aggregates(weighted: WeightedRows, query: Select) -> QueryAnswer:
     return QueryAnswer(columns, out_rows, "")
 
 
-def _as_weighted(sample: SampleRelation, weights) -> WeightedRows:
-    return WeightedRows(sample.schema, list(sample.rows), np.asarray(weights, dtype=float))
-
-
-def _view(catalog: Catalog, pop_name: str, weighted: WeightedRows) -> WeightedRows:
-    pop = catalog.population(pop_name)
-    return weighted.filtered(pop.predicate)
+def _view(catalog: Catalog, pop_name: str, relation: Relation) -> Relation:
+    return _filtered(relation, catalog.population(pop_name).predicate)
 
 
 # --- visibility levels -----------------------------------------------------------
@@ -241,7 +214,7 @@ def _view(catalog: Catalog, pop_name: str, weighted: WeightedRows) -> WeightedRo
 def execute_closed(query: Select, sample: SampleRelation,
                    catalog: Catalog) -> QueryAnswer:
     """Samples as-is: unit weights, zero false positives."""
-    weighted = _as_weighted(sample, np.ones(len(sample.rows)))
+    weighted = replace(sample, weights=np.ones(len(sample)))
     answer = evaluate_aggregates(_view(catalog, query.source, weighted), query)
     answer.provenance = PROVENANCE_CLOSED
     return answer
@@ -249,9 +222,8 @@ def execute_closed(query: Select, sample: SampleRelation,
 
 def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
     mech = sample.mechanism
-    n = len(sample.rows)
     if mech.kind == "uniform":
-        return np.full(n, 100.0 / mech.percent)
+        return np.full(len(sample), 100.0 / mech.percent)
     # Stratified: inclusion probability needs stratum sizes, which only a
     # 1-D marginal on the stratification attribute can supply.
     gp = catalog.global_population()
@@ -262,20 +234,17 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
         raise NoMetadataError(
             f"stratified mechanism on '{mech.strat_attribute}' requires a 1-D "
             "marginal on that attribute to recover stratum sizes")
-    strata = {k: v for k, v in marginal.cells.items() if v > 0}
-    k = len(strata)
+    k = sum(1 for v in marginal.cells.values() if v > 0)
     n_pop = marginal.total()
-    index = sample.index()
-    weights = np.empty(n)
-    for i, row in enumerate(sample.rows):
-        cell = marginal.cell_of(row, index)
-        stratum = strata.get(cell)
-        if stratum is None:
-            raise NoMetadataError(
-                f"sample tuple falls in stratum {cell!r} with no marginal mass")
-        inclusion = (mech.percent / 100.0) * n_pop / (k * stratum)
-        weights[i] = 1.0 / inclusion
-    return weights
+    ids, keys = marginal.cell_index(sample.columns)
+    sizes = np.array([float(marginal.cells.get(key, 0.0)) for key in keys])
+    stratum = sizes[ids]
+    empty = np.flatnonzero(stratum <= 0)
+    if len(empty):
+        raise NoMetadataError(f"sample tuple falls in stratum "
+                              f"{keys[ids[empty[0]]]!r} with no marginal mass")
+    inclusion = (mech.percent / 100.0) * n_pop / (k * stratum)
+    return 1.0 / inclusion
 
 
 def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
@@ -287,11 +256,11 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     report: IpfReport | None = None
 
     if sample.mechanism is not None:
-        weighted = _as_weighted(sample, _mechanism_weights(sample, catalog))
+        weighted = replace(sample, weights=_mechanism_weights(sample, catalog))
         weighted = _view(catalog, pop.name, weighted)
         provenance = PROVENANCE_MECHANISM
     elif not options.use_ipf:
-        weighted = _view(catalog, pop.name, _as_weighted(sample, sample.weights))
+        weighted = _view(catalog, pop.name, sample)
         provenance = PROVENANCE_STORED
     else:
         marginals, path = applicable_marginals(catalog, pop.name)
@@ -300,13 +269,9 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
                 f"no marginals for '{pop.name}' or the global population")
         # Direct marginals describe the population's view, so fit its rows;
         # global ones describe everything, so fit the whole sample.
-        base = _as_weighted(sample, sample.weights)
-        if path == "direct":
-            base = _view(catalog, pop.name, base)
-        scoped = SampleRelation(sample.name, sample.schema, base.rows, base.weights)
-        fitted, report = ipf_fit(scoped, marginals, options.ipf)
-        weighted = _view(catalog, pop.name,
-                         WeightedRows(sample.schema, base.rows, fitted))
+        base = _view(catalog, pop.name, sample) if path == "direct" else sample
+        fitted, report = ipf_fit(base, marginals, options.ipf)
+        weighted = _view(catalog, pop.name, replace(base, weights=fitted))
         provenance = (PROVENANCE_IPF_DIRECT if path == "direct"
                       else PROVENANCE_IPF_GLOBAL)
 
@@ -339,16 +304,18 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     if path is None:
         raise NoMetadataError(f"OPEN query over '{pop.name}' needs marginals")
 
-    trained = _trained_generator(sample, marginals, options, log=log)
-    n_generated = max(1, len(sample.rows))
+    # Direct marginals describe the population's view, so train on its rows.
+    base = _view(catalog, pop.name, sample) if path == "direct" else sample
+    trained = _trained_generator(base, marginals, options, log=log)
+    n_generated = max(1, len(base))
     weight = trained.population_total / n_generated
     aggs = query.aggregates()
     # Plain tuples come from a single generated sample.
     k = max(1, options.k_samples) if aggs else 1
     answers = []
     for _ in range(k):
-        rows = generate(trained, n_generated, options.rng)
-        weighted = WeightedRows(sample.schema, rows, np.full(len(rows), weight))
+        generated = generate(trained, n_generated, options.rng)
+        weighted = replace(generated, weights=np.full(len(generated), weight))
         answers.append(evaluate_aggregates(_view(catalog, pop.name, weighted), query))
 
     diagnostics = {

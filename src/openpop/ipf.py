@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import Marginal, SampleRelation
+from .catalog import Marginal, Relation, SampleRelation
 from .errors import ConfigError, EmptySampleError, StructuralZeroError
 
 EPS = 1e-12
@@ -52,23 +52,16 @@ def cell_of(row: tuple, marginal: Marginal, index: dict[str, int]):
     return marginal.cell_of(row, index)
 
 
-def _index_cells(sample: SampleRelation, marginal: Marginal):
+def _index_cells(sample: Relation, marginal: Marginal):
     """Map target cells and sample rows into dense ids; id 0..k-1 are the
     marginal's cells, further ids are sample-only cells (implicit target 0)."""
-    index = sample.index()
-    ids = {key: i for i, key in enumerate(marginal.cells)}
-    targets = [float(v) for v in marginal.cells.values()]
-    row_ids = np.empty(len(sample.rows), dtype=np.int64)
-    for r, row in enumerate(sample.rows):
-        key = marginal.cell_of(row, index)
-        if key not in ids:
-            ids[key] = len(targets)
-            targets.append(0.0)
-        row_ids[r] = ids[key]
-    return ids, np.asarray(targets), row_ids
+    row_ids, keys = marginal.cell_index(sample.columns)
+    targets = np.zeros(len(keys))
+    targets[:len(marginal.cells)] = [float(v) for v in marginal.cells.values()]
+    return keys, targets, row_ids
 
 
-def discrepancy(sample: SampleRelation, weights, marginal: Marginal) -> float:
+def discrepancy(sample: Relation, weights, marginal: Marginal) -> float:
     """Max over cells of |weighted_count - target| / max(target, eps), taken
     over the union of target cells and cells carrying sample mass."""
     weights = np.asarray(weights, dtype=float)
@@ -82,10 +75,10 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
     """Fit sample weights to the given marginals; returns (weights, report)
     without mutating the sample."""
     cfg = cfg or IpfConfig()
-    if not sample.rows:
+    if not len(sample):
         raise EmptySampleError(f"sample '{sample.name}' has no rows")
     weights = np.asarray(sample.weights, dtype=float).copy()
-    if weights.shape != (len(sample.rows),):
+    if weights.shape != (len(sample),):
         raise ConfigError("initial weights must align with sample rows")
     if np.any(weights < 0) or not np.any(weights > 0):
         raise EmptySampleError("initial weights must be nonnegative and not all zero")
@@ -96,23 +89,22 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
     structural: list[tuple[int, object]] = []
     dropped: list[float] = []
     for m_pos, marginal in enumerate(marginals):
-        ids, targets, row_ids = _index_cells(sample, marginal)
+        keys, targets, row_ids = _index_cells(sample, marginal)
         occupied = np.bincount(row_ids, minlength=len(targets)) > 0
-        zero_cells = [key for key, i in ids.items()
+        zero_cells = [i for i, key in enumerate(keys)
                       if targets[i] > 0 and not occupied[i]]
         if zero_cells and cfg.zero_policy == "error":
             raise StructuralZeroError(
                 f"marginal over {marginal.attributes} has target mass in cells "
-                f"with no sample tuples: {zero_cells[:5]}"
+                f"with no sample tuples: {[keys[i] for i in zero_cells[:5]]}"
                 + ("..." if len(zero_cells) > 5 else ""))
         drop = 0.0
         if zero_cells:
             total = targets.sum()
-            for key in zero_cells:
-                i = ids[key]
+            for i in zero_cells:
                 drop += targets[i]
                 targets[i] = 0.0
-                structural.append((m_pos, key))
+                structural.append((m_pos, keys[i]))
             remaining = targets.sum()
             if remaining <= 0:
                 raise StructuralZeroError(

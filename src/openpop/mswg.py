@@ -20,11 +20,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import Marginal, SampleRelation, build_marginal
+from .catalog import Marginal, Relation, SampleRelation, build_marginal
 from .encoding import AttrEncoding, Encoding
 from .errors import (
     ConfigError,
     EmptyDistributionError,
+    EmptySampleError,
     NonFiniteLossError,
     NoPopulationMarginalsError,
 )
@@ -110,8 +111,7 @@ def augment_marginals(pop_marginals: list[Marginal],
     for attr in sample.schema:
         if attr.name in covered:
             continue
-        marginal = build_marginal(pop_marginals[0].owner, (attr.name,),
-                                  sample.rows, sample.schema,
+        marginal = build_marginal(pop_marginals[0].owner, (attr.name,), sample,
                                   name=f"sample:{attr.name}")
         scale = total / marginal.total()
         marginal.cells = {k: v * scale for k, v in marginal.cells.items()}
@@ -251,12 +251,13 @@ def train(sample: SampleRelation, marginals: list[Marginal],
     loss are the ones returned.
     """
     cfg = cfg or TrainConfig()
+    if not len(sample):
+        raise EmptySampleError(f"sample '{sample.name}' has no rows")
     rng = np.random.default_rng(cfg.seed)
     augmented = augment_marginals(marginals, sample)
-    encoding = Encoding.build(sample.schema, sample.rows, augmented)
+    encoding = Encoding.build(sample.schema, sample.columns, augmented)
     targets = prepare_targets(augmented, encoding, cfg.projections, rng)
-    index = sample.index()
-    sample_points = encoding.encode_rows(sample.rows, index)
+    sample_points = encoding.encode_rows(sample.columns)
     net = GeneratorNet(cfg.latent_dim, list(cfg.layers), encoding.dim,
                        encoding.categorical_blocks(), rng, cfg.batch_norm)
     population_total = augmented[0].total()
@@ -311,11 +312,9 @@ def train(sample: SampleRelation, marginals: list[Marginal],
         })
 
 
-def generate(trained: TrainedGenerator, n: int, rng) -> list[tuple]:
+def generate(trained: TrainedGenerator, n: int, rng) -> Relation:
     """Draw n tuples: forward pass in inference mode, categorical blocks
     hardened by argmax, numeric dimensions inverse-scaled."""
-    if n == 0:
-        return []
     latents = rng.standard_normal((n, trained.net.latent_dim))
     out = trained.net.forward(latents, training=False)
     return trained.encoding.decode_rows(out, trained.attr_names)
@@ -365,11 +364,13 @@ def fingerprint(sample: SampleRelation, marginals: list[Marginal],
                 cfg: TrainConfig) -> str:
     """Content hash used to cache trained generators per (sample, marginal
     set, config)."""
-    digest = hashlib.sha256()
+    digest = hashlib.sha256(repr(sample.name).encode("utf-8"))
+    for attr in sample.schema:
+        col = sample.columns[attr.name]
+        digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
+                      else col.tobytes())
+    digest.update(sample.weights.tobytes())
     digest.update(repr([
-        sample.name,
-        sample.rows,
-        [float(w) for w in sample.weights],
         [(m.owner, m.attributes, sorted(m.cells.items(), key=repr),
           sorted(m.binnings.items())) for m in marginals],
         sorted(vars(cfg).items()),

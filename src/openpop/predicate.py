@@ -1,4 +1,4 @@
-"""Conjunctive predicates over rows: comparison atoms and IN-lists.
+"""Conjunctive predicates over relations: comparison atoms and IN-lists.
 
 The predicate language is deliberately small; it is the filter language of
 population views, sample definitions, and query WHERE clauses alike.
@@ -6,8 +6,11 @@ population views, sample definitions, and query WHERE clauses alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 from .errors import TypeMismatchError, UnknownAttributeError
 
@@ -45,35 +48,26 @@ class Predicate:
         return bool(self.atoms)
 
 
-def _atom_holds(atom: Atom, value: Value) -> bool:
+_COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
+            "<=": operator.le, ">=": operator.ge}
+
+
+def _atom_mask(atom: Atom, column: np.ndarray) -> np.ndarray:
     if isinstance(atom, InList):
-        return value in atom.values
-    other = atom.value
-    if atom.op == "=":
-        return value == other
-    if atom.op == "<":
-        return value < other
-    if atom.op == ">":
-        return value > other
-    if atom.op == "<=":
-        return value <= other
-    return value >= other
+        mask = np.zeros(len(column), dtype=bool)
+        for value in atom.values:
+            mask |= column == value
+        return mask
+    return _COMPARE[atom.op](column, atom.value)
 
 
-def evaluate(pred: Predicate | None, row: tuple, index: dict[str, int]) -> bool:
-    """True when every atom holds for the row (attribute -> position in `index`)."""
-    if pred is None:
-        return True
-    for atom in pred.atoms:
-        if not _atom_holds(atom, row[index[atom.attr]]):
-            return False
-    return True
-
-
-def filter_rows(pred, rows, index):
-    if pred is None or not pred.atoms:
-        return list(range(len(rows)))
-    return [i for i, row in enumerate(rows) if evaluate(pred, row, index)]
+def filter_rows(pred: Predicate | None, relation) -> np.ndarray:
+    """Indices, in row order, of the rows of `relation` for which every atom
+    holds."""
+    keep = np.ones(len(relation), dtype=bool)
+    for atom in pred.atoms if pred is not None else ():
+        keep &= _atom_mask(atom, relation.columns[atom.attr])
+    return np.flatnonzero(keep)
 
 
 def check_types(pred: Predicate, schema_kinds: dict[str, str]) -> None:

@@ -129,19 +129,19 @@ def test_criterion_2_gradient_suite():
               AttributeDef("c", "categorical", domain=["u", "v", "w"])]
     rows = [(float(v), c) for v, c in zip(rng.uniform(0, 10, 25),
                                           rng.choice(["u", "v", "w"], 25))]
-    sample = SampleRelation("s", schema, rows, np.ones(25))
+    sample = SampleRelation.from_rows(schema, rows, np.ones(25), name="s")
     marginals = [
         Marginal("p", ("x",), {i: 10.0 for i in range(10)}),
         Marginal("p", ("c",), {"u": 50.0, "v": 30.0, "w": 20.0}),
         Marginal("p", ("x", "c"), {(i, c): 5.0 for i in range(5)
                                    for c in ("u", "v")}),
     ]
-    encoding = Encoding.build(schema, rows, marginals)
+    encoding = Encoding.build(schema, sample.columns, marginals)
     targets = prepare_targets(marginals, encoding, projections=4, rng=rng)
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
                        rng, batch_norm=True)
     latents = rng.standard_normal((8, 2))
-    points = encoding.encode_rows(rows, sample.index())
+    points = encoding.encode_rows(sample.columns)
     lam = 0.07
     loss_and_grad(net, latents, points, targets, lam)
     analytic = [p.grad.copy() for p in net.params()]
@@ -171,9 +171,9 @@ def test_criterion_2_gradient_suite():
 
 def test_criterion_3_ipf_exactness():
     # single 1-D marginal: exact after one fit
-    sample = SampleRelation(
-        "s", [AttributeDef("a", "categorical")],
-        [("A",)] * 7 + [("B",)] * 3, np.ones(10))
+    sample = SampleRelation.from_rows(
+        [AttributeDef("a", "categorical")],
+        [("A",)] * 7 + [("B",)] * 3, np.ones(10), name="s")
     marginal = Marginal("p", ("a",), {"A": 21.0, "B": 9.0})
     weights, _ = ipf_fit(sample, [marginal])
     counts = {"A": weights[:7].sum(), "B": weights[7:].sum()}
@@ -188,7 +188,7 @@ def test_criterion_3_ipf_exactness():
     picked = np.argsort(keys, kind="stable")[:1000]
     rows = [(f"a{a_idx[i]}", f"b{b_idx[i]}") for i in picked]
     schema = [AttributeDef("a", "categorical"), AttributeDef("b", "categorical")]
-    biased = SampleRelation("biased", schema, rows, np.ones(1000))
+    biased = SampleRelation.from_rows(schema, rows, np.ones(1000), name="biased")
     pop_counts: dict = {}
     for a, b in zip(a_idx, b_idx):
         key = (f"a{a}", f"b{b}")
@@ -316,10 +316,8 @@ def test_criterion_5_visibility_contract():
             fitted = execute_semi_open(semi, sample, catalog)
             n_group = len(query.group_by)
             if n_group:
-                index = sample.index()
-                positions = [index[g] for g in query.group_by]
-                sample_keys = {tuple(row[p] for p in positions)
-                               for row in sample.rows}
+                sample_keys = set(zip(*(sample.columns[g].tolist()
+                                        for g in query.group_by)))
                 if not closed.group_keys(n_group) <= sample_keys:
                     violations += 1
                 if not fitted.group_keys(n_group) <= sample_keys:
@@ -359,7 +357,7 @@ def spiral_run():
 
 def test_criterion_6a_spiral_marginals(spiral_run):
     _, data, marginals, trained, _ = spiral_run
-    generated = np.asarray(generate(trained, 10_000, np.random.default_rng(1)))
+    generated = np.asarray(generate(trained, 10_000, np.random.default_rng(1)).to_rows())
     results = []
     for column, (attr, marginal) in enumerate(zip(("x", "y"), marginals)):
         gen_w1 = w1_to_marginal(generated[:, column], marginal, attr)
@@ -463,7 +461,7 @@ def test_criterion_8_end_to_end_script(tmp_path):
     answers = engine.run_script(script)
     semi, open_answer = answers
     sample_keys = {(row[0], row[1])
-                   for row in engine.catalog.sample("YahooUsers").rows}
+                   for row in engine.catalog.sample("YahooUsers").to_rows()}
     semi_new = {k for k in semi.group_keys(2) if k not in sample_keys}
     open_new = {k for k in open_answer.group_keys(2) if k not in sample_keys}
     ok = not semi_new and bool(open_new)

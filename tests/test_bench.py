@@ -126,22 +126,22 @@ class TestFlightsLike:
     def test_population_and_sample_shapes(self):
         spec = FlightsLikeSpec(population_size=20_000, seed=1)
         data = gen_flightslike(spec)
-        assert len(data.columns["E"]) == 20_000
-        assert len(data.sample_rows) == 1000
-        elapsed = np.array([row[3] for row in data.sample_rows])
+        assert len(data.population.columns["E"]) == 20_000
+        assert len(data.sample) == 1000
+        elapsed = data.sample.columns["E"]
         assert np.mean(elapsed > spec.bias_threshold) == pytest.approx(0.95,
                                                                        abs=0.01)
 
     def test_integer_values(self):
         data = gen_flightslike(FlightsLikeSpec(population_size=5000, seed=0))
         for name in ("O", "I", "E", "D"):
-            col = data.columns[name]
+            col = data.population.columns[name]
             assert np.all(col == np.round(col))
 
     def test_default_spec_sample_size(self):
         # 5 percent of 426,411 rows, truncated
         data = gen_flightslike(FlightsLikeSpec(seed=0))
-        assert len(data.sample_rows) == 21_320
+        assert len(data.sample) == 21_320
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigError):

@@ -12,6 +12,7 @@ from openpop.catalog import (
     Mechanism,
     NumericBinning,
     PopulationDef,
+    Relation,
     build_marginal,
 )
 from openpop.errors import (
@@ -117,6 +118,18 @@ class TestIngestCsv:
         catalog.create_sample("S")
         assert catalog.ingest_csv("S", path) == 0
 
+    def test_duplicate_header_column_rejected(self, catalog, tmp_path):
+        catalog.create_sample("S")
+        catalog.create_aux_table("T", migrant_schema())
+        path = tmp_path / "dup.csv"
+        path.write_text("country,country,email\nUK,FR,Yahoo\n", encoding="utf-8")
+        for target in ("S", "T"):
+            with pytest.raises(CsvParseError) as err:
+                catalog.ingest_csv(target, path)
+            assert err.value.line == 1
+        assert len(catalog.sample("S")) == 0 and len(catalog.aux["T"]) == 0
+        assert [a.domain for a in catalog.global_population().schema] == [[], []]
+
     def test_bad_numeric_value(self, tmp_path):
         cat = Catalog()
         cat.create_population(PopulationDef(
@@ -155,7 +168,7 @@ class TestAtomicIngest:
         sample = cat.sample("S")
         return ([list(a.domain) for a in sample.schema],
                 [list(a.domain) for a in cat.global_population().schema],
-                list(sample.rows), sample.weights.tolist())
+                sample.to_rows(), sample.weights.tolist())
 
     def test_failed_csv_keeps_domains(self, tmp_path):
         cat = self.build()
@@ -211,14 +224,15 @@ class TestMarginals:
     def test_binning_attached_for_unrounded_data(self):
         schema = [AttributeDef("x", "numeric")]
         rows = [(0.25,), (0.5,), (9.75,)]
-        marginal = build_marginal("P", ("x",), rows, schema, nbins=4)
+        marginal = build_marginal("P", ("x",), Relation.from_rows(schema, rows), nbins=4)
         binning = marginal.binnings["x"]
         assert binning.nbins == 4
         assert sum(marginal.cells.values()) == 3
 
     def test_integer_data_uses_point_cells(self):
         schema = [AttributeDef("x", "numeric")]
-        marginal = build_marginal("P", ("x",), [(250.0,), (250.0,), (3.0,)], schema)
+        marginal = build_marginal(
+            "P", ("x",), Relation.from_rows(schema, [(250.0,), (250.0,), (3.0,)]))
         assert marginal.cells == {250: 2.0, 3: 1.0}
         assert marginal.binnings == {}
 

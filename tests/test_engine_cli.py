@@ -64,7 +64,7 @@ class TestEngineScript:
         semi, openw = answers
         assert semi.provenance == "semi_open_ipf_direct"
         assert openw.provenance == "open"
-        sample_keys = {(r[0], r[1]) for r in engine.catalog.sample("YahooUsers").rows}
+        sample_keys = {(r[0], r[1]) for r in engine.catalog.sample("YahooUsers").to_rows()}
         assert semi.group_keys(2) <= sample_keys
         assert any(k not in sample_keys for k in openw.group_keys(2))
 
@@ -243,6 +243,31 @@ class TestCli:
                                      "--config", str(config)])
         assert code == 1
         assert "error" in err
+
+    def empty_sample_script(self, tmp_path) -> str:
+        (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
+        return f"""
+CREATE GLOBAL POPULATION P (a TEXT);
+CREATE TABLE Stats (a TEXT, n INT);
+INGEST Stats FROM '{tmp_path / "stats.csv"}';
+CREATE METADATA P_a AS (SELECT a, n FROM Stats);
+CREATE SAMPLE S AS (SELECT * FROM P);
+SELECT OPEN COUNT(*) FROM P;
+"""
+
+    def test_open_over_empty_sample_exit_one(self, tmp_path):
+        path = self.script_path(tmp_path, self.empty_sample_script(tmp_path))
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert "error:" in err and "internal error" not in err
+
+    def test_repl_continues_after_open_over_empty_sample(self, tmp_path):
+        stdin = (self.empty_sample_script(tmp_path)
+                 + "SELECT CLOSED COUNT(*) FROM P;\n\\quit\n")
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert "error:" in err and "internal error" not in err
+        assert "(0 rows, closed)" in out
 
     def test_csv_output(self, tmp_path):
         path = self.script_path(tmp_path, """

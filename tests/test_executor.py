@@ -9,9 +9,11 @@ from openpop.catalog import (
     Marginal,
     Mechanism,
     PopulationDef,
+    Relation,
 )
 from openpop.dialect import parse_one
 from openpop.errors import (
+    EmptySampleError,
     NoMetadataError,
     NoUsableSampleError,
     TypeMismatchError,
@@ -20,7 +22,6 @@ from openpop.errors import (
 from openpop.executor import (
     ExecOptions,
     QueryAnswer,
-    WeightedRows,
     evaluate_aggregates,
     execute,
     execute_closed,
@@ -239,11 +240,11 @@ class TestAggregateRewriting:
             query = parse_one(
                 "SELECT g, COUNT(*), SUM(v), AVG(v) FROM P GROUP BY g")
             weighted = evaluate_aggregates(
-                WeightedRows(schema, rows, weights), query)
+                Relation.from_rows(schema, rows, weights), query)
             repeated = [row for row, w in zip(rows, weights)
                         for _ in range(int(w))]
             brute = evaluate_aggregates(
-                WeightedRows(schema, repeated, np.ones(len(repeated))), query)
+                Relation.from_rows(schema, repeated, np.ones(len(repeated))), query)
             assert len(weighted.rows) == len(brute.rows)
             for got, want in zip(weighted.rows, brute.rows):
                 assert got[0] == want[0]
@@ -287,7 +288,7 @@ class TestOpen:
         assert answer.diagnostics["k"] == 10
         keys = answer.group_keys(2)
         sample_keys = {(row[0], row[1])
-                       for row in catalog.sample("Yahoo").rows}
+                       for row in catalog.sample("Yahoo").to_rows()}
         assert any(key not in sample_keys for key in keys)
         # total generated weight matches the population size
         weight = answer.diagnostics["row_weight"]
@@ -317,7 +318,7 @@ class TestOpen:
         answer = execute(parse_one("SELECT OPEN country, email FROM Migrants"),
                          catalog, options)
         assert answer.diagnostics["materialized"] is True
-        assert len(answer.rows) == len(catalog.sample("Yahoo").rows)
+        assert len(answer.rows) == len(catalog.sample("Yahoo"))
 
     def test_generator_cache_reused(self):
         catalog = fresh_catalog()
@@ -327,6 +328,41 @@ class TestOpen:
         assert len(options.generator_cache) == 1
         execute(query, catalog, options)
         assert len(options.generator_cache) == 1
+
+    def test_derived_population_trains_on_its_view(self):
+        # UKers owns an email marginal of total 500; the sample holds rows
+        # from both countries, so training on all of them would put mass
+        # outside the view.
+        catalog = Catalog()
+        schema = [AttributeDef("country", "categorical"),
+                  AttributeDef("email", "categorical")]
+        catalog.create_population(PopulationDef("P", True, schema))
+        catalog.create_population(PopulationDef(
+            "UKers", False, [AttributeDef(a.name, a.kind) for a in schema],
+            predicate=Predicate((Comparison("country", "=", "UK"),))))
+        catalog.create_metadata("P", ("country",), {"UK": 500.0, "FR": 300.0})
+        catalog.create_metadata("UKers", ("email",), {"Yahoo": 450.0, "AOL": 50.0})
+        rng = np.random.default_rng(0)
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [(str(rng.choice(["UK", "FR"], p=[0.6, 0.4])),
+                                   str(rng.choice(["Yahoo", "AOL"], p=[0.8, 0.2])))
+                                  for _ in range(120)])
+        options = ExecOptions(train_config=TrainConfig(
+            epochs=10, layers=(32, 32), batch_size=64, projections=16,
+            learning_rate=1e-2, seed=0))
+        (open_count,) = execute(parse_one("SELECT OPEN COUNT(*) FROM UKers"),
+                                catalog, options).rows[0]
+        (semi_count,) = execute(parse_one("SELECT SEMI-OPEN COUNT(*) FROM UKers"),
+                                catalog, options).rows[0]
+        assert open_count == pytest.approx(500.0, rel=0.05)
+        assert semi_count == pytest.approx(500.0, rel=0, abs=1e-9)
+
+    def test_empty_sample_is_a_user_error(self):
+        catalog = fresh_catalog(marginals=True)
+        catalog.create_sample("Empty")
+        query = parse_one("SELECT OPEN COUNT(*) FROM Migrants")
+        with pytest.raises(EmptySampleError):
+            execute_open(query, catalog.sample("Empty"), catalog, small_options())
 
     def test_group_missing_from_one_answer_is_excluded(self):
         full = [QueryAnswer(["g", "COUNT(*)"], [(("a",) + (10.0,)),

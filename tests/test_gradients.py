@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from openpop.catalog import AttributeDef, Marginal, SampleRelation
+from openpop.catalog import AttributeDef, Marginal, Relation, SampleRelation
 from openpop.encoding import Encoding
 from openpop.mswg import coverage_penalty, loss_and_grad, prepare_targets
 from openpop.net import Adam, BatchNorm, GeneratorNet, Linear
@@ -81,19 +81,19 @@ def small_problem(rng, batch_norm=True):
               AttributeDef("c", "categorical", domain=["u", "v", "w"])]
     rows = [(float(v), c) for v, c in zip(rng.uniform(0, 10, 25),
                                           rng.choice(["u", "v", "w"], 25))]
-    sample = SampleRelation("s", schema, rows, np.ones(len(rows)))
+    sample = SampleRelation.from_rows(schema, rows, np.ones(len(rows)), name="s")
     marginals = [
         Marginal("p", ("x",), {i: 10.0 for i in range(10)}),
         Marginal("p", ("c",), {"u": 50.0, "v": 30.0, "w": 20.0}),
         Marginal("p", ("x", "c"), {(i, c): 5.0 for i in range(5)
                                    for c in ("u", "v")}),
     ]
-    encoding = Encoding.build(schema, rows, marginals)
+    encoding = Encoding.build(schema, sample.columns, marginals)
     targets = prepare_targets(marginals, encoding, projections=4, rng=rng)
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
                        rng, batch_norm=batch_norm)
     latents = rng.standard_normal((8, 2))
-    points = encoding.encode_rows(rows, sample.index())
+    points = encoding.encode_rows(sample.columns)
     return net, latents, points, targets
 
 
@@ -118,7 +118,8 @@ class TestFullLossGradient:
         schema = [AttributeDef("x", "numeric")]
         rows = [(float(i),) for i in range(4)]
         marginal = Marginal("p", ("x",), {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
-        encoding = Encoding.build(schema, rows, [marginal])
+        encoding = Encoding.build(schema, Relation.from_rows(schema, rows).columns,
+                                  [marginal])
         targets = prepare_targets([marginal], encoding, 1, rng)
 
         class Frozen:

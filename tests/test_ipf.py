@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openpop.catalog import AttributeDef, Marginal, SampleRelation
+from openpop.catalog import AttributeDef, Marginal, SampleRelation, schema_index
 from openpop.errors import ConfigError, EmptySampleError, StructuralZeroError
 from openpop.ipf import IpfConfig, cell_of, discrepancy, ipf_fit
 
@@ -13,7 +13,7 @@ from openpop.ipf import IpfConfig, cell_of, discrepancy, ipf_fit
 def categorical_sample(rows):
     width = len(rows[0])
     schema = [AttributeDef(f"a{i}", "categorical") for i in range(width)]
-    return SampleRelation("s", schema, rows, np.ones(len(rows)))
+    return SampleRelation.from_rows(schema, rows, np.ones(len(rows)), name="s")
 
 
 class TestConfig:
@@ -103,7 +103,7 @@ class TestStructuralZeros:
 
     def test_empty_sample(self):
         schema = [AttributeDef("a0", "categorical")]
-        sample = SampleRelation("s", schema, [], np.zeros(0))
+        sample = SampleRelation.from_rows(schema, [], np.zeros(0), name="s")
         with pytest.raises(EmptySampleError):
             ipf_fit(sample, [])
 
@@ -163,7 +163,7 @@ class TestTwoMarginalDebias:
         mb = Marginal("p", ("a1",), marg_b)
         weights, report = ipf_fit(sample, [ma, mb])
         assert report.converged
-        index = sample.index()
+        index = schema_index(sample.schema)
         for marginal, truth in ((ma, marg_a), (mb, marg_b)):
             got: dict = {}
             for row, w in zip(rows, weights):

@@ -26,7 +26,7 @@ def mixed_sample(n=60, seed=0):
               AttributeDef("c", "categorical", domain=["red", "blue"])]
     rows = [(float(v), c) for v, c in zip(rng.uniform(0, 4, n),
                                           rng.choice(["red", "blue"], n))]
-    return SampleRelation("s", schema, rows, np.ones(n))
+    return SampleRelation.from_rows(schema, rows, np.ones(n), name="s")
 
 
 class TestTrainConfig:
@@ -50,18 +50,18 @@ class TestTrainConfig:
 class TestEncoding:
     def test_round_trip(self):
         sample = mixed_sample()
-        encoding = Encoding.build(sample.schema, sample.rows)
-        matrix = encoding.encode_rows(sample.rows, sample.index())
-        assert matrix.shape == (len(sample.rows), 3)
+        encoding = Encoding.build(sample.schema, sample.columns)
+        matrix = encoding.encode_rows(sample.columns)
+        assert matrix.shape == (len(sample), 3)
         decoded = encoding.decode_rows(matrix, ["x", "c"])
-        for got, want in zip(decoded, sample.rows):
+        for got, want in zip(decoded.to_rows(), sample.to_rows()):
             assert got[0] == pytest.approx(want[0], abs=1e-9)
             assert got[1] == want[1]
 
     def test_one_hot_blocks_sum_to_one(self):
         sample = mixed_sample()
-        encoding = Encoding.build(sample.schema, sample.rows)
-        matrix = encoding.encode_rows(sample.rows, sample.index())
+        encoding = Encoding.build(sample.schema, sample.columns)
+        matrix = encoding.encode_rows(sample.columns)
         (offset, width), = encoding.categorical_blocks()
         assert np.allclose(matrix[:, offset:offset + width].sum(axis=1), 1.0)
 
@@ -71,7 +71,7 @@ class TestEncoding:
             Marginal("p", ("x",), {9: 1.0}),  # beyond the sample's range
             Marginal("p", ("c",), {"red": 1.0, "green": 2.0}),
         ]
-        encoding = Encoding.build(sample.schema, sample.rows, marginals)
+        encoding = Encoding.build(sample.schema, sample.columns, marginals)
         assert encoding.by_name["x"].hi == 9.0
         assert "green" in encoding.by_name["c"].values
 
@@ -100,8 +100,8 @@ class TestAugmentMarginals:
         sample = mixed_sample(seed=3)
         pop = Marginal("p", ("x",), {1: 100.0})
         (added,) = augment_marginals([pop], sample)[1:]
-        reds = sum(1 for row in sample.rows if row[1] == "red")
-        assert added.cells["red"] == pytest.approx(100.0 * reds / len(sample.rows))
+        reds = sum(1 for row in sample.to_rows() if row[1] == "red")
+        assert added.cells["red"] == pytest.approx(100.0 * reds / len(sample))
 
 
 class TestResampling:
@@ -109,7 +109,7 @@ class TestResampling:
         rng = np.random.default_rng(0)
         sample = mixed_sample()
         marginal = Marginal("p", ("c",), {"red": 75.0, "blue": 25.0})
-        encoding = Encoding.build(sample.schema, sample.rows, [marginal])
+        encoding = Encoding.build(sample.schema, sample.columns, [marginal])
         (target,) = prepare_targets([marginal], encoding, 2, rng)
         drawn = resample_target(target, 4000, rng)
         assert drawn.weights is None and len(drawn.points) == 4000
@@ -155,7 +155,7 @@ class TestTraining:
     def test_generate_values_in_domain(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config())
-        rows = generate(trained, 50, np.random.default_rng(0))
+        rows = generate(trained, 50, np.random.default_rng(0)).to_rows()
         assert len(rows) == 50
         for x, c in rows:
             assert c in ("red", "blue")
@@ -164,13 +164,13 @@ class TestTraining:
     def test_generate_zero_rows(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config(epochs=0))
-        assert generate(trained, 0, np.random.default_rng(0)) == []
+        assert generate(trained, 0, np.random.default_rng(0)).to_rows() == []
 
     def test_generate_deterministic_given_seed(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config())
-        a = generate(trained, 20, np.random.default_rng(5))
-        b = generate(trained, 20, np.random.default_rng(5))
+        a = generate(trained, 20, np.random.default_rng(5)).to_rows()
+        b = generate(trained, 20, np.random.default_rng(5)).to_rows()
         assert a == b
 
     def test_non_finite_loss_detected(self):
@@ -206,7 +206,8 @@ class TestPersistence:
         save_generator(trained, path)
         loaded = load_generator(path)
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        assert generate(trained, 10, rng_a) == generate(loaded, 10, rng_b)
+        assert (generate(trained, 10, rng_a).to_rows()
+                == generate(loaded, 10, rng_b).to_rows())
 
     def test_fingerprint_sensitivity(self):
         sample = mixed_sample()
