@@ -10,10 +10,12 @@ object per line after the version tag) chosen for exact float round-trips.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -209,9 +211,11 @@ class NumericBinning:
         return self.lo + (cell + 0.5) * width
 
 
-@dataclass
+@dataclass(frozen=True)
 class Marginal:
-    """A 1- or 2-attribute histogram of ground-truth population counts."""
+    """A 1- or 2-attribute histogram of ground-truth population counts.
+    Frozen, and its cells are never changed after creation, so `digest`
+    holds for the marginal's whole life."""
 
     owner: str
     attributes: tuple[str, ...]
@@ -233,6 +237,13 @@ class Marginal:
 
     def total(self) -> float:
         return float(sum(self.cells.values()))
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the content a fit depends on, cells in their order."""
+        return hashlib.sha256(repr((
+            self.owner, self.attributes, list(self.cells.items()),
+            sorted(self.binnings.items()))).encode("utf-8")).digest()
 
     def cell_index(self, columns: dict[str, np.ndarray]) -> tuple[np.ndarray, list]:
         """The cell rule, over whole columns: (ids, keys) such that row r
@@ -267,6 +278,24 @@ class Marginal:
         binning = self.binnings.get(attr)
         part = key if len(self.attributes) == 1 else key[self.attributes.index(attr)]
         return binning.midpoint(part) if binning is not None else float(part)
+
+
+def content_key(relation: Relation, marginals, *settings) -> str:
+    """Content hash of what a model fitted to `relation` under `marginals`
+    and `settings` depends on: attribute names, column values and row
+    weights, each marginal's digest in order, and the settings' repr. Keys
+    both the trained-generator and the IPF-weight caches."""
+    digest = hashlib.sha256(repr((len(relation), [a.name for a in relation.schema]))
+                            .encode("utf-8"))
+    for attr in relation.schema:
+        col = relation.columns[attr.name]
+        digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
+                      else col.tobytes())
+    digest.update(relation.weights.tobytes())
+    for marginal in marginals:
+        digest.update(marginal.digest)
+    digest.update(repr(settings).encode("utf-8"))
+    return digest.hexdigest()
 
 
 def build_marginal(owner, attributes, relation: Relation, name=None, nbins=64,

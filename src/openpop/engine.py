@@ -57,6 +57,7 @@ class Engine:
         self.k_samples = k_samples
         self.log = log or (lambda message: None)
         self._generator_cache: dict = {}
+        self._ipf_cache: dict = {}
         self.options = self._make_options()
 
     def _make_options(self) -> ExecOptions:
@@ -66,6 +67,7 @@ class Engine:
             train_config=self.train_config,
             rng=np.random.default_rng(self.seed),
             generator_cache=self._generator_cache,
+            ipf_cache=self._ipf_cache,
         )
 
     def set_seed(self, seed: int) -> None:
@@ -198,4 +200,4 @@ class Engine:
         sample = self.catalog.sample(sample_name)
         marginals, _ = applicable_marginals(
             self.catalog, self.catalog.global_population().name)
-        return _trained_generator(sample, marginals, self.options, log=self.log)
+        return _trained_generator(sample, marginals, self.options, log=self.log)[0]

@@ -24,6 +24,7 @@ from .catalog import (
     Relation,
     SampleRelation,
     Schema,
+    content_key,
     group_rows,
     schema_kinds,
 )
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .ipf import IpfConfig, IpfReport, ipf_fit
 from .mswg import TrainConfig, TrainedGenerator, fingerprint, generate, train
-from .predicate import Predicate, filter_rows
+from .predicate import Predicate, check_types, filter_rows
 from .util import csv_text, format_cell
 
 PROVENANCE_CLOSED = "closed"
@@ -89,6 +90,8 @@ class ExecOptions:
     train_config: TrainConfig | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     generator_cache: dict = field(default_factory=dict)
+    # (sample name, marginal owner) -> (content key, weights, IpfReport)
+    ipf_cache: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -124,6 +127,8 @@ def _query_attributes(query: Select, pop: PopulationDef) -> set[str]:
 def plan(query: Select, catalog: Catalog) -> Plan:
     """Pick the sample and metadata route for a query."""
     pop = catalog.population(query.source)
+    if query.predicate:
+        check_types(query.predicate, schema_kinds(pop.schema))
     needed = _query_attributes(query, pop)
     candidates = []
     for position, sample in enumerate(catalog.samples.values()):
@@ -270,7 +275,7 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
         # Direct marginals describe the population's view, so fit its rows;
         # global ones describe everything, so fit the whole sample.
         base = _view(catalog, pop.name, sample) if path == "direct" else sample
-        fitted, report = ipf_fit(base, marginals, options.ipf)
+        fitted, report, cache = _fitted_weights(base, marginals, options)
         weighted = _view(catalog, pop.name, replace(base, weights=fitted))
         provenance = (PROVENANCE_IPF_DIRECT if path == "direct"
                       else PROVENANCE_IPF_GLOBAL)
@@ -279,18 +284,52 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     answer.provenance = provenance
     if report is not None:
         answer.diagnostics["ipf"] = report
+        answer.diagnostics["ipf_cache"] = cache
     return answer
 
 
+def _check_covers(sample: SampleRelation, marginals) -> None:
+    """Fitting and training read every marginal attribute off the sample."""
+    names = {a.name for a in sample.schema}
+    for marginal in marginals:
+        for attr in marginal.attributes:
+            if attr not in names:
+                label = f"'{marginal.name}' " if marginal.name else ""
+                raise NoUsableSampleError(
+                    f"sample '{sample.name}' lacks attribute '{attr}' of marginal "
+                    f"{label}over {marginal.attributes} on '{marginal.owner}'")
+
+
+def _fitted_weights(base: SampleRelation, marginals, options: ExecOptions):
+    """IPF weights and report for `base`, and "hit" or "miss". The weights
+    depend only on the relation, the marginals and the IpfConfig, so one
+    read-only copy per (sample, marginal owner) serves every query until one
+    of those changes; a miss replaces the slot, so memory stays flat."""
+    _check_covers(base, marginals)
+    slot = (base.name, marginals[0].owner)
+    key = content_key(base, marginals, sorted(vars(options.ipf).items()))
+    cached = options.ipf_cache.get(slot)
+    if cached is not None and cached[0] == key:
+        return cached[1], cached[2], "hit"
+    weights, report = ipf_fit(base, marginals, options.ipf)
+    weights.setflags(write=False)
+    options.ipf_cache[slot] = (key, weights, report)
+    return weights, report, "miss"
+
+
 def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
-                       log=None) -> TrainedGenerator:
+                       log=None) -> tuple[TrainedGenerator, str]:
+    """The generator for (sample, marginals, TrainConfig), and "hit" or
+    "miss" for the cache."""
+    _check_covers(sample, marginals)
     cfg = options.train_config or TrainConfig()
     key = fingerprint(sample, marginals, cfg)
     cached = options.generator_cache.get(key)
-    if cached is None:
-        cached = train(sample, marginals, cfg, log=log)
-        options.generator_cache[key] = cached
-    return cached
+    if cached is not None:
+        return cached, "hit"
+    trained = train(sample, marginals, cfg, log=log)
+    options.generator_cache[key] = trained
+    return trained, "miss"
 
 
 def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
@@ -306,7 +345,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
 
     # Direct marginals describe the population's view, so train on its rows.
     base = _view(catalog, pop.name, sample) if path == "direct" else sample
-    trained = _trained_generator(base, marginals, options, log=log)
+    trained, cache = _trained_generator(base, marginals, options, log=log)
     n_generated = max(1, len(base))
     weight = trained.population_total / n_generated
     aggs = query.aggregates()
@@ -324,6 +363,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
         "row_weight": weight,
         "materialized": not aggs,
         "generator_params": trained.net.num_params(),
+        "generator_cache": cache,
     }
     if not aggs:
         answers[0].provenance = PROVENANCE_OPEN

@@ -13,14 +13,13 @@ step so the transport terms compare equal-sized point sets.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .catalog import Marginal, Relation, SampleRelation, build_marginal
+from .catalog import Marginal, Relation, SampleRelation, build_marginal, content_key
 from .encoding import AttrEncoding, Encoding
 from .errors import (
     ConfigError,
@@ -114,8 +113,8 @@ def augment_marginals(pop_marginals: list[Marginal],
         marginal = build_marginal(pop_marginals[0].owner, (attr.name,), sample,
                                   name=f"sample:{attr.name}")
         scale = total / marginal.total()
-        marginal.cells = {k: v * scale for k, v in marginal.cells.items()}
-        out.append(marginal)
+        out.append(replace(marginal, cells={k: v * scale
+                                            for k, v in marginal.cells.items()}))
     return out
 
 
@@ -364,15 +363,4 @@ def fingerprint(sample: SampleRelation, marginals: list[Marginal],
                 cfg: TrainConfig) -> str:
     """Content hash used to cache trained generators per (sample, marginal
     set, config)."""
-    digest = hashlib.sha256(repr(sample.name).encode("utf-8"))
-    for attr in sample.schema:
-        col = sample.columns[attr.name]
-        digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
-                      else col.tobytes())
-    digest.update(sample.weights.tobytes())
-    digest.update(repr([
-        [(m.owner, m.attributes, sorted(m.cells.items(), key=repr),
-          sorted(m.binnings.items())) for m in marginals],
-        sorted(vars(cfg).items()),
-    ]).encode("utf-8"))
-    return digest.hexdigest()
+    return content_key(sample, marginals, sample.name, sorted(vars(cfg).items()))

@@ -10,7 +10,12 @@ import pytest
 import openpop.executor
 from openpop.cli import _build_engine, main
 from openpop.engine import Engine
-from openpop.errors import ConfigError, DialectSyntaxError, UnknownRelationError
+from openpop.errors import (
+    ConfigError,
+    DialectSyntaxError,
+    OpenPopError,
+    UnknownRelationError,
+)
 from openpop.mswg import TrainConfig
 
 COUNTRY_CSV = "country,reported_count\nUK,600\nFR,400\n"
@@ -269,6 +274,29 @@ SELECT OPEN COUNT(*) FROM P;
         assert "error:" in err and "internal error" not in err
         assert "(0 rows, closed)" in out
 
+    @pytest.mark.parametrize("query", [
+        "SELECT CLOSED COUNT(*) FROM P WHERE country < 3;",
+        "SELECT SEMI-OPEN COUNT(*) FROM P;",
+        "SELECT OPEN COUNT(*) FROM P;",
+    ])
+    def test_query_user_errors_exit_one(self, tmp_path, query):
+        # A categorical compared by order, and a sample that lacks the
+        # attribute of a marginal, are user errors, not internal ones.
+        (tmp_path / "ages.csv").write_text("age,n\n30,5\n40,3\n", encoding="utf-8")
+        (tmp_path / "rows.csv").write_text("country\nUK\nFR\n", encoding="utf-8")
+        path = self.script_path(tmp_path, f"""
+CREATE GLOBAL POPULATION P (country TEXT, age INT);
+CREATE TABLE Ages (age INT, n INT);
+INGEST Ages FROM '{tmp_path / "ages.csv"}';
+CREATE METADATA P_ByAge AS (SELECT age, n FROM Ages);
+CREATE SAMPLE S AS (SELECT country FROM P);
+INGEST S FROM '{tmp_path / "rows.csv"}';
+{query}
+""")
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert "error:" in err and "internal error" not in err
+
     def test_csv_output(self, tmp_path):
         path = self.script_path(tmp_path, """
 CREATE GLOBAL POPULATION P (a TEXT);
@@ -390,3 +418,124 @@ class TestCliExperiment:
         assert header == "query,method,pct_diff,false_negatives,excluded"
 
     run_cli = TestCli.run_cli
+
+
+def cache_script(tmp_path) -> str:
+    """Migrants with a UK-only population that owns an email marginal, so
+    the global and the derived population each fit their own weights."""
+    write_fixture_files(tmp_path)
+    (tmp_path / "uk_email.csv").write_text("email,reported_count\nYahoo,500\n"
+                                           "AOL,100\n", encoding="utf-8")
+    return migrants_script(tmp_path).rsplit("SELECT SEMI-OPEN", 1)[0] + f"""
+CREATE TABLE UkEmail (email TEXT, reported_count INT);
+INGEST UkEmail FROM '{tmp_path / "uk_email.csv"}';
+CREATE POPULATION UkMigrants AS (SELECT * FROM Migrants WHERE country = 'UK');
+CREATE METADATA Uk_ByEmail FOR UkMigrants AS
+  (SELECT email, reported_count FROM UkEmail);
+"""
+
+
+SEMI_QUERIES = [
+    "SELECT SEMI-OPEN country, email, COUNT(*) FROM Migrants GROUP BY country, email;",
+    "SELECT SEMI-OPEN COUNT(*) FROM Migrants;",
+    "SELECT SEMI-OPEN country, COUNT(*) FROM Migrants GROUP BY country;",
+    "SELECT SEMI-OPEN COUNT(*) FROM Migrants WHERE country = 'UK';",
+]
+
+
+class TestIpfCache:
+    def engine(self, tmp_path) -> Engine:
+        engine = fast_engine()
+        engine.run_script(cache_script(tmp_path))
+        return engine
+
+    def ask(self, engine, query=SEMI_QUERIES[0]):
+        (answer,) = engine.run_script(query)
+        return answer
+
+    def test_repeated_query_hits_with_identical_answer(self, tmp_path):
+        engine = self.engine(tmp_path)
+        first = self.ask(engine)
+        again = self.ask(engine)
+        fresh = self.ask(self.engine(tmp_path))
+        assert (first.diagnostics["ipf_cache"], again.diagnostics["ipf_cache"]) \
+            == ("miss", "hit")
+        assert again.to_text() == fresh.to_text()
+        assert again.to_csv() == fresh.to_csv()
+        assert again.diagnostics["ipf"] == fresh.diagnostics["ipf"]
+
+    def test_every_input_change_misses(self, tmp_path):
+        engine = self.engine(tmp_path)
+        self.ask(engine)
+        more = tmp_path / "more.csv"
+        more.write_text("country,email\nFR,Yahoo\n", encoding="utf-8")
+        engine.run_script(f"INGEST YahooUsers FROM '{more}';")
+        assert self.ask(engine).diagnostics["ipf_cache"] == "miss"
+        rows = len(engine.catalog.sample("YahooUsers"))
+        engine.catalog.set_weights("YahooUsers", np.linspace(1.0, 2.0, rows))
+        assert self.ask(engine).diagnostics["ipf_cache"] == "miss"
+        (tmp_path / "pair.csv").write_text(
+            "country,email,reported_count\nUK,Yahoo,300\nFR,Yahoo,250\n",
+            encoding="utf-8")
+        engine.run_script(f"""
+CREATE TABLE Pair (country TEXT, email TEXT, reported_count INT);
+INGEST Pair FROM '{tmp_path / "pair.csv"}';
+CREATE METADATA Migrants_Pair AS (SELECT country, email, reported_count FROM Pair);
+""")
+        assert self.ask(engine).diagnostics["ipf_cache"] == "miss"
+        engine.set_config("ipf.tolerance", "1e-4")
+        assert self.ask(engine).diagnostics["ipf_cache"] == "miss"
+        assert self.ask(engine).diagnostics["ipf_cache"] == "hit"
+        assert len(engine.options.ipf_cache) == 1
+
+    def test_failed_ingest_keeps_answers(self, tmp_path):
+        engine = self.engine(tmp_path)
+        before = self.ask(engine)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("country,email\nFR,Yahoo\nUK\n", encoding="utf-8")
+        with pytest.raises(OpenPopError):
+            engine.run_script(f"INGEST YahooUsers FROM '{bad}';")
+        after = self.ask(engine)
+        assert after.diagnostics["ipf_cache"] == "hit"
+        assert after.to_text() == before.to_text()
+        assert after.to_csv() == before.to_csv()
+
+    def test_derived_and_global_populations_keep_own_slots(self, tmp_path):
+        engine = self.engine(tmp_path)
+        uk = "SELECT SEMI-OPEN email, COUNT(*) FROM UkMigrants GROUP BY email;"
+        routes = [(answer.provenance, answer.diagnostics["ipf_cache"])
+                  for answer in (self.ask(engine, q)
+                                 for q in (uk, SEMI_QUERIES[0], uk, SEMI_QUERIES[0]))]
+        assert routes == [("semi_open_ipf_direct", "miss")] * 2 \
+            + [("semi_open_ipf_direct", "hit")] * 2
+        assert set(engine.options.ipf_cache) == {("YahooUsers", "UkMigrants"),
+                                                 ("YahooUsers", "Migrants")}
+        assert self.ask(engine, uk).rows == self.ask(self.engine(tmp_path), uk).rows
+
+    def test_cached_weights_are_read_only(self, tmp_path):
+        engine = self.engine(tmp_path)
+        self.ask(engine)
+        (_, weights, _), = engine.options.ipf_cache.values()
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_unchanged_catalog_fits_once(self, tmp_path, monkeypatch):
+        fits = []
+        real_fit = openpop.executor.ipf_fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(openpop.executor, "ipf_fit", counting_fit)
+        engine = self.engine(tmp_path)
+        answers = [self.ask(engine, q) for q in SEMI_QUERIES * 2]
+        assert len(answers) == 8
+        assert len(fits) == 1
+
+    def test_open_reports_generator_cache(self, tmp_path):
+        engine = self.engine(tmp_path)
+        query = "SELECT OPEN country, COUNT(*) FROM Migrants GROUP BY country;"
+        assert [self.ask(engine, query).diagnostics["generator_cache"]
+                for _ in range(2)] == ["miss", "hit"]

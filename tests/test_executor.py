@@ -107,6 +107,14 @@ class TestPlan:
         with pytest.raises(UnknownMechanismNoMetadataError):
             plan(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"), catalog)
 
+    @pytest.mark.parametrize("where", ["country < 3", "country = 3",
+                                       "age = 'old'", "age IN ('x')"])
+    def test_where_predicate_is_type_checked(self, where):
+        catalog = fresh_catalog()
+        with pytest.raises(TypeMismatchError):
+            execute(parse_one(f"SELECT CLOSED COUNT(*) FROM Migrants WHERE {where}"),
+                    catalog)
+
 
 class TestClosed:
     def test_count_is_row_count(self):
@@ -356,6 +364,18 @@ class TestOpen:
                                 catalog, options).rows[0]
         assert open_count == pytest.approx(500.0, rel=0.05)
         assert semi_count == pytest.approx(500.0, rel=0, abs=1e-9)
+
+    def test_sample_lacking_marginal_attribute_is_a_user_error(self):
+        catalog = fresh_catalog(marginals=False)
+        catalog.samples.pop("Yahoo")
+        catalog.create_metadata("Migrants", ("age",), {30: 60.0, 40: 40.0},
+                                name="Migrants_ByAge")
+        catalog.create_sample("Countries", schema=[SCHEMA[0]])
+        catalog.ingest_rows("Countries", [("UK",), ("FR",)])
+        for visibility in ("SEMI-OPEN", "OPEN"):
+            query = parse_one(f"SELECT {visibility} COUNT(*) FROM Migrants")
+            with pytest.raises(NoUsableSampleError, match="'age'.*Migrants_ByAge"):
+                execute(query, catalog, small_options())
 
     def test_empty_sample_is_a_user_error(self):
         catalog = fresh_catalog(marginals=True)
