@@ -1,16 +1,18 @@
 """SQL-style dialect for declaring populations, samples, metadata, and
 population queries with a visibility level.
 
-A recursive-descent parser over a hand-rolled lexer. Keywords are
-case-insensitive; identifiers are case-sensitive; statements terminate
-with ``;``; ``--`` starts a line comment. ``SEMI-OPEN`` is lexed as a
-single keyword token so the hyphen never reaches the expression grammar.
+A recursive-descent parser over a lexer that is one `re` pattern of named
+token groups. Keywords are case-insensitive; identifiers are case-sensitive;
+statements terminate with ``;``; ``--`` starts a line comment. ``SEMI-OPEN``
+is lexed as a single keyword token so the hyphen never reaches the
+expression grammar.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import DialectSyntaxError
@@ -31,19 +33,25 @@ TYPE_WORDS = {
     "DOUBLE": "numeric", "NUMERIC": "numeric", "DECIMAL": "numeric",
 }
 
-SYMBOLS = ("<=", ">=", "(", ")", "[", "]", ",", ";", "*", "=", "<", ">")
+# One alternative per token class, tried in order at each position. `\w` is
+# str.isalnum() or "_" and `\d` a decimal digit. A word must start with a
+# letter or "_", which `tokenize` checks, since `[^\W\d]` also admits
+# numerals such as "½". SEMI-OPEN is spelled with the letters whose
+# str.upper() spells it ("ſ" is S, "ı" is I), as keywords are.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|--[^\n]*)
+  | (?P<SEMI_OPEN>[sS\u017f][eE][mM][iI\u0131]-[oO][pP][eE][nN]\b)
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<STRING>'(?:[^']|'')*'(?!'))
+  | (?P<symbol><=|>=|[()\[\],;*=<>-])
+""", re.VERBOSE)
 
 
 class Visibility(enum.Enum):
     CLOSED = "closed"
     SEMI_OPEN = "semi_open"
     OPEN = "open"
-
-
-@dataclass(frozen=True)
-class Span:
-    line: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -55,110 +63,39 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, then EOF; DialectSyntaxError at the first
+    character that starts no token."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        tok_line, tok_col = line, col
-        if ch == "'":
-            j = i + 1
-            chunks = []
-            while True:
-                if j >= n:
-                    raise DialectSyntaxError("unterminated string literal",
-                                             tok_line, tok_col)
-                if text[j] == "'":
-                    if j + 1 < n and text[j + 1] == "'":
-                        chunks.append("'")
-                        j += 2
-                        continue
-                    break
-                chunks.append(text[j])
-                j += 1
-            advance(j + 1 - i)
-            tokens.append(Token("STRING", "".join(chunks), tok_line, tok_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            raw = text[i:j]
-            advance(j - i)
-            tokens.append(Token("NUMBER", float(raw) if is_float else int(raw),
-                                tok_line, tok_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            upper = word.upper()
-            # SEMI-OPEN is one token: join across the hyphen when it spells
-            # the keyword and ends at a word boundary.
-            if upper == "SEMI" and text.startswith("-", j):
-                k = j + 1
-                m = k
-                while m < n and (text[m].isalnum() or text[m] == "_"):
-                    m += 1
-                if text[k:m].upper() == "OPEN":
-                    advance(m - i)
-                    tokens.append(Token("SEMI_OPEN", text[i:m], tok_line, tok_col))
-                    continue
-            advance(j - i)
-            if upper in KEYWORDS:
-                tokens.append(Token(upper, word, tok_line, tok_col))
-            else:
-                tokens.append(Token("IDENT", word, tok_line, tok_col))
-            continue
-        matched = False
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                advance(len(sym))
-                tokens.append(Token(sym, sym, tok_line, tok_col))
-                matched = True
-                break
-        if matched:
-            continue
-        if ch == "-":  # unary minus for numeric literals
-            advance(1)
-            tokens.append(Token("-", "-", tok_line, tok_col))
-            continue
-        raise DialectSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if match is None or (match.lastgroup == "word"
+                             and not (text[pos].isalpha() or text[pos] == "_")):
+            if text[pos] == "'":
+                raise DialectSyntaxError("unterminated string literal", line, col)
+            raise DialectSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        kind, raw = match.lastgroup, match.group()
+        if kind == "word":
+            upper = raw.upper()
+            tokens.append(Token(upper if upper in KEYWORDS else "IDENT", raw,
+                                line, col))
+        elif kind == "NUMBER":
+            try:
+                value = int(raw) if raw.isdecimal() else float(raw)
+            except ValueError:  # more digits than int() converts
+                raise DialectSyntaxError(f"number with {len(raw)} digits",
+                                         line, col) from None
+            tokens.append(Token(kind, value, line, col))
+        elif kind == "STRING":
+            tokens.append(Token(kind, raw[1:-1].replace("''", "'"), line, col))
+        elif kind != "skip":
+            tokens.append(Token(raw if kind == "symbol" else kind, raw, line, col))
+        if "\n" in raw:
+            line += raw.count("\n")
+            line_start = pos + raw.rindex("\n") + 1
+        pos = match.end()
+    tokens.append(Token("EOF", None, line, pos - line_start + 1))
     return tokens
 
 
@@ -203,7 +140,6 @@ class CreatePopulation:
     is_global: bool
     attrs: tuple[AttrSpec, ...] | None
     core: SelectCore | None
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
@@ -212,7 +148,6 @@ class CreateSample:
     attrs: tuple[AttrSpec, ...] | None
     core: SelectCore
     mechanism: MechanismSpec | None
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
@@ -223,7 +158,6 @@ class CreateMetadata:
     count_column: str | None  # pre-aggregated column; None means COUNT(*) form
     source: str
     group_by: tuple[str, ...]
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
@@ -231,14 +165,12 @@ class CreateAuxTable:
     name: str
     temporary: bool
     attrs: tuple[AttrSpec, ...]
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
 class Ingest:
     target: str
     path: str
-    span: Span = field(compare=False, default=Span(0, 0))
 
 
 @dataclass(frozen=True)
@@ -248,7 +180,6 @@ class Select:
     source: str
     predicate: Predicate | None
     group_by: tuple[str, ...]
-    span: Span = field(compare=False, default=Span(0, 0))
 
     def aggregates(self) -> list[Aggregate]:
         return [it for it in self.items if isinstance(it, Aggregate)]
@@ -320,20 +251,19 @@ class _Parser:
                                  expected=("CREATE", "INGEST", "SELECT"))
 
     def parse_create(self) -> Statement:
-        start = self.expect("CREATE")
-        span = Span(start.line, start.col)
+        self.expect("CREATE")
         if self.match("GLOBAL"):
             self.expect("POPULATION")
-            return self.parse_create_population(span, is_global=True)
+            return self.parse_create_population(is_global=True)
         if self.match("POPULATION"):
-            return self.parse_create_population(span, is_global=False)
+            return self.parse_create_population(is_global=False)
         if self.match("SAMPLE"):
-            return self.parse_create_sample(span)
+            return self.parse_create_sample()
         if self.match("METADATA"):
-            return self.parse_create_metadata(span)
+            return self.parse_create_metadata()
         temporary = bool(self.match("TEMPORARY"))
         self.expect("TABLE")
-        return self.parse_create_table(span, temporary)
+        return self.parse_create_table(temporary)
 
     def parse_attr_defs(self) -> tuple[AttrSpec, ...]:
         self.expect("(")
@@ -353,17 +283,33 @@ class _Parser:
         self.expect(")")
         return tuple(attrs)
 
+    def names(self) -> tuple[str, ...]:
+        """attr [, attr ...]"""
+        names = [self.ident("attribute")]
+        while self.match(","):
+            names.append(self.ident("attribute"))
+        return tuple(names)
+
+    def group_by(self) -> tuple[str, ...]:
+        if not self.match("GROUP"):
+            return ()
+        self.expect("BY")
+        return self.names()
+
+    def count_star(self) -> bool:
+        """Consume COUNT(*) if it comes next."""
+        if not self.match("COUNT"):
+            return False
+        self.expect("(")
+        self.expect("*")
+        self.expect(")")
+        return True
+
     def parse_select_core(self, allow_mechanism: bool = False):
         """(SELECT proj FROM name [WHERE pred] [USING MECHANISM ...])"""
         self.expect("(")
         self.expect("SELECT")
-        if self.match("*"):
-            projection = None
-        else:
-            names = [self.ident("attribute")]
-            while self.match(","):
-                names.append(self.ident("attribute"))
-            projection = tuple(names)
+        projection = None if self.match("*") else self.names()
         self.expect("FROM")
         source = self.ident("relation name")
         predicate = None
@@ -384,7 +330,7 @@ class _Parser:
         self.expect(")")
         return SelectCore(projection, source, predicate), mechanism
 
-    def parse_create_population(self, span: Span, is_global: bool) -> CreatePopulation:
+    def parse_create_population(self, is_global: bool) -> CreatePopulation:
         name = self.ident("population name")
         attrs = self.parse_attr_defs() if self.peek().type == "(" else None
         core = None
@@ -402,16 +348,16 @@ class _Parser:
             raise DialectSyntaxError(
                 "a non-global population requires AS (SELECT ... FROM <global>)",
                 tok.line, tok.col)
-        return CreatePopulation(name, is_global, attrs, core, span)
+        return CreatePopulation(name, is_global, attrs, core)
 
-    def parse_create_sample(self, span: Span) -> CreateSample:
+    def parse_create_sample(self) -> CreateSample:
         name = self.ident("sample name")
         attrs = self.parse_attr_defs() if self.peek().type == "(" else None
         self.expect("AS")
         core, mechanism = self.parse_select_core(allow_mechanism=True)
-        return CreateSample(name, attrs, core, mechanism, span)
+        return CreateSample(name, attrs, core, mechanism)
 
-    def parse_create_metadata(self, span: Span) -> CreateMetadata:
+    def parse_create_metadata(self) -> CreateMetadata:
         name = self.ident("metadata name")
         owner = None
         if self.match("FOR"):
@@ -423,10 +369,7 @@ class _Parser:
         count_column: str | None = None
         saw_count_star = False
         while True:
-            if self.match("COUNT"):
-                self.expect("(")
-                self.expect("*")
-                self.expect(")")
+            if self.count_star():
                 saw_count_star = True
                 break
             attributes.append(self.ident("attribute"))
@@ -441,13 +384,7 @@ class _Parser:
             count_column = attributes.pop()
         self.expect("FROM")
         source = self.ident("relation name")
-        group_by: tuple[str, ...] = ()
-        if self.match("GROUP"):
-            self.expect("BY")
-            names = [self.ident("attribute")]
-            while self.match(","):
-                names.append(self.ident("attribute"))
-            group_by = tuple(names)
+        group_by = self.group_by()
         self.expect(")")
         tok = self.peek()
         if saw_count_star and tuple(attributes) != group_by:
@@ -455,30 +392,22 @@ class _Parser:
                 "GROUP BY must list exactly the projected attributes",
                 tok.line, tok.col)
         return CreateMetadata(name, owner, tuple(attributes), count_column,
-                              source, group_by, span)
+                              source, group_by)
 
-    def parse_create_table(self, span: Span, temporary: bool) -> CreateAuxTable:
+    def parse_create_table(self, temporary: bool) -> CreateAuxTable:
         name = self.ident("table name")
-        attrs = self.parse_attr_defs()
-        return CreateAuxTable(name, temporary, attrs, span)
+        return CreateAuxTable(name, temporary, self.parse_attr_defs())
 
     def parse_ingest(self) -> Ingest:
-        start = self.expect("INGEST")
+        self.expect("INGEST")
         target = self.ident("relation name")
         self.expect("FROM")
-        path = self.expect("STRING").value
-        return Ingest(target, path, Span(start.line, start.col))
+        return Ingest(target, self.expect("STRING").value)
 
     def parse_select(self) -> Select:
-        start = self.expect("SELECT")
-        span = Span(start.line, start.col)
-        visibility = Visibility.CLOSED
-        if self.match("CLOSED"):
-            visibility = Visibility.CLOSED
-        elif self.match("SEMI_OPEN"):
-            visibility = Visibility.SEMI_OPEN
-        elif self.match("OPEN"):
-            visibility = Visibility.OPEN
+        self.expect("SELECT")
+        tok = self.match(*(v.name for v in Visibility))
+        visibility = Visibility[tok.type] if tok else Visibility.CLOSED
         items: list[SelectItem] = [self.parse_select_item()]
         while self.match(","):
             items.append(self.parse_select_item())
@@ -487,13 +416,7 @@ class _Parser:
         predicate = None
         if self.match("WHERE"):
             predicate = self.parse_predicate()
-        group_by: tuple[str, ...] = ()
-        if self.match("GROUP"):
-            self.expect("BY")
-            names = [self.ident("attribute")]
-            while self.match(","):
-                names.append(self.ident("attribute"))
-            group_by = tuple(names)
+        group_by = self.group_by()
         tok = self.peek()
         plain = [it for it in items if isinstance(it, str)]
         has_agg = any(isinstance(it, Aggregate) for it in items)
@@ -506,13 +429,10 @@ class _Parser:
             raise DialectSyntaxError(
                 "non-aggregated attributes require a matching GROUP BY clause",
                 tok.line, tok.col)
-        return Select(visibility, tuple(items), source, predicate, group_by, span)
+        return Select(visibility, tuple(items), source, predicate, group_by)
 
     def parse_select_item(self) -> SelectItem:
-        if self.match("COUNT"):
-            self.expect("(")
-            self.expect("*")
-            self.expect(")")
+        if self.count_star():
             return Aggregate("count", None)
         for func in ("SUM", "AVG"):
             if self.match(func):
@@ -548,14 +468,9 @@ class _Parser:
 
     def parse_literal(self):
         if self.match("-"):
-            tok = self.expect("NUMBER")
-            return -tok.value
+            return -self.expect("NUMBER").value
         tok = self.peek()
-        if tok.type == "NUMBER":
-            return self.advance().value
-        if tok.type == "STRING":
-            return self.advance().value
-        if tok.type == "IDENT":  # bare word reads as a string literal
+        if tok.type in ("NUMBER", "STRING", "IDENT"):  # a bare word is a string
             return self.advance().value
         raise DialectSyntaxError("expected a literal", tok.line, tok.col,
                                  expected=("NUMBER", "STRING", "IDENT"))

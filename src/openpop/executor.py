@@ -89,6 +89,7 @@ class ExecOptions:
     k_samples: int = 10
     train_config: TrainConfig | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
+    # (sample name, marginal owner) -> (content key, TrainedGenerator)
     generator_cache: dict = field(default_factory=dict)
     # (sample name, marginal owner) -> (content key, weights, IpfReport)
     ipf_cache: dict = field(default_factory=dict)
@@ -300,36 +301,42 @@ def _check_covers(sample: SampleRelation, marginals) -> None:
                     f"{label}over {marginal.attributes} on '{marginal.owner}'")
 
 
-def _fitted_weights(base: SampleRelation, marginals, options: ExecOptions):
-    """IPF weights and report for `base`, and "hit" or "miss". The weights
-    depend only on the relation, the marginals and the IpfConfig, so one
-    read-only copy per (sample, marginal owner) serves every query until one
-    of those changes; a miss replaces the slot, so memory stays flat."""
-    _check_covers(base, marginals)
-    slot = (base.name, marginals[0].owner)
-    key = content_key(base, marginals, sorted(vars(options.ipf).items()))
-    cached = options.ipf_cache.get(slot)
+def _cached_fit(cache: dict, relation: SampleRelation, marginals, key: str, fit):
+    """What `fit()` returns for `relation` under `marginals`, and "hit" or
+    "miss". `cache` holds one (key, *result) slot per (sample, marginal
+    owner): a hit returns the slot's result, a miss calls `fit` and replaces
+    the slot, so memory stays flat however often the inputs change."""
+    _check_covers(relation, marginals)
+    slot = (relation.name, marginals[0].owner)
+    cached = cache.get(slot)
     if cached is not None and cached[0] == key:
-        return cached[1], cached[2], "hit"
-    weights, report = ipf_fit(base, marginals, options.ipf)
+        return cached[1:], "hit"
+    result = fit()
+    cache[slot] = (key, *result)
+    return result, "miss"
+
+
+def _fitted_weights(base: SampleRelation, marginals, options: ExecOptions):
+    """Read-only IPF weights and report for `base`, and "hit" or "miss"; they
+    depend only on the relation, the marginals and the IpfConfig."""
+    key = content_key(base, marginals, sorted(vars(options.ipf).items()))
+    (weights, report), cache = _cached_fit(
+        options.ipf_cache, base, marginals, key,
+        lambda: ipf_fit(base, marginals, options.ipf))
     weights.setflags(write=False)
-    options.ipf_cache[slot] = (key, weights, report)
-    return weights, report, "miss"
+    return weights, report, cache
 
 
 def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
                        log=None) -> tuple[TrainedGenerator, str]:
     """The generator for (sample, marginals, TrainConfig), and "hit" or
-    "miss" for the cache."""
-    _check_covers(sample, marginals)
+    "miss"."""
     cfg = options.train_config or TrainConfig()
-    key = fingerprint(sample, marginals, cfg)
-    cached = options.generator_cache.get(key)
-    if cached is not None:
-        return cached, "hit"
-    trained = train(sample, marginals, cfg, log=log)
-    options.generator_cache[key] = trained
-    return trained, "miss"
+    (trained,), cache = _cached_fit(
+        options.generator_cache, sample, marginals,
+        fingerprint(sample, marginals, cfg),
+        lambda: (train(sample, marginals, cfg, log=log),))
+    return trained, cache
 
 
 def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,

@@ -74,18 +74,14 @@ class TrainConfig:
 
 @dataclass
 class MarginalTarget:
-    """A marginal mapped into the encoded space, ready for transport terms.
+    """A marginal mapped into the encoded space, ready for transport terms:
+    points in its k-dim subspace, compared through p unit projections (the
+    identity, one projection, when k is 1)."""
 
-    kind "direct": one numeric dimension, compared without projection.
-    kind "sliced": points in a >=2-dim subspace, compared through random
-    unit projections.
-    """
-
-    kind: str
     dims: np.ndarray
-    points: np.ndarray      # direct: (cells,); sliced: (cells, k)
+    points: np.ndarray          # (cells, k)
     weights: np.ndarray | None  # None means uniform (resampled) masses
-    projections: np.ndarray | None = None  # sliced: (p, k) unit rows
+    projections: np.ndarray     # (p, k) unit rows
     label: str = ""
 
     def mass(self) -> np.ndarray:
@@ -127,17 +123,11 @@ def prepare_targets(marginals: list[Marginal], encoding: Encoding,
         keep = masses > 0
         masses = masses[keep] / masses[keep].sum()
         keys = [k for k, m in zip(marginal.cells, keep) if m]
-        if len(dims) == 1:
-            enc = encoding.by_name[marginal.attributes[0]]
-            points = np.asarray([enc.scale(marginal.position_of(k, enc.name))
-                                 for k in keys])
-            targets.append(MarginalTarget("direct", dims, points, masses,
-                                          label="+".join(marginal.attributes)))
-        else:
-            points = np.vstack([encoding.encode_cell(marginal, k) for k in keys])
-            omega = sample_projections(projections, len(dims), rng)
-            targets.append(MarginalTarget("sliced", dims, points, masses, omega,
-                                          label="+".join(marginal.attributes)))
+        points = np.vstack([encoding.encode_cell(marginal, k) for k in keys])
+        omega = (np.ones((1, 1)) if len(dims) == 1
+                 else sample_projections(projections, len(dims), rng))
+        targets.append(MarginalTarget(dims, points, masses, omega,
+                                      label="+".join(marginal.attributes)))
     return targets
 
 
@@ -173,13 +163,6 @@ def coverage_penalty(batch: np.ndarray, refs: np.ndarray):
 
 def transport_term(target: MarginalTarget, q: np.ndarray):
     """(loss, dloss/dq) of one marginal's transport term against batch slice q."""
-    if target.kind == "direct":
-        column = q[:, 0]
-        if target.weights is None and len(target.points) == len(column):
-            w_cols, grad = aligned_w1_grad(target.points[:, None], column[:, None])
-            return float(w_cols[0]), grad
-        w, grad_col = wasserstein_1d_grad(target.points, target.weights, column)
-        return w, grad_col[:, None]
     omega = target.projections
     p = len(omega)
     proj_targets = target.points @ omega.T

@@ -164,63 +164,44 @@ class GeneratorNet:
             dx = layer.backward(dx)
         return dx
 
-    def state(self) -> dict:
-        """Serializable parameter snapshot (weights plus batch-norm stats)."""
-        tensors = []
+    def snapshot(self) -> list[np.ndarray]:
+        """Copies of every tensor: each layer's parameters, then its
+        batch-norm running stats."""
+        values = []
+        for layer in self.layers:
+            values += [p.value.copy() for p in layer.params()]
+            if isinstance(layer, BatchNorm):
+                values += [layer.running_mean.copy(), layer.running_var.copy()]
+        return values
+
+    def restore(self, values) -> None:
+        """Load tensors (arrays or nested lists) in `snapshot` order."""
+        tensors = iter(np.array(v, dtype=float) for v in values)
         for layer in self.layers:
             for p in layer.params():
-                tensors.append(p.value.tolist())
+                p.value = next(tensors).reshape(p.value.shape)
             if isinstance(layer, BatchNorm):
-                tensors.append(layer.running_mean.tolist())
-                tensors.append(layer.running_var.tolist())
+                layer.running_mean = next(tensors)
+                layer.running_var = next(tensors)
+
+    def state(self) -> dict:
+        """Serializable parameter snapshot (weights plus batch-norm stats)."""
         return {
             "latent_dim": self.latent_dim,
             "hidden": self.hidden,
             "out_dim": self.out_dim,
             "categorical_blocks": [list(b) for b in self.categorical_blocks],
             "batch_norm": self.batch_norm,
-            "tensors": tensors,
+            "tensors": [t.tolist() for t in self.snapshot()],
         }
-
-    def load_state(self, state: dict) -> None:
-        tensors = [np.asarray(t, dtype=float) for t in state["tensors"]]
-        i = 0
-        for layer in self.layers:
-            for p in layer.params():
-                p.value = tensors[i].reshape(p.value.shape)
-                p.grad = np.zeros_like(p.value)
-                i += 1
-            if isinstance(layer, BatchNorm):
-                layer.running_mean = tensors[i]
-                layer.running_var = tensors[i + 1]
-                i += 2
 
     @classmethod
     def from_state(cls, state: dict) -> "GeneratorNet":
         net = cls(state["latent_dim"], state["hidden"], state["out_dim"],
                   [tuple(b) for b in state["categorical_blocks"]],
                   np.random.default_rng(0), state["batch_norm"])
-        net.load_state(state)
+        net.restore(state["tensors"])
         return net
-
-    def snapshot(self) -> list[np.ndarray]:
-        values = [p.value.copy() for p in self.params()]
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                values.append(layer.running_mean.copy())
-                values.append(layer.running_var.copy())
-        return values
-
-    def restore(self, values: list[np.ndarray]) -> None:
-        params = self.params()
-        for p, v in zip(params, values):
-            p.value = v.copy()
-        i = len(params)
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm):
-                layer.running_mean = values[i].copy()
-                layer.running_var = values[i + 1].copy()
-                i += 2
 
 
 class Adam:

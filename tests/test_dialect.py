@@ -1,7 +1,7 @@
 """Dialect grammar, visibility keywords, and parse/render round-trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openpop.dialect import (
@@ -19,6 +19,7 @@ from openpop.dialect import (
     parse,
     parse_one,
     render,
+    tokenize,
 )
 from openpop.errors import DialectSyntaxError
 from openpop.predicate import Comparison, InList, Predicate
@@ -118,6 +119,54 @@ class TestScripts:
     def test_negative_literal(self):
         stmt = parse_one("SELECT x FROM P WHERE x > -2.5")
         assert stmt.predicate.atoms[0].value == -2.5
+
+
+class TestLexer:
+    @pytest.mark.parametrize("text, line, col", [
+        ("SELECT\t!", 1, 8),                            # a tab is one column
+        ("SELECT country\r\nFROM !", 2, 6),             # CR is a column, LF a line
+        ("-- it's a comment ! \nSELECT #", 2, 8),        # a comment hides '!'
+        ("SELECT x FROM P\nWHERE n = 'O''Brien", 2, 11),  # at the opening quote
+        ("SELECT\tcountry\r\nFROM;", 2, 5),              # parser errors too
+    ])
+    def test_error_location(self, text, line, col):
+        with pytest.raises(DialectSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_unterminated_string_message(self):
+        with pytest.raises(DialectSyntaxError, match="unterminated string literal"):
+            tokenize("x = 'a''")
+
+    def test_token_values_and_positions(self):
+        tokens = tokenize("select Semi-Open x\n  1 2.5 3e2 4e 'it''s' -7 SEMI-OPENx")
+        assert [(t.type, t.value, t.line, t.col) for t in tokens
+                if t.type != "SEMI_OPEN"] == [
+            ("SELECT", "select", 1, 1), ("IDENT", "x", 1, 18),
+            ("NUMBER", 1, 2, 3), ("NUMBER", 2.5, 2, 5), ("NUMBER", 300.0, 2, 9),
+            ("NUMBER", 4, 2, 13), ("IDENT", "e", 2, 14), ("STRING", "it's", 2, 16),
+            ("-", "-", 2, 24), ("NUMBER", 7, 2, 25), ("IDENT", "SEMI", 2, 27),
+            ("-", "-", 2, 31), ("IDENT", "OPENx", 2, 32), ("EOF", None, 2, 37)]
+        assert tokens[1].type == "SEMI_OPEN" and (tokens[1].line, tokens[1].col) == (1, 8)
+
+
+# Characters the lexer treats specially, plus digits and letters outside ASCII
+# ("²" and "½" are numeric to str but not decimal digits).
+LEXER_TEXT = st.text(st.one_of(st.sampled_from("09.eE+-'_ \t\r\n\f;*<=>()[],é²٣½"),
+                               st.characters()))
+
+
+@given(LEXER_TEXT)
+@example("SELECT CLOSED COUNT(*) FROM P WHERE x < 1²;")
+@example("1e²")
+@example("x < " + "9" * 5000)  # more digits than int() converts
+@settings(max_examples=300, deadline=None)
+def test_tokenize_raises_only_syntax_errors(text):
+    try:
+        tokens = tokenize(text)
+    except DialectSyntaxError:
+        return
+    assert tokens[-1].type == "EOF"
 
 
 class TestRenderRoundTrip:

@@ -278,10 +278,12 @@ SELECT OPEN COUNT(*) FROM P;
         "SELECT CLOSED COUNT(*) FROM P WHERE country < 3;",
         "SELECT SEMI-OPEN COUNT(*) FROM P;",
         "SELECT OPEN COUNT(*) FROM P;",
+        "SELECT CLOSED COUNT(*) FROM P WHERE age < 1\u00b2;",
     ])
     def test_query_user_errors_exit_one(self, tmp_path, query):
-        # A categorical compared by order, and a sample that lacks the
-        # attribute of a marginal, are user errors, not internal ones.
+        # A categorical compared by order, a sample that lacks the attribute
+        # of a marginal, and a digit that int() rejects are user errors, not
+        # internal ones.
         (tmp_path / "ages.csv").write_text("age,n\n30,5\n40,3\n", encoding="utf-8")
         (tmp_path / "rows.csv").write_text("country\nUK\nFR\n", encoding="utf-8")
         path = self.script_path(tmp_path, f"""
@@ -296,6 +298,20 @@ INGEST S FROM '{tmp_path / "rows.csv"}';
         code, _, err = self.run_cli(["--script", path, "--quiet"])
         assert code == 1
         assert "error:" in err and "internal error" not in err
+
+    def test_repl_continues_after_superscript_digit(self):
+        # "²" is a digit to str.isdigit but not to int(): a syntax error.
+        stdin = """
+CREATE GLOBAL POPULATION P (x INT);
+CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
+SELECT CLOSED COUNT(*) FROM P WHERE x < 1\u00b2;
+SELECT CLOSED COUNT(*) FROM P;
+\\quit
+"""
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert "unexpected character" in err and "internal error" not in err
+        assert "closed)" in out
 
     def test_csv_output(self, tmp_path):
         path = self.script_path(tmp_path, """
@@ -533,6 +549,22 @@ CREATE METADATA Migrants_Pair AS (SELECT country, email, reported_count FROM Pai
         answers = [self.ask(engine, q) for q in SEMI_QUERIES * 2]
         assert len(answers) == 8
         assert len(fits) == 1
+
+    def test_ingest_then_open_keeps_one_generator(self, tmp_path):
+        # Each INGEST changes the sample, so each OPEN trains anew; the
+        # replaced generator is dropped, as the IPF slot's weights are.
+        engine = Engine(train_config=TrainConfig(epochs=1, batch_size=50,
+                                                 layers=(8,), projections=4))
+        engine.run_script(cache_script(tmp_path))
+        query = "SELECT OPEN country, COUNT(*) FROM Migrants GROUP BY country;"
+        more = tmp_path / "more.csv"
+        more.write_text("country,email\nFR,Yahoo\n", encoding="utf-8")
+        sizes = []
+        for _ in range(5):
+            engine.run_script(f"INGEST YahooUsers FROM '{more}';")
+            assert self.ask(engine, query).diagnostics["generator_cache"] == "miss"
+            sizes.append(len(engine.options.generator_cache))
+        assert sizes == [1] * 5
 
     def test_open_reports_generator_cache(self, tmp_path):
         engine = self.engine(tmp_path)
