@@ -307,7 +307,8 @@ def _cached_fit(cache: dict, relation: SampleRelation, marginals, key: str, fit)
     owner): a hit returns the slot's result, a miss calls `fit` and replaces
     the slot, so memory stays flat however often the inputs change."""
     _check_covers(relation, marginals)
-    slot = (relation.name, marginals[0].owner)
+    # With no marginals there is no owner, and `fit()` raises the user error.
+    slot = (relation.name, marginals[0].owner if marginals else None)
     cached = cache.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1:], "hit"

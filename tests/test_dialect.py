@@ -122,21 +122,21 @@ class TestScripts:
 
 
 class TestLexer:
-    @pytest.mark.parametrize("text, line, col", [
-        ("SELECT\t!", 1, 8),                            # a tab is one column
-        ("SELECT country\r\nFROM !", 2, 6),             # CR is a column, LF a line
-        ("-- it's a comment ! \nSELECT #", 2, 8),        # a comment hides '!'
-        ("SELECT x FROM P\nWHERE n = 'O''Brien", 2, 11),  # at the opening quote
-        ("SELECT\tcountry\r\nFROM;", 2, 5),              # parser errors too
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("SELECT\t!", 1, 8, "unexpected character"),     # a tab is one column
+        ("SELECT country\r\nFROM !", 2, 6,               # CR is a column, LF a line
+         "unexpected character"),
+        ("-- it's a comment ! \nSELECT #", 2, 8,          # a comment hides '!'
+         "unexpected character '#'"),
+        ("SELECT x FROM P\nWHERE n = 'O''Brien", 2, 11,   # at the opening quote
+         "unterminated string literal"),
+        ("SELECT\tcountry\r\nFROM;", 2, 5,               # parser errors too
+         "expected population name"),
     ])
-    def test_error_location(self, text, line, col):
-        with pytest.raises(DialectSyntaxError) as err:
+    def test_error_location(self, text, line, col, message):
+        with pytest.raises(DialectSyntaxError, match=message) as err:
             parse(text)
         assert (err.value.line, err.value.col) == (line, col)
-
-    def test_unterminated_string_message(self):
-        with pytest.raises(DialectSyntaxError, match="unterminated string literal"):
-            tokenize("x = 'a''")
 
     def test_token_values_and_positions(self):
         tokens = tokenize("select Semi-Open x\n  1 2.5 3e2 4e 'it''s' -7 SEMI-OPENx")

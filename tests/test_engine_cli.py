@@ -1,6 +1,7 @@
 """Engine statement dispatch and the command-line surface."""
 
 import argparse
+import os
 import subprocess
 import sys
 
@@ -313,6 +314,22 @@ SELECT CLOSED COUNT(*) FROM P;
         assert "unexpected character" in err and "internal error" not in err
         assert "closed)" in out
 
+    def test_repl_continues_after_train_without_metadata(self, tmp_path):
+        (tmp_path / "rows.csv").write_text("x\n1\n2\n", encoding="utf-8")
+        stdin = f"""
+CREATE GLOBAL POPULATION P (x INT);
+CREATE SAMPLE S AS (SELECT * FROM P);
+INGEST S FROM '{tmp_path / "rows.csv"}';
+\\train S
+SELECT CLOSED COUNT(*) FROM P;
+\\quit
+"""
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert "population marginal is required" in err
+        assert "internal error" not in err
+        assert "closed)" in out
+
     def test_csv_output(self, tmp_path):
         path = self.script_path(tmp_path, """
 CREATE GLOBAL POPULATION P (a TEXT);
@@ -375,9 +392,12 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert code == 0 and "already in use" in err  # P was loaded
 
     def test_entry_point_runs(self):
+        # The child imports the same openpop as this test, PYTHONPATH or not.
+        src = os.path.dirname(os.path.dirname(openpop.executor.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "openpop.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "--catalog" in result.stdout
 
