@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -49,16 +49,10 @@ class AttributeDef:
     lo: float | None = None  # optional declared numeric range
     hi: float | None = None
 
-    def extend_domain(self, value: str) -> None:
-        if value not in self._domain_set():
-            self.domain.append(value)
-            self._domain_cache.add(value)
-
-    def _domain_set(self) -> set[str]:
-        cache = getattr(self, "_domain_cache", None)
-        if cache is None or len(cache) != len(self.domain):
-            self._domain_cache = set(self.domain)
-        return self._domain_cache
+    def extend_domain(self, values) -> None:
+        """Append the values not yet in the domain, in first-seen order."""
+        known = set(self.domain)
+        self.domain.extend(v for v in dict.fromkeys(values) if v not in known)
 
 
 Schema = list[AttributeDef]
@@ -148,8 +142,11 @@ class Relation:
     @classmethod
     def from_rows(cls, schema: Schema, rows, weights=None, **identity):
         """The one row -> column step: the i-th value of every row becomes
-        the column of the i-th attribute (unit weights by default)."""
+        the column of the i-th attribute (unit weights by default). Every
+        row must hold exactly one value per attribute."""
         rows = list(rows)
+        if any(len(row) != len(schema) for row in rows):
+            raise ValueError(f"every row must have {len(schema)} values")
         values = list(zip(*rows)) if rows else [()] * len(schema)
         if weights is None:
             weights = np.ones(len(rows))
@@ -202,9 +199,6 @@ class NumericBinning:
         frac = (values - self.lo) / (self.hi - self.lo)
         return np.clip(np.floor(frac * self.nbins), 0,
                        self.nbins - 1).astype(np.int64)
-
-    def cell(self, value: float) -> int:
-        return int(self.cells([value])[0])
 
     def midpoint(self, cell: int) -> float:
         width = (self.hi - self.lo) / self.nbins
@@ -266,12 +260,6 @@ class Marginal:
                 keys.append(key)
             group_ids[group] = ids[key]
         return group_ids[row_groups], keys
-
-    def cell_of(self, row: tuple, index: dict[str, int]):
-        """The (binned) cell key a tuple falls in."""
-        ids, keys = self.cell_index({a: np.asarray([row[index[a]]])
-                                     for a in self.attributes})
-        return keys[ids[0]]
 
     def position_of(self, key, attr: str) -> float:
         """Numeric position of a cell key on `attr` (bin midpoint when binned)."""
@@ -340,6 +328,18 @@ class Catalog:
                 return pop
         raise NoGlobalPopulationError("no global population declared")
 
+    def global_schema(self, names=None) -> Schema:
+        """Copies (domains included) of the global population's attributes:
+        all of them, or those in `names`, in that order."""
+        gp = self.global_population()
+        by_name = {a.name: a for a in gp.schema}
+        schema = []
+        for name in by_name if names is None else names:
+            if name not in by_name:
+                raise UnknownAttributeError(f"attribute '{name}' not in '{gp.name}'")
+            schema.append(replace(by_name[name], domain=list(by_name[name].domain)))
+        return schema
+
     def has_global(self) -> bool:
         return any(p.is_global for p in self.populations.values())
 
@@ -376,31 +376,31 @@ class Catalog:
             elif defn.source != gp.name:
                 raise UnknownPopulationError(
                     f"population source must be the global population '{gp.name}'")
-            gp_kinds = schema_kinds(gp.schema)
-            for a in defn.schema:
-                if a.name not in gp_kinds or gp_kinds[a.name] != a.kind:
-                    raise UnknownAttributeError(
-                        f"attribute '{a.name}' not in global population schema")
-            if defn.predicate:
-                check_types(defn.predicate, gp_kinds)
+            self._check_against_global(defn.schema, defn.predicate)
         self.populations[defn.name] = defn
+
+    def _check_against_global(self, schema: Schema,
+                              predicate: Predicate | None) -> dict[str, str]:
+        """Every attribute is a global one of the same kind, and the
+        predicate type-checks against the global schema; returns its kinds."""
+        gp_kinds = schema_kinds(self.global_population().schema)
+        for a in schema:
+            if gp_kinds.get(a.name) != a.kind:
+                raise UnknownAttributeError(
+                    f"attribute '{a.name}' not in global population schema")
+        if predicate:
+            check_types(predicate, gp_kinds)
+        return gp_kinds
 
     def create_sample(self, name: str, schema: Schema | None = None,
                       predicate: Predicate | None = None,
                       mechanism: Mechanism | None = None) -> SampleRelation:
         if name in self._all_names():
             raise DuplicateNameError(f"name '{name}' already in use")
-        gp = self.global_population()
         if schema is None:
-            schema = [replace(a, domain=list(a.domain)) for a in gp.schema]
+            schema = self.global_schema()
         _check_schema(schema)
-        gp_kinds = schema_kinds(gp.schema)
-        for a in schema:
-            if a.name not in gp_kinds or gp_kinds[a.name] != a.kind:
-                raise UnknownAttributeError(
-                    f"sample attribute '{a.name}' not in global population schema")
-        if predicate:
-            check_types(predicate, gp_kinds)
+        gp_kinds = self._check_against_global(schema, predicate)
         if mechanism is not None and mechanism.kind == "stratified":
             if mechanism.strat_attribute not in gp_kinds:
                 raise UnknownAttributeError(
@@ -435,11 +435,10 @@ class Catalog:
         # Marginal cell keys extend the owner's categorical active domains, so
         # open-world answers can name values never seen in any sample.
         index = {a.name: a for a in pop.schema}
-        for key in marginal.cells:
-            parts = key if isinstance(key, tuple) else (key,)
-            for attr, part in zip(attributes, parts):
-                if kinds[attr] == CATEGORICAL:
-                    index[attr].extend_domain(part)
+        keys = [key if isinstance(key, tuple) else (key,) for key in marginal.cells]
+        for pos, attr in enumerate(attributes):
+            if kinds[attr] == CATEGORICAL:
+                index[attr].extend_domain(key[pos] for key in keys)
         self.marginals.append(marginal)
         return marginal
 
@@ -486,12 +485,19 @@ class Catalog:
 
     def ingest_rows(self, target: str, rows) -> int:
         rel = self._target_relation(target)
+        return self._ingest(rel, enumerate(rows, start=1), range(len(rel.schema)))
+
+    def _ingest(self, rel: Relation, records, positions) -> int:
+        """Coerce every (line, row) record, whose i-th field is the attribute
+        at schema position positions[i], then commit them all. Any bad record
+        raises before the relation or a domain changes."""
         values = [[] for _ in rel.schema]
-        for lineno, row in enumerate(rows, start=1):
-            if len(row) != len(rel.schema):
+        fields = [(rel.schema[pos], values[pos]) for pos in positions]
+        for lineno, row in records:
+            if len(row) != len(fields):
                 raise CsvParseError(
-                    f"expected {len(rel.schema)} values, got {len(row)}", lineno)
-            for attr, raw, column in zip(rel.schema, row, values):
+                    f"expected {len(fields)} fields, got {len(row)}", lineno)
+            for (attr, column), raw in zip(fields, row):
                 column.append(self._coerce(attr, raw, lineno))
         return self._commit(rel, values)
 
@@ -512,8 +518,7 @@ class Catalog:
             attrs = {a.name: a for a in schema}
             for attr, column in zip(rel.schema, values):
                 if attr.kind == CATEGORICAL and attr.name in attrs:
-                    for value in dict.fromkeys(column):
-                        attrs[attr.name].extend_domain(value)
+                    attrs[attr.name].extend_domain(column)
         return len(batch)
 
     def ingest_csv(self, target: str, path) -> int:
@@ -536,19 +541,12 @@ class Catalog:
                 if len(cols) != len(rel.schema):
                     raise CsvParseError(
                         f"header must name all of {[a.name for a in rel.schema]}", 1)
-                values = [[] for _ in rel.schema]
-                fields = [(rel.schema[pos], values[pos]) for pos in cols]
-                for lineno, record in enumerate(reader, start=2):
-                    if not record:
-                        continue
-                    if len(record) != len(cols):
-                        raise CsvParseError(
-                            f"expected {len(cols)} fields, got {len(record)}", lineno)
-                    for (attr, column), raw in zip(fields, record):
-                        column.append(self._coerce(attr, raw, lineno))
+                # Blank records are skipped; line numbers still count them.
+                return self._ingest(rel, ((lineno, record) for lineno, record
+                                          in enumerate(reader, start=2) if record),
+                                    cols)
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
-        return self._commit(rel, values)
 
     # --- integrity ----------------------------------------------------------
 
@@ -581,21 +579,18 @@ class Catalog:
         for pop in self.populations.values():
             records.append({
                 "kind": "population", "name": pop.name, "global": pop.is_global,
-                "source": pop.source, "schema": _schema_json(pop.schema),
+                "source": pop.source, "schema": [asdict(a) for a in pop.schema],
                 "predicate": _pred_json(pop.predicate),
             })
         for sample in self.samples.values():
             records.append({
                 "kind": "sample", "name": sample.name,
-                "schema": _schema_json(sample.schema),
+                "schema": [asdict(a) for a in sample.schema],
                 "rows": [list(r) for r in sample.to_rows()],
                 "weights": sample.weights.tolist(),
                 "predicate": _pred_json(sample.predicate),
-                "mechanism": None if sample.mechanism is None else {
-                    "kind": sample.mechanism.kind,
-                    "percent": sample.mechanism.percent,
-                    "strat_attribute": sample.mechanism.strat_attribute,
-                },
+                "mechanism": (None if sample.mechanism is None
+                              else asdict(sample.mechanism)),
             })
         for marginal in self.marginals:
             records.append({
@@ -607,7 +602,8 @@ class Catalog:
             })
         for rel in self.aux.values():
             records.append({
-                "kind": "aux", "name": rel.name, "schema": _schema_json(rel.schema),
+                "kind": "aux", "name": rel.name,
+                "schema": [asdict(a) for a in rel.schema],
                 "rows": [list(r) for r in rel.to_rows()],
             })
         return records
@@ -642,10 +638,13 @@ class Catalog:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                catalog._restore(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CsvParseError(f"malformed catalog record: {exc}", lineno)
-            catalog._restore(record)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise CsvParseError(
+                    f"malformed catalog record ({type(exc).__name__}: {exc})",
+                    lineno)
         catalog.validate()
         return catalog
 
@@ -655,15 +654,16 @@ class Catalog:
             self.seed = record["seed"]
         elif kind == "population":
             self.populations[record["name"]] = PopulationDef(
-                record["name"], record["global"], _schema_load(record["schema"]),
+                record["name"], record["global"],
+                [AttributeDef(**d) for d in record["schema"]],
                 record["source"], _pred_load(record["predicate"]))
         elif kind == "sample":
             mech = record["mechanism"]
             self.samples[record["name"]] = SampleRelation.from_rows(
-                _schema_load(record["schema"]), record["rows"], record["weights"],
-                name=record["name"], predicate=_pred_load(record["predicate"]),
-                mechanism=None if mech is None else Mechanism(
-                    mech["kind"], mech["percent"], mech["strat_attribute"]))
+                [AttributeDef(**d) for d in record["schema"]], record["rows"],
+                record["weights"], name=record["name"],
+                predicate=_pred_load(record["predicate"]),
+                mechanism=None if mech is None else Mechanism(**mech))
         elif kind == "marginal":
             self.marginals.append(Marginal(
                 record["owner"], tuple(record["attributes"]),
@@ -672,19 +672,10 @@ class Catalog:
                 record["name"]))
         elif kind == "aux":
             self.aux[record["name"]] = AuxRelation.from_rows(
-                _schema_load(record["schema"]), record["rows"], name=record["name"])
+                [AttributeDef(**d) for d in record["schema"]], record["rows"],
+                name=record["name"])
         else:
             raise FormatVersionMismatchError(f"unknown record kind {kind!r}")
-
-
-def _schema_json(schema: Schema) -> list[dict]:
-    return [{"name": a.name, "kind": a.kind, "domain": list(a.domain),
-             "lo": a.lo, "hi": a.hi} for a in schema]
-
-
-def _schema_load(data) -> Schema:
-    return [AttributeDef(d["name"], d["kind"], list(d["domain"]), d["lo"], d["hi"])
-            for d in data]
 
 
 def _pred_json(pred: Predicate | None):

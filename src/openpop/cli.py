@@ -82,7 +82,7 @@ def _run_experiment(engine: Engine, kind: str, spec_path: str | None,
                                 **apply_kv(bench.SpiralSpec(), pairs))
         table = bench.run_spiral_experiment(
             spec, coverages, repeats=repeats, query_count=query_count,
-            train_cfg=replace(engine.train_config, seed=engine.seed),
+            train_cfg=replace(engine.options.train_config, seed=engine.seed),
             log=engine.log)
     elif kind == "flights":
         methods = tuple(pairs.pop("methods", "unif ipf mswg").split())

@@ -13,6 +13,7 @@ from .catalog import (
     Catalog,
     Mechanism,
     PopulationDef,
+    Schema,
     build_marginal,
     schema_kinds,
 )
@@ -45,51 +46,43 @@ from .util import apply_kv
 
 
 class Engine:
-    """A catalog plus execution options, driven by dialect statements."""
+    """A catalog plus execution options, driven by dialect statements. The
+    settings (TrainConfig, IpfConfig, k_samples) live in `options` only."""
 
     def __init__(self, seed: int = 0, train_config: TrainConfig | None = None,
                  ipf_config: IpfConfig | None = None, k_samples: int = 10,
                  log=None):
         self.catalog = Catalog(seed=seed)
         self.seed = seed
-        self.train_config = train_config or TrainConfig(seed=seed)
-        self.ipf_config = ipf_config or IpfConfig()
-        self.k_samples = k_samples
         self.log = log or (lambda message: None)
-        self._generator_cache: dict = {}
-        self._ipf_cache: dict = {}
-        self.options = self._make_options()
-
-    def _make_options(self) -> ExecOptions:
-        return ExecOptions(
-            ipf=self.ipf_config,
-            k_samples=self.k_samples,
-            train_config=self.train_config,
-            rng=np.random.default_rng(self.seed),
-            generator_cache=self._generator_cache,
-            ipf_cache=self._ipf_cache,
-        )
+        self.options = ExecOptions(
+            ipf=ipf_config or IpfConfig(), k_samples=k_samples,
+            train_config=train_config or TrainConfig(seed=seed),
+            rng=np.random.default_rng(seed))
 
     def set_seed(self, seed: int) -> None:
         self.seed = seed
         self.catalog.seed = seed
-        self.train_config = replace(self.train_config, seed=seed)
-        self.options = self._make_options()
+        self._set_options(train_config=replace(self.options.train_config, seed=seed))
 
     def set_config(self, key: str, value: str) -> None:
         """Dotted config keys: train.<field>, ipf.<field>, k_samples."""
         section, _, name = key.partition(".")
+        option = {"train": "train_config", "ipf": "ipf"}.get(section)
         if key == "k_samples":
-            self.k_samples = int(value)
-        elif section == "train":
-            self.train_config = replace(
-                self.train_config, **apply_kv(self.train_config, {name: value}))
-        elif section == "ipf":
-            self.ipf_config = replace(
-                self.ipf_config, **apply_kv(self.ipf_config, {name: value}))
+            self._set_options(k_samples=int(value))
+        elif option is not None:
+            config = getattr(self.options, option)
+            self._set_options(**{option: replace(
+                config, **apply_kv(config, {name: value}))})
         else:
             raise ConfigError(f"unknown config key {key!r}")
-        self.options = self._make_options()
+
+    def _set_options(self, **changes) -> None:
+        """New options with `changes`, the same caches, and the OPEN rng
+        restarted from the seed."""
+        self.options = replace(self.options, rng=np.random.default_rng(self.seed),
+                               **changes)
 
     # --- statement execution ---------------------------------------------
 
@@ -109,8 +102,7 @@ class Engine:
         elif isinstance(stmt, CreateMetadata):
             self._create_metadata(stmt)
         elif isinstance(stmt, CreateAuxTable):
-            self.catalog.create_aux_table(
-                stmt.name, [AttributeDef(a.name, a.kind) for a in stmt.attrs])
+            self.catalog.create_aux_table(stmt.name, _declared(stmt.attrs))
         elif isinstance(stmt, Ingest):
             count = self.catalog.ingest_csv(stmt.target, stmt.path)
             self.log(f"ingested {count} rows into {stmt.target}")
@@ -120,51 +112,30 @@ class Engine:
             raise OpenPopError(f"unsupported statement {stmt!r}")
         return None
 
-    def _schema_from_attrs(self, attrs) -> list[AttributeDef]:
-        return [AttributeDef(a.name, a.kind) for a in attrs]
-
-    def _derived_schema(self, core: dialect.SelectCore) -> list[AttributeDef]:
-        gp = self.catalog.global_population()
-        if core.source != gp.name:
-            raise UnknownRelationError(
-                f"'{core.source}' is not the global population")
-        by_name = {a.name: a for a in gp.schema}
-        if core.projection is None:
-            names = [a.name for a in gp.schema]
-        else:
-            names = list(core.projection)
-        schema = []
-        for name in names:
-            if name not in by_name:
-                raise UnknownAttributeError(
-                    f"attribute '{name}' not in '{gp.name}'")
-            attr = by_name[name]
-            schema.append(AttributeDef(attr.name, attr.kind, list(attr.domain),
-                                       attr.lo, attr.hi))
-        return schema
+    def _derived_schema(self, stmt: CreatePopulation | CreateSample) -> Schema:
+        """The declared attributes, else copies of the global ones the
+        SELECT projects; its FROM must name the global population."""
+        source = stmt.core.source
+        if source != self.catalog.global_population().name:
+            raise UnknownRelationError(f"'{source}' is not the global population")
+        if stmt.attrs is not None:
+            return _declared(stmt.attrs)
+        return self.catalog.global_schema(stmt.core.projection)
 
     def _create_population(self, stmt: CreatePopulation) -> None:
         if stmt.is_global:
-            self.catalog.create_population(PopulationDef(
-                stmt.name, True, self._schema_from_attrs(stmt.attrs)))
-            return
-        schema = (self._schema_from_attrs(stmt.attrs) if stmt.attrs is not None
-                  else self._derived_schema(stmt.core))
-        self.catalog.create_population(PopulationDef(
-            stmt.name, False, schema, stmt.core.source, stmt.core.predicate))
+            defn = PopulationDef(stmt.name, True, _declared(stmt.attrs))
+        else:
+            defn = PopulationDef(stmt.name, False, self._derived_schema(stmt),
+                                 stmt.core.source, stmt.core.predicate)
+        self.catalog.create_population(defn)
 
     def _create_sample(self, stmt: CreateSample) -> None:
-        schema = None
-        if stmt.attrs is not None:
-            schema = self._schema_from_attrs(stmt.attrs)
-        elif stmt.core.projection is not None:
-            schema = self._derived_schema(stmt.core)
-        mechanism = None
-        if stmt.mechanism is not None:
-            mechanism = Mechanism(stmt.mechanism.kind, stmt.mechanism.percent,
-                                  stmt.mechanism.strat_attribute)
-        self.catalog.create_sample(stmt.name, schema, stmt.core.predicate,
-                                   mechanism)
+        schema = self._derived_schema(stmt)
+        spec = stmt.mechanism
+        mechanism = (None if spec is None
+                     else Mechanism(spec.kind, spec.percent, spec.strat_attribute))
+        self.catalog.create_sample(stmt.name, schema, stmt.core.predicate, mechanism)
 
     def _create_metadata(self, stmt: CreateMetadata) -> None:
         owner = stmt.owner or self.catalog.global_population().name
@@ -201,3 +172,8 @@ class Engine:
         marginals, _ = applicable_marginals(
             self.catalog, self.catalog.global_population().name)
         return _trained_generator(sample, marginals, self.options, log=self.log)[0]
+
+
+def _declared(attrs) -> Schema:
+    """The schema a statement declares: names and kinds, no domains."""
+    return [AttributeDef(a.name, a.kind) for a in attrs]

@@ -87,7 +87,7 @@ class ExecOptions:
     ipf: IpfConfig = field(default_factory=IpfConfig)
     use_ipf: bool = True
     k_samples: int = 10
-    train_config: TrainConfig | None = None
+    train_config: TrainConfig = field(default_factory=TrainConfig)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     # (sample name, marginal owner) -> (content key, TrainedGenerator)
     generator_cache: dict = field(default_factory=dict)
@@ -98,7 +98,6 @@ class ExecOptions:
 @dataclass
 class Plan:
     sample_name: str
-    population: str
     metadata_path: str | None   # "direct" | "global" | None
 
 
@@ -152,7 +151,7 @@ def plan(query: Select, catalog: Catalog) -> Plan:
         raise UnknownMechanismNoMetadataError(
             f"sample '{sample_name}' has no declared mechanism and no "
             "marginals are registered")
-    return Plan(sample_name, pop.name, metadata_path)
+    return Plan(sample_name, metadata_path)
 
 
 # --- aggregation over weighted rows -------------------------------------------
@@ -332,11 +331,10 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
                        log=None) -> tuple[TrainedGenerator, str]:
     """The generator for (sample, marginals, TrainConfig), and "hit" or
     "miss"."""
-    cfg = options.train_config or TrainConfig()
     (trained,), cache = _cached_fit(
         options.generator_cache, sample, marginals,
-        fingerprint(sample, marginals, cfg),
-        lambda: (train(sample, marginals, cfg, log=log),))
+        fingerprint(sample, marginals, options.train_config),
+        lambda: (train(sample, marginals, options.train_config, log=log),))
     return trained, cache
 
 

@@ -46,12 +46,6 @@ class IpfReport:
         return max(self.discrepancies) if self.discrepancies else 0.0
 
 
-def cell_of(row: tuple, marginal: Marginal, index: dict[str, int]):
-    """The (binned) cell key of `row` under `marginal`; values outside a
-    numeric binning range clamp to the boundary bin."""
-    return marginal.cell_of(row, index)
-
-
 def _index_cells(sample: Relation, marginal: Marginal):
     """Map target cells and sample rows into dense ids; id 0..k-1 are the
     marginal's cells, further ids are sample-only cells (implicit target 0)."""

@@ -63,11 +63,6 @@ class TrainConfig:
             raise ConfigError("latent_dim must be >= 1")
         self.layers = tuple(int(x) for x in self.layers)
 
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        from .util import apply_kv, read_kv_pairs
-        return cls(**apply_kv(cls(), read_kv_pairs(path)))
-
 
 # --- marginal targets --------------------------------------------------------
 

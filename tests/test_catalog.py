@@ -140,6 +140,19 @@ class TestIngestCsv:
         with pytest.raises(CsvParseError) as err:
             cat.ingest_csv("S", path)
         assert err.value.line == 3
+        # A skipped blank record still counts as a line; a header out of
+        # schema order keeps each value's line.
+        mixed = Catalog()
+        mixed.create_population(PopulationDef(
+            "P", True, [AttributeDef("c", "categorical"), AttributeDef("n", "numeric")]))
+        mixed.create_sample("S")
+        for target, text, line in ((cat, "n\n1\n\n2,3\n", 4),
+                                   (mixed, "n,c\n1,UK\n2,FR\nx,NL\n", 4)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CsvParseError) as err:
+                target.ingest_csv("S", path)
+            assert err.value.line == line
+        assert len(cat.sample("S")) == 0 and len(mixed.sample("S")) == 0
 
     def test_non_finite_numeric_rejected(self, tmp_path):
         cat = Catalog()
@@ -238,15 +251,18 @@ class TestMarginals:
 
     def test_cell_of_clamps_out_of_range(self):
         binning = NumericBinning(0.0, 10.0, 5)
-        assert binning.cell(-3.0) == 0
-        assert binning.cell(42.0) == 4
+        assert binning.cells([-3.0])[0] == 0
+        assert binning.cells([42.0])[0] == 4
         marginal = Marginal("P", ("x",), {i: 1.0 for i in range(5)},
                             {"x": binning})
-        assert marginal.cell_of((99.0,), {"x": 0}) == 4
+        ids, keys = marginal.cell_index({"x": np.asarray([99.0])})
+        assert keys[ids[0]] == 4
 
     def test_pair_cell_of(self):
         marginal = Marginal("P", ("C", "E"), {("AA", 250): 7.0})
-        key = marginal.cell_of(("AA", 250.0), {"C": 0, "E": 1})
+        ids, keys = marginal.cell_index({"C": np.asarray(["AA"], dtype=object),
+                                         "E": np.asarray([250.0])})
+        key = keys[ids[0]]
         assert key == ("AA", 250)
         assert marginal.cells[key] == 7.0
 

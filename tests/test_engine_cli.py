@@ -1,6 +1,7 @@
 """Engine statement dispatch and the command-line surface."""
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import openpop.executor
+from openpop.catalog import AttributeDef, Catalog, PopulationDef
 from openpop.cli import _build_engine, main
 from openpop.engine import Engine
 from openpop.errors import (
@@ -116,11 +118,11 @@ CREATE METADATA Uk_M FOR UkOnly AS (SELECT country, reported_count FROM Stats);
     def test_set_config_and_seed(self):
         engine = fast_engine()
         engine.set_config("train.epochs", "7")
-        assert engine.train_config.epochs == 7
+        assert engine.options.train_config.epochs == 7
         engine.set_config("ipf.max_rounds", "5")
-        assert engine.ipf_config.max_rounds == 5
+        assert engine.options.ipf.max_rounds == 5
         engine.set_seed(42)
-        assert engine.train_config.seed == 42
+        assert engine.options.train_config.seed == 42
 
     def test_mechanism_statement_weighting(self):
         engine = fast_engine()
@@ -178,13 +180,13 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
         args = argparse.Namespace(seed=None, config=str(config), quiet=True,
                                   catalog=None)
         engine = _build_engine(args)
-        assert (engine.seed, engine.train_config.seed) == (5, 5)
-        assert engine.train_config.epochs == 3
-        assert engine.ipf_config.max_rounds == 7
+        assert (engine.seed, engine.options.train_config.seed) == (5, 5)
+        assert engine.options.train_config.epochs == 3
+        assert engine.options.ipf.max_rounds == 7
         assert engine.options.k_samples == 4
         args.seed = 9
         engine = _build_engine(args)
-        assert (engine.seed, engine.train_config.seed) == (9, 9)
+        assert (engine.seed, engine.options.train_config.seed) == (9, 9)
 
     def test_malformed_config_file(self, tmp_path):
         from openpop.errors import ConfigError
@@ -300,6 +302,26 @@ INGEST S FROM '{tmp_path / "rows.csv"}';
         assert code == 1
         assert "error:" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("stmt", [
+        "CREATE SAMPLE S AS (SELECT * FROM Bogus);",
+        "CREATE SAMPLE S (country TEXT) AS (SELECT * FROM Bogus);",
+        "CREATE SAMPLE S AS (SELECT country FROM Bogus);",
+        "CREATE POPULATION S AS (SELECT * FROM Bogus);",
+        "CREATE POPULATION S (country TEXT) AS (SELECT * FROM Bogus);",
+    ])
+    def test_create_from_non_global_source_exit_one(self, tmp_path, stmt):
+        # README: samples and derived populations are drawn FROM <global>.
+        setup = "CREATE GLOBAL POPULATION P (country TEXT);\n"
+        path = self.script_path(tmp_path, setup + stmt)
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert "error: 'Bogus' is not the global population" in err
+        engine = Engine()
+        engine.run_script(setup)
+        with pytest.raises(UnknownRelationError):
+            engine.run_script(stmt)
+        assert not engine.catalog.samples and list(engine.catalog.populations) == ["P"]
+
     def test_repl_continues_after_superscript_digit(self):
         # "²" is a digit to str.isdigit but not to int(): a syntax error.
         stdin = """
@@ -380,6 +402,32 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert code == 1
         assert "error" in err
         assert catalog_path.read_bytes() == b"\x00 not a catalog\n"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda record: {**record, "rows": [["UK"]]},
+        lambda record: {**record, "rows": [["UK", 30.0, "extra"]]},
+        lambda record: {"kind": "sample"},
+        lambda record: [1, 2],
+    ], ids=["short_row", "long_row", "missing_fields", "not_an_object"])
+    def test_malformed_catalog_record_exit_one(self, tmp_path, corrupt):
+        catalog_path = tmp_path / "cat.opc"
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", 30.0)])
+        catalog.save(catalog_path)
+        lines = catalog_path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.startswith('{"kind": "sample"'))
+        lines[lineno - 1] = json.dumps(corrupt(json.loads(lines[lineno - 1])))
+        catalog_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="SELECT CLOSED COUNT(*) FROM P;\n\\quit\n")
+        assert code == 1
+        assert f"error: line {lineno}: malformed catalog record" in err
+        assert "Traceback" not in err and "internal error" not in err
 
     def test_missing_catalog_starts_fresh(self, tmp_path):
         catalog_path = tmp_path / "new.opc"
@@ -585,6 +633,18 @@ CREATE METADATA Migrants_Pair AS (SELECT country, email, reported_count FROM Pai
             assert self.ask(engine, query).diagnostics["generator_cache"] == "miss"
             sizes.append(len(engine.options.generator_cache))
         assert sizes == [1] * 5
+
+    def test_set_config_keeps_caches_and_restarts_rng(self, tmp_path):
+        engine = self.engine(tmp_path)
+        engine.set_seed(3)
+        query = "SELECT OPEN country, COUNT(*) FROM Migrants GROUP BY country;"
+        first_open = self.ask(engine, query)
+        assert self.ask(engine).diagnostics["ipf_cache"] == "miss"
+        engine.set_config("k_samples", str(engine.options.k_samples))
+        assert self.ask(engine).diagnostics["ipf_cache"] == "hit"
+        again = self.ask(engine, query)
+        assert again.diagnostics["generator_cache"] == "hit"
+        assert again.to_csv() == first_open.to_csv()
 
     def test_open_reports_generator_cache(self, tmp_path):
         engine = self.engine(tmp_path)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openpop.catalog import AttributeDef, Marginal, SampleRelation, schema_index
+from openpop.catalog import AttributeDef, Marginal, SampleRelation
 from openpop.errors import ConfigError, EmptySampleError, StructuralZeroError
-from openpop.ipf import IpfConfig, cell_of, discrepancy, ipf_fit
+from openpop.ipf import IpfConfig, discrepancy, ipf_fit
 
 
 def categorical_sample(rows):
@@ -33,11 +33,14 @@ class TestConfig:
 class TestCellOf:
     def test_categorical(self):
         marginal = Marginal("p", ("country",), {"UK": 1.0})
-        assert cell_of(("UK",), marginal, {"country": 0}) == "UK"
+        ids, keys = marginal.cell_index({"country": np.asarray(["UK"], dtype=object)})
+        assert keys[ids[0]] == "UK"
 
     def test_integer_pair(self):
         marginal = Marginal("p", ("C", "E"), {("AA", 250): 1.0})
-        assert cell_of(("AA", 250.0), marginal, {"C": 0, "E": 1}) == ("AA", 250.0)
+        ids, keys = marginal.cell_index({"C": np.asarray(["AA"], dtype=object),
+                                         "E": np.asarray([250.0])})
+        assert keys[ids[0]] == ("AA", 250.0)
 
 
 class TestSingleMarginal:
@@ -163,11 +166,11 @@ class TestTwoMarginalDebias:
         mb = Marginal("p", ("a1",), marg_b)
         weights, report = ipf_fit(sample, [ma, mb])
         assert report.converged
-        index = schema_index(sample.schema)
         for marginal, truth in ((ma, marg_a), (mb, marg_b)):
             got: dict = {}
-            for row, w in zip(rows, weights):
-                key = marginal.cell_of(row, index)
+            ids, keys = marginal.cell_index(sample.columns)
+            for i, w in zip(ids, weights):
+                key = keys[i]
                 got[key] = got.get(key, 0.0) + w
             for key, expected in truth.items():
                 assert got[key] == pytest.approx(expected, rel=1e-6)

@@ -18,6 +18,7 @@ from openpop.mswg import (
     train,
 )
 from openpop.net import GeneratorNet
+from openpop.util import apply_kv, read_kv_pairs
 
 
 def mixed_sample(n=60, seed=0):
@@ -42,7 +43,7 @@ class TestTrainConfig:
         path = tmp_path / "train.conf"
         path.write_text("epochs = 3\nlayers = 8 8\ncoverage_weight = 0.5\n"
                         "# comment\nbatch_norm = false\n", encoding="utf-8")
-        cfg = TrainConfig.from_file(path)
+        cfg = TrainConfig(**apply_kv(TrainConfig(), read_kv_pairs(path)))
         assert cfg.epochs == 3 and cfg.layers == (8, 8)
         assert cfg.coverage_weight == 0.5 and cfg.batch_norm is False
 
