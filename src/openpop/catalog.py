@@ -27,6 +27,7 @@ from .errors import (
     InvalidPercentError,
     NegativeCountError,
     NoGlobalPopulationError,
+    OpenPopError,
     TooManyAttributesError,
     TypeMismatchError,
     UnknownAttributeError,
@@ -143,13 +144,16 @@ class Relation:
     def from_rows(cls, schema: Schema, rows, weights=None, **identity):
         """The one row -> column step: the i-th value of every row becomes
         the column of the i-th attribute (unit weights by default). Every
-        row must hold exactly one value per attribute."""
+        row must hold exactly one value per attribute, and there must be
+        one weight per row."""
         rows = list(rows)
         if any(len(row) != len(schema) for row in rows):
             raise ValueError(f"every row must have {len(schema)} values")
         values = list(zip(*rows)) if rows else [()] * len(schema)
         if weights is None:
             weights = np.ones(len(rows))
+        elif len(weights) != len(rows):
+            raise ValueError(f"{len(weights)} weights for {len(rows)} rows")
         return cls(schema, {a.name: v for a, v in zip(schema, values)},
                    weights, **identity)
 
@@ -379,10 +383,11 @@ class Catalog:
             self._check_against_global(defn.schema, defn.predicate)
         self.populations[defn.name] = defn
 
-    def _check_against_global(self, schema: Schema,
-                              predicate: Predicate | None) -> dict[str, str]:
-        """Every attribute is a global one of the same kind, and the
-        predicate type-checks against the global schema; returns its kinds."""
+    def _check_against_global(self, schema: Schema, predicate: Predicate | None,
+                              mechanism: Mechanism | None = None) -> None:
+        """Every attribute is a global one of the same kind, the predicate
+        type-checks against the global schema, and a stratified mechanism
+        names a global attribute."""
         gp_kinds = schema_kinds(self.global_population().schema)
         for a in schema:
             if gp_kinds.get(a.name) != a.kind:
@@ -390,7 +395,11 @@ class Catalog:
                     f"attribute '{a.name}' not in global population schema")
         if predicate:
             check_types(predicate, gp_kinds)
-        return gp_kinds
+        if mechanism is not None and mechanism.kind == "stratified":
+            if mechanism.strat_attribute not in gp_kinds:
+                raise UnknownAttributeError(
+                    f"stratification attribute '{mechanism.strat_attribute}' "
+                    "not in global population schema")
 
     def create_sample(self, name: str, schema: Schema | None = None,
                       predicate: Predicate | None = None,
@@ -400,12 +409,7 @@ class Catalog:
         if schema is None:
             schema = self.global_schema()
         _check_schema(schema)
-        gp_kinds = self._check_against_global(schema, predicate)
-        if mechanism is not None and mechanism.kind == "stratified":
-            if mechanism.strat_attribute not in gp_kinds:
-                raise UnknownAttributeError(
-                    f"stratification attribute '{mechanism.strat_attribute}' "
-                    "not in global population schema")
+        self._check_against_global(schema, predicate, mechanism)
         sample = SampleRelation.from_rows(schema, [], name=name, predicate=predicate,
                                           mechanism=mechanism)
         self.samples[name] = sample
@@ -641,7 +645,8 @@ class Catalog:
                 catalog._restore(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise CsvParseError(f"malformed catalog record: {exc}", lineno)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (OpenPopError, KeyError, TypeError, ValueError,
+                    AttributeError) as exc:
                 raise CsvParseError(
                     f"malformed catalog record ({type(exc).__name__}: {exc})",
                     lineno)
@@ -653,17 +658,22 @@ class Catalog:
         if kind == "state":
             self.seed = record["seed"]
         elif kind == "population":
-            self.populations[record["name"]] = PopulationDef(
-                record["name"], record["global"],
-                [AttributeDef(**d) for d in record["schema"]],
-                record["source"], _pred_load(record["predicate"]))
+            pop = PopulationDef(record["name"], record["global"],
+                                [AttributeDef(**d) for d in record["schema"]],
+                                record["source"], _pred_load(record["predicate"]))
+            if not pop.is_global:
+                self._check_against_global(pop.schema, pop.predicate)
+            self.populations[pop.name] = pop
         elif kind == "sample":
             mech = record["mechanism"]
-            self.samples[record["name"]] = SampleRelation.from_rows(
+            sample = SampleRelation.from_rows(
                 [AttributeDef(**d) for d in record["schema"]], record["rows"],
                 record["weights"], name=record["name"],
                 predicate=_pred_load(record["predicate"]),
                 mechanism=None if mech is None else Mechanism(**mech))
+            self._check_against_global(sample.schema, sample.predicate,
+                                       sample.mechanism)
+            self.samples[sample.name] = sample
         elif kind == "marginal":
             self.marginals.append(Marginal(
                 record["owner"], tuple(record["attributes"]),

@@ -3,8 +3,13 @@
 One round is a pass over all marginals in declaration order; the pass for a
 marginal rescales every tuple's weight by target(cell) / current(cell), so
 that marginal is matched exactly (on cells with sample mass) before moving
-on. Convergence is judged by the max relative cell discrepancy across all
-marginals.
+on. After each round the fit has converged when every marginal's max
+relative cell discrepancy (see `discrepancy`) is `<= tolerance`; a NaN
+discrepancy never passes. The check visits the marginals in order and stops
+at the first unmet one, except on the last allowed round, so the report
+always carries every marginal's discrepancy. The counts it computes for the
+first marginal are the ones the next round's first pass needs, since the
+weights have not changed in between, so that pass reuses them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ class IpfConfig:
     zero_policy: str = "drop_and_renormalize"  # or "error"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
@@ -108,24 +113,29 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
             # otherwise round-robin totals disagree and IPF cannot converge.
             targets *= total / remaining
         dropped.append(drop)
-        plans.append((targets, row_ids))
+        plans.append((targets, np.maximum(targets, EPS), row_ids))
 
     rounds = 0
     converged = False
+    counts_first = None  # the first marginal's counts at the current weights
     while rounds < cfg.max_rounds:
         rounds += 1
-        for targets, row_ids in plans:
-            counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
-            factors = np.zeros_like(targets)
-            live = counts > 0
-            factors[live] = targets[live] / counts[live]
-            weights *= factors[row_ids]
+        for targets, _, row_ids in plans:
+            counts = (np.bincount(row_ids, weights=weights, minlength=len(targets))
+                      if counts_first is None else counts_first)
+            counts_first = None
+            factors = np.divide(targets, counts, out=np.zeros_like(targets),
+                                where=counts > 0)
+            weights *= np.take(factors, row_ids)
         discs = []
-        for targets, row_ids in plans:
+        for targets, floor, row_ids in plans:
             counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
-            discs.append(float(np.max(
-                np.abs(counts - targets) / np.maximum(targets, EPS))))
-        if max(discs) <= cfg.tolerance:
+            if not discs:
+                counts_first = counts
+            discs.append(float(np.max(np.abs(counts - targets) / floor)))
+            if not discs[-1] <= cfg.tolerance and rounds < cfg.max_rounds:
+                break
+        if all(d <= cfg.tolerance for d in discs):
             converged = True
             break
 

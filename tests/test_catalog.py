@@ -1,5 +1,7 @@
 """Catalog: declarations, ingestion, marginals, persistence round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,21 @@ class TestPersistence:
         text = path.read_text(encoding="utf-8")
         path.write_text(text[:len(text) - 20], encoding="utf-8")
         with pytest.raises((CsvParseError, FormatVersionMismatchError)):
+            Catalog.load(path)
+
+    def test_load_checks_derived_population_against_global(self, tmp_path):
+        # A restored derived population may only use the global
+        # population's attributes, with the same kinds.
+        path = tmp_path / "catalog.opc"
+        self.build_catalog().save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if '"name": "UkMigrants"' in line)
+        record = json.loads(lines[lineno - 1])
+        record["schema"][1]["kind"] = "numeric"
+        lines[lineno - 1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=f"line {lineno}: .*'email' not in global"):
             Catalog.load(path)
 
     @given(data=st.data())

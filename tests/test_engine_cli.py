@@ -379,10 +379,12 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert "saved catalog" in out
 
     def test_repl_unknown_config_key_continues(self):
-        stdin = "\\config train.bogus 1\n\\config k_samples 3\n\\quit\n"
+        stdin = ("\\config train.bogus 1\n\\config ipf.tolerance nan\n"
+                 "\\config k_samples 3\n\\quit\n")
         code, _, err = self.run_cli(["--quiet"], stdin=stdin)
         assert code == 0
         assert "error: unknown config key" in err
+        assert "error: tolerance must be positive, got nan" in err
         assert "internal error" not in err
 
     def test_config_file_unknown_key_exit_one(self, tmp_path):
@@ -408,7 +410,16 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         lambda record: {**record, "rows": [["UK", 30.0, "extra"]]},
         lambda record: {"kind": "sample"},
         lambda record: [1, 2],
-    ], ids=["short_row", "long_row", "missing_fields", "not_an_object"])
+        lambda record: {**record, "mechanism": {"kind": "uniform", "percent": 0,
+                                                "strat_attribute": None}},
+        lambda record: {**record, "weights": []},
+        lambda record: {**record, "schema": [{**record["schema"][0], "name": "zzz"},
+                                             record["schema"][1]]},
+        lambda record: {**record, "mechanism": {"kind": "stratified", "percent": 10.0,
+                                                "strat_attribute": "zzz"}},
+    ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
+            "zero_percent", "short_weights", "attribute_not_in_global",
+            "strat_attribute_not_in_global"])
     def test_malformed_catalog_record_exit_one(self, tmp_path, corrupt):
         catalog_path = tmp_path / "cat.opc"
         catalog = Catalog()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from openpop.catalog import AttributeDef, Marginal, SampleRelation
 from openpop.errors import ConfigError, EmptySampleError, StructuralZeroError
-from openpop.ipf import IpfConfig, discrepancy, ipf_fit
+from openpop.ipf import EPS, IpfConfig, IpfReport, _index_cells, discrepancy, ipf_fit
 
 
 def categorical_sample(rows):
@@ -24,6 +24,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             IpfConfig(tolerance=0)
+        with pytest.raises(ConfigError):
+            IpfConfig(tolerance=float("nan"))
         with pytest.raises(ConfigError):
             IpfConfig(max_rounds=0)
         with pytest.raises(ConfigError):
@@ -234,3 +236,111 @@ class TestPurity:
         w1, _ = ipf_fit(sample, marginals)
         w2, _ = ipf_fit(sample, marginals)
         assert np.array_equal(w1, w2)
+
+
+def reference_ipf_fit(sample, marginals, cfg):
+    """The oracle: the round-robin loop as first written, with a fresh
+    bincount for every update and every check and all discrepancies taken
+    each round (argument checks and the error policy left out)."""
+    weights = np.asarray(sample.weights, dtype=float).copy()
+    plans = []
+    structural = []
+    dropped = []
+    for m_pos, marginal in enumerate(marginals):
+        keys, targets, row_ids = _index_cells(sample, marginal)
+        occupied = np.bincount(row_ids, minlength=len(targets)) > 0
+        zero_cells = [i for i, key in enumerate(keys)
+                      if targets[i] > 0 and not occupied[i]]
+        drop = 0.0
+        if zero_cells:
+            total = targets.sum()
+            for i in zero_cells:
+                drop += targets[i]
+                targets[i] = 0.0
+                structural.append((m_pos, keys[i]))
+            remaining = targets.sum()
+            targets *= total / remaining
+        dropped.append(drop)
+        plans.append((targets, row_ids))
+
+    rounds = 0
+    converged = False
+    while rounds < cfg.max_rounds:
+        rounds += 1
+        for targets, row_ids in plans:
+            counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
+            factors = np.zeros_like(targets)
+            live = counts > 0
+            factors[live] = targets[live] / counts[live]
+            weights *= factors[row_ids]
+        discs = []
+        for targets, row_ids in plans:
+            counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
+            discs.append(float(np.max(
+                np.abs(counts - targets) / np.maximum(targets, EPS))))
+        if max(discs) <= cfg.tolerance:
+            converged = True
+            break
+
+    return weights, IpfReport(rounds, discs, converged, structural, dropped)
+
+
+def correlated_sample(seed=11, n=400, unit_weights=True):
+    """Three categorical attributes whose values move together, so fitting
+    one marginal disturbs the others; a3 is one value on every row."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 4, n)
+    rows = [(f"x{b}", f"y{(b + rng.integers(0, 2)) % 3}", f"z{rng.integers(0, 2)}",
+             "all") for b in base]
+    sample = categorical_sample(rows)
+    if not unit_weights:
+        sample.weights = rng.uniform(0.2, 5.0, n)
+    return sample
+
+
+ONE_D = [Marginal("p", ("a0",), {"x0": 100.0, "x1": 300.0, "x2": 250.0, "x3": 350.0}),
+         Marginal("p", ("a1",), {"y0": 500.0, "y1": 200.0, "y2": 300.0}),
+         Marginal("p", ("a2",), {"z0": 450.0, "z1": 550.0})]
+# Pair marginals whose a1 totals disagree (600/400 against 300/700), with
+# mass on pairs no sample row holds: dropped, and no fit can converge.
+PAIRS = [Marginal("p", ("a0", "a1"), {("x0", "y0"): 200.0, ("x1", "y1"): 200.0,
+                                      ("x3", "y0"): 400.0, ("x0", "y2"): 200.0}),
+         Marginal("p", ("a1", "a2"), {("y0", "z0"): 100.0, ("y1", "z1"): 500.0,
+                                      ("y2", "z0"): 200.0, ("y2", "z1"): 200.0})]
+# The total-only marginal is met after every round; a0 is the first unmet.
+MIDDLE_UNMET = [Marginal("p", ("a3",), {"all": 1000.0}), ONE_D[0], ONE_D[1]]
+
+
+class TestMatchesReferenceLoop:
+    """The fit reuses the check's counts and stops the check early; weights
+    and report must still be exactly those of the plain loop."""
+
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    @pytest.mark.parametrize("marginals, cfg", [
+        (ONE_D, IpfConfig()),
+        (ONE_D, IpfConfig(max_rounds=1)),
+        (ONE_D, IpfConfig(max_rounds=2)),
+        (ONE_D, IpfConfig(max_rounds=3)),
+        (PAIRS, IpfConfig(max_rounds=200)),
+        (PAIRS, IpfConfig(max_rounds=1)),
+        (MIDDLE_UNMET, IpfConfig()),
+        (MIDDLE_UNMET, IpfConfig(max_rounds=2)),
+    ], ids=["one_d", "one_d_1", "one_d_2", "one_d_3", "pairs", "pairs_1",
+            "middle_unmet", "middle_unmet_2"])
+    def test_byte_equal(self, marginals, cfg, unit_weights):
+        sample = correlated_sample(unit_weights=unit_weights)
+        weights, report = ipf_fit(sample, marginals, cfg)
+        expected_weights, expected = reference_ipf_fit(sample, marginals, cfg)
+        assert weights.tobytes() == expected_weights.tobytes()
+        assert report == expected
+
+    def test_cases_reach_the_paths_they_name(self):
+        sample = correlated_sample()
+        _, report = ipf_fit(sample, ONE_D)
+        assert report.converged and 3 < report.rounds < 1000
+        _, report = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=200))
+        assert not report.converged and report.rounds == 200
+        assert report.structural_zeros and len(report.discrepancies) == 2
+        _, report = ipf_fit(sample, MIDDLE_UNMET, IpfConfig(max_rounds=2))
+        first, middle, _ = report.discrepancies
+        assert first <= 1e-6 < middle
