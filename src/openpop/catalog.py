@@ -315,7 +315,8 @@ def build_marginal(owner, attributes, relation: Relation, name=None, nbins=64,
 
 
 class Catalog:
-    """Mutable engine state with referential-integrity validation."""
+    """Mutable engine state. Its create, ingest and set-weights calls hold
+    every integrity rule; `load` replays a saved catalog through them."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -453,6 +454,8 @@ class Catalog:
         if weights.shape != (len(sample),):
             raise TypeMismatchError(
                 f"expected {len(sample)} weights, got {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise TypeMismatchError("weights must be finite")
         if np.any(weights < 0):
             raise NegativeCountError("weights must be nonnegative")
         sample.weights = weights
@@ -552,30 +555,6 @@ class Catalog:
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
 
-    # --- integrity ----------------------------------------------------------
-
-    def validate(self) -> None:
-        globals_ = [p for p in self.populations.values() if p.is_global]
-        if len(globals_) > 1:
-            raise DuplicateNameError("more than one global population")
-        for pop in self.populations.values():
-            if not pop.is_global:
-                if not globals_ or pop.source != globals_[0].name:
-                    raise UnknownPopulationError(
-                        f"population '{pop.name}' references missing global")
-        for sample in self.samples.values():
-            if any(len(col) != len(sample.weights)
-                   for col in sample.columns.values()):
-                raise TypeMismatchError(
-                    f"sample '{sample.name}' weight/row length mismatch")
-            if np.any(sample.weights < 0):
-                raise NegativeCountError(f"sample '{sample.name}' has negative weights")
-        for marginal in self.marginals:
-            if marginal.owner not in self.populations:
-                raise UnknownPopulationError(
-                    f"marginal over '{marginal.attributes}' references missing "
-                    f"population '{marginal.owner}'")
-
     # --- persistence ----------------------------------------------------------
 
     def to_jsonable(self) -> list[dict]:
@@ -650,40 +629,37 @@ class Catalog:
                 raise CsvParseError(
                     f"malformed catalog record ({type(exc).__name__}: {exc})",
                     lineno)
-        catalog.validate()
         return catalog
 
     def _restore(self, record: dict) -> None:
+        """Replay one saved record through the calls that made it, so a
+        loaded catalog obeys the same rules as one built by statements."""
         kind = record.get("kind")
         if kind == "state":
             self.seed = record["seed"]
         elif kind == "population":
-            pop = PopulationDef(record["name"], record["global"],
-                                [AttributeDef(**d) for d in record["schema"]],
-                                record["source"], _pred_load(record["predicate"]))
-            if not pop.is_global:
-                self._check_against_global(pop.schema, pop.predicate)
-            self.populations[pop.name] = pop
+            self.create_population(PopulationDef(
+                record["name"], record["global"],
+                [AttributeDef(**d) for d in record["schema"]],
+                record["source"], _pred_load(record["predicate"])))
         elif kind == "sample":
             mech = record["mechanism"]
-            sample = SampleRelation.from_rows(
-                [AttributeDef(**d) for d in record["schema"]], record["rows"],
-                record["weights"], name=record["name"],
-                predicate=_pred_load(record["predicate"]),
-                mechanism=None if mech is None else Mechanism(**mech))
-            self._check_against_global(sample.schema, sample.predicate,
-                                       sample.mechanism)
-            self.samples[sample.name] = sample
+            self.create_sample(record["name"],
+                               [AttributeDef(**d) for d in record["schema"]],
+                               _pred_load(record["predicate"]),
+                               None if mech is None else Mechanism(**mech))
+            self.ingest_rows(record["name"], record["rows"])
+            self.set_weights(record["name"], record["weights"])
         elif kind == "marginal":
-            self.marginals.append(Marginal(
-                record["owner"], tuple(record["attributes"]),
+            self.create_metadata(
+                record["owner"], record["attributes"],
                 {_key_load(k): v for k, v in record["cells"]},
                 {a: NumericBinning(*vals) for a, vals in record["binnings"].items()},
-                record["name"]))
+                record["name"])
         elif kind == "aux":
-            self.aux[record["name"]] = AuxRelation.from_rows(
-                [AttributeDef(**d) for d in record["schema"]], record["rows"],
-                name=record["name"])
+            self.create_aux_table(record["name"],
+                                  [AttributeDef(**d) for d in record["schema"]])
+            self.ingest_rows(record["name"], record["rows"])
         else:
             raise FormatVersionMismatchError(f"unknown record kind {kind!r}")
 

@@ -30,17 +30,22 @@ META_HELP = """meta-commands:
 
 def _build_engine(args) -> Engine:
     pairs = read_kv_pairs(args.config) if args.config else {}
-    seed = int(pairs.pop("seed", 0))
-    if args.seed is not None:
-        seed = args.seed
+    # Only a missing file is a fresh start; \save will create it.
+    catalog = (Catalog.load(args.catalog)
+               if args.catalog and os.path.exists(args.catalog) else None)
+    # The seed is the first given of --seed, the config file's, the loaded
+    # catalog's, and 0.
+    seeds = (args.seed, pairs.pop("seed", None),
+             catalog.seed if catalog else None, 0)
+    seed = int(next(s for s in seeds if s is not None))
     log = (lambda message: None) if args.quiet else \
         (lambda message: print(message, file=sys.stderr))
     engine = Engine(seed=seed, log=log)
     for key, value in pairs.items():
         engine.set_config(key, value)
-    # Only a missing file is a fresh start; \save will create it.
-    if args.catalog and os.path.exists(args.catalog):
-        engine.catalog = Catalog.load(args.catalog)
+    if catalog is not None:
+        catalog.seed = seed
+        engine.catalog = catalog
     return engine
 
 

@@ -5,6 +5,7 @@ summary of any pytest run that touches this module.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,10 +42,11 @@ from openpop.mswg import (
     prepare_targets,
 )
 from openpop.net import GeneratorNet
-from openpop.predicate import Comparison, InList, Predicate
+from openpop.predicate import Comparison, InList, Predicate, filter_rows
 from openpop.transport import wasserstein_1d, wasserstein_1d_grad
 
 from conftest import record_acceptance
+from test_totals import random_catalog
 from test_transport import lp_transport_cost
 
 
@@ -339,6 +341,35 @@ def test_criterion_5_visibility_contract():
            f"{mismatches} closed/semi-open mismatches")
     assert violations == 0
     assert mismatches == 0
+
+
+def test_visibility_contract_over_derived_populations():
+    """Criterion 5's fuzz over a derived population D with its own FOR
+    marginals: CLOSED and SEMI-OPEN (IPF against D's marginals) show no group
+    absent from the sample rows inside D's view."""
+    rng = np.random.default_rng(506)
+    checked = violations = 0
+    for seed in range(20):
+        catalog = random_catalog(seed)
+        sample = catalog.sample("S")
+        inside = sample.take(filter_rows(catalog.population("D").predicate, sample))
+        schema = catalog.global_population().schema
+        options = ExecOptions()
+        for _ in range(25):
+            query = _random_query(rng, schema, Visibility.CLOSED)
+            if not query.group_by:
+                continue
+            closed = replace(query, source="D")
+            semi = replace(closed, visibility=Visibility.SEMI_OPEN)
+            inside_keys = set(zip(*(inside.columns[g].tolist()
+                                    for g in query.group_by)))
+            n_group = len(query.group_by)
+            for answer in (execute_closed(closed, sample, catalog),
+                           execute_semi_open(semi, sample, catalog, options)):
+                violations += not answer.group_keys(n_group) <= inside_keys
+                checked += 1
+    assert checked > 500
+    assert violations == 0
 
 
 # --- criterion 6: spiral reproduction ----------------------------------------------

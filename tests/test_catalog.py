@@ -1,6 +1,7 @@
 """Catalog: declarations, ingestion, marginals, persistence round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ from openpop.errors import (
     UnknownAttributeError,
 )
 from openpop.predicate import Comparison, Predicate
+
+
+GOLDEN = Path(__file__).parent / "data" / "catalog_v1.opc"
+
+
+def first_weight(value):
+    """A change to a saved sample record: its first weight becomes `value`."""
+    return lambda record: {**record, "weights": [value] + record["weights"][1:]}
 
 
 def migrant_schema():
@@ -105,6 +114,14 @@ class TestSamples:
         assert catalog.sample("S").weights.tolist() == [2.0, 3.0]
         with pytest.raises(NegativeCountError):
             catalog.set_weights("S", [-1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, catalog, bad):
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "Yahoo")])
+        with pytest.raises(TypeMismatchError, match="weights must be finite"):
+            catalog.set_weights("S", [1.0, bad])
+        assert catalog.sample("S").weights.tolist() == [1.0, 1.0]
 
 
 class TestIngestCsv:
@@ -342,6 +359,43 @@ class TestPersistence:
         with pytest.raises(CsvParseError, match=f"line {lineno}: .*'email' not in global"):
             Catalog.load(path)
 
+    @pytest.mark.parametrize("name, change, error", [
+        ("Panel", lambda r: {**r, "name": "Survey"}, "DuplicateNameError"),
+        ("PairStats", lambda r: {**r, "name": "CountryStats"},
+         "DuplicateNameError"),
+        ("CountryStats", lambda r: {**r, "name": "Survey"}, "DuplicateNameError"),
+        ("UKers", lambda r: {**r, "name": "P"}, "DuplicateNameError"),
+        ("UKers", lambda r: {**r, "global": True, "source": None},
+         "DuplicateNameError"),
+        ("P_country_email", lambda r: {**r, "name": "P_country"},
+         "DuplicateNameError"),
+        ("UK_email", lambda r: {**r, "name": "Survey"}, "DuplicateNameError"),
+        ("UK_email", lambda r: {**r, "attributes": ["zzz"]},
+         "UnknownAttributeError"),
+        ("UK_email", lambda r: {**r, "owner": "Nobody"},
+         "UnknownPopulationError"),
+        ("Survey", first_weight(-1.0), "NegativeCountError"),
+        ("Survey", first_weight(float("nan")), "TypeMismatchError"),
+        ("Survey", first_weight(float("inf")), "TypeMismatchError"),
+    ], ids=["duplicate_sample", "duplicate_aux", "aux_named_like_sample",
+            "duplicate_population", "second_global", "duplicate_marginal",
+            "marginal_named_like_sample", "marginal_attribute_not_in_owner",
+            "missing_marginal_owner", "negative_weight", "nan_weight",
+            "infinite_weight"])
+    def test_load_enforces_the_create_rules(self, tmp_path, name, change, error):
+        # Each case edits one record of the golden catalog so that the call
+        # which made it would refuse it; the load must fail at that line.
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if f'"name": "{name}"' in line)
+        lines[lineno - 1] = json.dumps(change(json.loads(lines[lineno - 1])))
+        path = tmp_path / "edited.opc"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=(
+                f"^line {lineno}: malformed catalog record \\({error}: ")) as info:
+            Catalog.load(path)
+        assert info.value.line == lineno
+
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_random_catalogs_round_trip(self, tmp_path_factory, data):
@@ -384,12 +438,3 @@ class TestPersistence:
         cat.save(path)
         assert Catalog.load(path).to_jsonable() == cat.to_jsonable()
 
-
-class TestValidate:
-    def test_weight_length_invariant(self, catalog):
-        catalog.create_sample("S")
-        catalog.ingest_rows("S", [("UK", "Yahoo")])
-        catalog.validate()
-        catalog.sample("S").weights = np.ones(5)
-        with pytest.raises(TypeMismatchError):
-            catalog.validate()

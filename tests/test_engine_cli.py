@@ -188,6 +188,22 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
         engine = _build_engine(args)
         assert (engine.seed, engine.options.train_config.seed) == (9, 9)
 
+    @pytest.mark.parametrize("flag, config_seed, expected", [
+        (None, None, 7), (None, 5, 5), (3, 5, 3), (3, None, 3)])
+    def test_seed_order_with_loaded_catalog(self, tmp_path, flag, config_seed,
+                                            expected):
+        # --seed, then the config file's seed, then the catalog's, then 0.
+        catalog_path = tmp_path / "c.opc"
+        Catalog(seed=7).save(catalog_path)
+        config = tmp_path / "run.conf"
+        config.write_text("" if config_seed is None else f"seed = {config_seed}\n",
+                          encoding="utf-8")
+        args = argparse.Namespace(seed=flag, config=str(config), quiet=True,
+                                  catalog=str(catalog_path))
+        engine = _build_engine(args)
+        assert (engine.seed, engine.catalog.seed,
+                engine.options.train_config.seed) == (expected,) * 3
+
     def test_malformed_config_file(self, tmp_path):
         from openpop.errors import ConfigError
         from openpop.util import read_kv_pairs
@@ -449,6 +465,20 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
                                     stdin="CREATE GLOBAL POPULATION P (a TEXT);\n")
         assert code == 0 and "already in use" in err  # P was loaded
+
+    def test_save_writes_the_seed_the_session_runs_with(self, tmp_path):
+        catalog_path = tmp_path / "c.opc"
+
+        def saved_seed(args, stdin="\\save\n\\quit\n"):
+            code, _, _ = self.run_cli(["--quiet", "--catalog", str(catalog_path)]
+                                      + args, stdin=stdin)
+            assert code == 0
+            return Catalog.load(catalog_path).seed
+
+        assert saved_seed([], stdin="\\seed 7\n\\save\n\\quit\n") == 7
+        assert saved_seed([]) == 7
+        assert saved_seed(["--seed", "3"]) == 3
+        assert saved_seed([]) == 3
 
     def test_entry_point_runs(self):
         # The child imports the same openpop as this test, PYTHONPATH or not.
