@@ -123,22 +123,45 @@ def group_rows(columns: list[np.ndarray], n: int):
     return keys, ids, first
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(eq=False)
 class Relation:
     """Rows stored as one array per attribute (float64 for numeric, an object
-    array of str for categorical) plus one nonnegative weight per row."""
+    array of str for categorical) plus one nonnegative weight per row.
+
+    Arrays handed to a relation become read-only, and assigning any field
+    drops the memoized `digest`, so the digest always matches the content."""
 
     schema: Schema
     columns: dict[str, np.ndarray]
     weights: np.ndarray
 
-    def __post_init__(self):
-        kinds = schema_kinds(self.schema)
-        self.columns = {
-            name: np.ascontiguousarray(
-                col, dtype=float if kinds[name] == NUMERIC else object)
-            for name, col in self.columns.items()}
-        self.weights = np.asarray(self.weights, dtype=float)
+    def __setattr__(self, name, value):
+        if name == "columns":
+            kinds = schema_kinds(self.schema)
+            value = {col_name: _read_only(np.ascontiguousarray(
+                col, dtype=float if kinds[col_name] == NUMERIC else object))
+                for col_name, col in value.items()}
+        elif name == "weights":
+            value = _read_only(np.asarray(value, dtype=float))
+        self.__dict__.pop("digest", None)
+        super().__setattr__(name, value)
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the row count, attribute names, columns and weights."""
+        digest = hashlib.sha256(repr((len(self), [a.name for a in self.schema]))
+                                .encode("utf-8"))
+        for attr in self.schema:
+            col = self.columns[attr.name]
+            digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
+                          else col.tobytes())
+        digest.update(self.weights.tobytes())
+        return digest.digest()
 
     @classmethod
     def from_rows(cls, schema: Schema, rows, weights=None, **identity):
@@ -274,16 +297,10 @@ class Marginal:
 
 def content_key(relation: Relation, marginals, *settings) -> str:
     """Content hash of what a model fitted to `relation` under `marginals`
-    and `settings` depends on: attribute names, column values and row
-    weights, each marginal's digest in order, and the settings' repr. Keys
-    both the trained-generator and the IPF-weight caches."""
-    digest = hashlib.sha256(repr((len(relation), [a.name for a in relation.schema]))
-                            .encode("utf-8"))
-    for attr in relation.schema:
-        col = relation.columns[attr.name]
-        digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
-                      else col.tobytes())
-    digest.update(relation.weights.tobytes())
+    and `settings` depends on: the relation's digest, each marginal's digest
+    in order, and the settings' repr. Keys both the trained-generator and
+    the IPF-weight caches."""
+    digest = hashlib.sha256(relation.digest)
     for marginal in marginals:
         digest.update(marginal.digest)
     digest.update(repr(settings).encode("utf-8"))
@@ -458,7 +475,7 @@ class Catalog:
             raise TypeMismatchError("weights must be finite")
         if np.any(weights < 0):
             raise NegativeCountError("weights must be nonnegative")
-        sample.weights = weights
+        sample.weights = weights.copy()
 
     # --- ingestion ----------------------------------------------------------
 

@@ -66,7 +66,11 @@ class Engine:
         self._set_options(train_config=replace(self.options.train_config, seed=seed))
 
     def set_config(self, key: str, value: str) -> None:
-        """Dotted config keys: train.<field>, ipf.<field>, k_samples."""
+        """Dotted config keys: train.<field>, ipf.<field>, k_samples. The
+        seed has one home, `set_seed`, so `train.seed` is rejected."""
+        if key == "train.seed":
+            raise ConfigError("train.seed is not a config key; set the seed "
+                              "with 'seed' (\\seed in the REPL)")
         section, _, name = key.partition(".")
         option = {"train": "train_config", "ipf": "ipf"}.get(section)
         if key == "k_samples":

@@ -33,7 +33,9 @@ class Linear:
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._x = x if training else None
-        return x @ self.w.value + self.b.value
+        y = x @ self.w.value
+        y += self.b.value  # in place: the product is a fresh array
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.w.grad += self._x.T @ dy
@@ -58,17 +60,19 @@ class BatchNorm:
         return [self.gamma, self.beta]
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mu, var = self.running_mean, self.running_var
+        if not training:  # in place: x is a fresh Linear output
+            x -= self.running_mean
+            x *= 1.0 / np.sqrt(self.running_var + self.eps)
+            x *= self.gamma.value
+            x += self.beta.value
+            return x
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * inv_std
-        if training:
-            self._cache = (xhat, inv_std)
+        self._cache = (xhat, inv_std)
         return self.gamma.value * xhat + self.beta.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -91,7 +95,7 @@ class Relu:
         if training:
             self._mask = x > 0
             return x * self._mask
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)  # in place: x is a fresh layer output
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask
@@ -143,6 +147,8 @@ class GeneratorNet:
             p.grad[...] = 0.0
 
     def forward(self, z: np.ndarray, training: bool) -> np.ndarray:
+        # The first layer is a Linear, which leaves `z` alone and hands each
+        # later layer a fresh array that inference may overwrite.
         x = np.asarray(z, dtype=float)
         for layer in self.layers:
             x = layer.forward(x, training)

@@ -17,6 +17,7 @@ from openpop.catalog import (
     PopulationDef,
     Relation,
     build_marginal,
+    content_key,
 )
 from openpop.errors import (
     CatalogIoError,
@@ -122,6 +123,59 @@ class TestSamples:
         with pytest.raises(TypeMismatchError, match="weights must be finite"):
             catalog.set_weights("S", [1.0, bad])
         assert catalog.sample("S").weights.tolist() == [1.0, 1.0]
+
+
+class TestDigest:
+    """The memoized digest behind every fit-cache key follows each change
+    to the relation and only its content."""
+
+    def keys(self, relation):
+        marginals = [Marginal("Migrants", ("country",), {"UK": 1.0})]
+        return relation.digest, content_key(relation, marginals, "settings")
+
+    def test_every_change_gives_new_keys(self, catalog, tmp_path):
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "Yahoo")])
+        sample = catalog.sample("S")
+        path = tmp_path / "rows.csv"
+        path.write_text("country,email\nFR,AOL\n", encoding="utf-8")
+        changes = [
+            lambda: catalog.ingest_rows("S", [("UK", "AOL")]),
+            lambda: catalog.ingest_csv("S", path),
+            lambda: catalog.set_weights("S", np.arange(1.0, len(sample) + 1)),
+            lambda: setattr(sample, "weights", np.full(len(sample), 0.5)),
+        ]
+        seen = {self.keys(sample)}
+        for change in changes:
+            change()
+            keys = self.keys(sample)
+            assert keys not in seen
+            seen.add(keys)
+            fresh = Relation(sample.schema, dict(sample.columns), sample.weights)
+            assert fresh.digest == sample.digest
+
+    def test_equal_content_equal_keys(self, catalog):
+        rows = [("UK", "Yahoo"), ("FR", "AOL")]
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", rows)
+        twin = Relation.from_rows(migrant_schema(), rows)
+        assert twin is not catalog.sample("S")
+        assert self.keys(twin) == self.keys(catalog.sample("S"))
+
+    def test_held_arrays_are_read_only(self, catalog):
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "Yahoo")])
+        sample = catalog.sample("S")
+        with pytest.raises(ValueError):
+            sample.columns["country"][0] = "DE"
+        with pytest.raises(ValueError):
+            sample.weights[0] = 9.0
+        given = np.array([2.0, 3.0])
+        catalog.set_weights("S", given)
+        with pytest.raises(ValueError):
+            sample.weights[0] = 9.0
+        given[0] = 7.0
+        assert sample.weights.tolist() == [2.0, 3.0]
 
 
 class TestIngestCsv:

@@ -1,6 +1,7 @@
 """Engine statement dispatch and the command-line surface."""
 
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+import openpop.cli
 import openpop.executor
-from openpop.catalog import AttributeDef, Catalog, PopulationDef
+from openpop.catalog import AttributeDef, Catalog, PopulationDef, Relation
 from openpop.cli import _build_engine, main
 from openpop.engine import Engine
 from openpop.errors import (
@@ -403,6 +405,29 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert "error: tolerance must be positive, got nan" in err
         assert "internal error" not in err
 
+    def test_repl_rejects_train_seed(self, monkeypatch):
+        engines = []
+        real_build = openpop.cli._build_engine
+        monkeypatch.setattr(openpop.cli, "_build_engine",
+                            lambda args: engines.append(real_build(args)) or engines[-1])
+        stdin = "\\config train.seed 9\n\\config k_samples 3\n\\quit\n"
+        code, _, err = self.run_cli(["--quiet", "--seed", "5"], stdin=stdin)
+        assert code == 0
+        assert "error: train.seed is not a config key" in err
+        assert "\\seed" in err
+        (engine,) = engines
+        assert engine.options.k_samples == 3
+        assert (engine.seed, engine.catalog.seed,
+                engine.options.train_config.seed) == (5, 5, 5)
+
+    def test_config_file_train_seed_exit_one(self, tmp_path):
+        config = tmp_path / "seeds.conf"
+        config.write_text("seed = 5\ntrain.seed = 9\n", encoding="utf-8")
+        code, _, err = self.run_cli(["--quiet", "--config", str(config)],
+                                    stdin="\\quit\n")
+        assert code == 1
+        assert "train.seed is not a config key" in err
+
     def test_config_file_unknown_key_exit_one(self, tmp_path):
         for text in ("bogus = 1\n", "train.bogus = 1\n"):
             config = tmp_path / "bad.conf"
@@ -624,6 +649,43 @@ CREATE METADATA Migrants_Pair AS (SELECT country, email, reported_count FROM Pai
         assert after.diagnostics["ipf_cache"] == "hit"
         assert after.to_text() == before.to_text()
         assert after.to_csv() == before.to_csv()
+
+    def test_ingest_misses_once_and_failed_ingest_hits(self, tmp_path):
+        engine = self.engine(tmp_path)
+        more = tmp_path / "more.csv"
+        more.write_text("country,email\nFR,Yahoo\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("country,email\nFR,Yahoo\nUK\n", encoding="utf-8")
+        states = [self.ask(engine).diagnostics["ipf_cache"] for _ in range(2)]
+        engine.run_script(f"INGEST YahooUsers FROM '{more}';")
+        states += [self.ask(engine).diagnostics["ipf_cache"] for _ in range(2)]
+        with pytest.raises(OpenPopError):
+            engine.run_script(f"INGEST YahooUsers FROM '{bad}';")
+        states.append(self.ask(engine).diagnostics["ipf_cache"])
+        assert states == ["miss", "hit", "miss", "hit", "hit"]
+
+    def test_unchanged_sample_is_hashed_once(self, tmp_path, monkeypatch):
+        hashed = []
+        real_digest = Relation.digest.func
+
+        def counting_digest(relation):
+            hashed.append(getattr(relation, "name", None))
+            return real_digest(relation)
+
+        digest = functools.cached_property(counting_digest)
+        digest.__set_name__(Relation, "digest")
+        monkeypatch.setattr(Relation, "digest", digest)
+        engine = self.engine(tmp_path)
+        self.ask(engine)
+        assert hashed == ["YahooUsers"]
+        assert self.ask(engine).diagnostics["ipf_cache"] == "hit"
+        assert hashed == ["YahooUsers"]
+        more = tmp_path / "more.csv"
+        more.write_text("country,email\nFR,Yahoo\n", encoding="utf-8")
+        engine.run_script(f"INGEST YahooUsers FROM '{more}';")
+        self.ask(engine)
+        self.ask(engine)
+        assert hashed == ["YahooUsers"] * 2
 
     def test_derived_and_global_populations_keep_own_slots(self, tmp_path):
         engine = self.engine(tmp_path)

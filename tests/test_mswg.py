@@ -1,5 +1,7 @@
 """Generator: encoding, marginal augmentation, training, generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from openpop.mswg import (
     save_generator,
     train,
 )
-from openpop.net import GeneratorNet
+from openpop.net import BatchNorm, GeneratorNet, Linear, _softmax
 from openpop.util import apply_kv, read_kv_pairs
 
 
@@ -220,3 +222,51 @@ class TestPersistence:
         assert fingerprint(sample, marginals, other_cfg) != base
         bigger = Marginal("p", ("x",), {0: 2.0})
         assert fingerprint(sample, [bigger], cfg) != base
+        weights = sample.weights.copy()
+        weights[3] = 2.0
+        assert fingerprint(replace(sample, weights=weights), marginals, cfg) != base
+        colours = sample.columns["c"].copy()
+        colours[5] = "blue" if colours[5] == "red" else "red"
+        recoloured = replace(sample, columns={**sample.columns, "c": colours})
+        assert fingerprint(recoloured, marginals, cfg) != base
+        assert fingerprint(sample, marginals, cfg) == base
+
+
+def reference_inference(net: GeneratorNet, z: np.ndarray) -> np.ndarray:
+    """The generation-time forward pass in its original, allocating form:
+    the oracle for the in-place layers."""
+    x = np.asarray(z, dtype=float)
+    for layer in net.layers:
+        if isinstance(layer, Linear):
+            x = x @ layer.w.value + layer.b.value
+        elif isinstance(layer, BatchNorm):
+            mu, var = layer.running_mean, layer.running_var
+            inv_std = 1.0 / np.sqrt(var + layer.eps)
+            xhat = (x - mu) * inv_std
+            x = layer.gamma.value * xhat + layer.beta.value
+        else:
+            x = np.maximum(x, 0.0)
+    out = x.copy()
+    for offset, width in net.categorical_blocks:
+        out[:, offset:offset + width] = _softmax(x[:, offset:offset + width])
+    return out
+
+
+class TestInference:
+    @pytest.mark.parametrize("batch_norm", [True, False])
+    @pytest.mark.parametrize("blocks", [[], [(1, 3), (4, 2)]])
+    def test_matches_reference_bytes_and_keeps_latents(self, batch_norm, blocks):
+        rng = np.random.default_rng(11)
+        net = GeneratorNet(3, [16, 8], 6, blocks, rng, batch_norm=batch_norm)
+        for layer in net.layers:
+            for param in layer.params():
+                param.value = rng.normal(size=param.value.shape)
+            if isinstance(layer, BatchNorm):
+                layer.running_mean = rng.normal(size=layer.running_mean.shape)
+                layer.running_var = rng.uniform(0.1, 3.0, layer.running_var.shape)
+        z = rng.normal(size=(200, 3))
+        before = z.copy()
+        want = reference_inference(net, z)
+        got = net.forward(z, False)
+        assert got.tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes()
