@@ -32,7 +32,9 @@ config = TrainConfig(coverage_weight=0.04, latent_dim=2, batch_size=500,
 print("training the generator (10 epochs)...")
 trained = train_spiral_generator(data, marginals, config, log=print)
 
-generated = generate(trained, spec.sample_size, np.random.default_rng(1))
+latents = np.random.default_rng(1).standard_normal(
+    (spec.sample_size, trained.net.latent_dim))
+generated = generate(trained, latents)
 print("\ndistance of each 1-D marginal to the population marginal (W1):")
 for column, attr in enumerate(("x", "y")):
     sample_w1 = w1_to_marginal(data.sample[:, column], marginals[column], attr)

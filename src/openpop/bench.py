@@ -222,7 +222,8 @@ def run_spiral_experiment(spec: SpiralSpec, coverages,
             trained = train_spiral_generator(data, cfg=train_cfg, log=log)
         rng = np.random.default_rng(spec.seed + 1)
         for _ in range(repeats):
-            points = generate(trained, n_sample, rng).columns
+            latents = rng.standard_normal((n_sample, trained.net.latent_dim))
+            points = generate(trained, latents).columns
             generated.append(np.column_stack([points["x"], points["y"]]))
 
     table = ResultTable(["coverage", "method", "mean", "p3", "q1", "median",

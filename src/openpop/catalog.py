@@ -610,7 +610,10 @@ class Catalog:
 
     def save(self, path) -> None:
         # Write beside the target, then rename: a failed save leaves the old
-        # file whole.
+        # file whole. The rename would replace a device, pipe or directory
+        # with a regular file, so only a regular file or a new path is written.
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise CatalogIoError(f"cannot write '{path}': not a regular file")
         tmp = f"{os.fspath(path)}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:

@@ -54,16 +54,21 @@ def _print_answer(answer, output: str) -> None:
     sys.stdout.write(answer.to_csv() if output == "csv" else answer.to_text() + "\n")
 
 
-def _run_text(engine: Engine, text: str, output: str) -> int:
+def _run_text(engine: Engine, text: str, output: str,
+              origin: tuple[int, int] = (1, 1)) -> int:
     """Parse `text`, then run its statements in order, printing each answer
-    as its statement completes. A syntax error anywhere runs nothing; the
-    first failing statement stops the rest. 0, else 1 after its error."""
+    as its statement completes. A syntax error anywhere runs nothing, and is
+    reported at its place in the input, where `text` starts at line and
+    column `origin`; the first failing statement stops the rest. 0, else 1
+    after its error."""
     try:
         for stmt in dialect.parse(text):
             answer = engine.execute_statement(stmt)
             if answer is not None:
                 _print_answer(answer, output)
     except OpenPopError as exc:
+        if isinstance(exc, DialectSyntaxError):  # located in `text`
+            exc = exc.at(*_position(text, _offset(text, exc.line, exc.col), origin))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -154,11 +159,22 @@ def _offset(text: str, line: int, col: int) -> int:
     return sum(len(part) + 1 for part in text.split("\n")[:line - 1]) + col - 1
 
 
-def _split_statements(text: str) -> tuple[list[str], str]:
-    """The statements of `text` that a `;` token ends, and the text after
-    them if it holds a token or an open string literal: that waits for more
-    input. A character that starts no token is skipped with the rest of its
-    word; the statement that holds it reports it when it runs."""
+def _position(text: str, offset: int, origin: tuple[int, int]) -> tuple[int, int]:
+    """The (line, col) of `text[offset]` in an input where `text` starts at
+    `origin`: the inverse of `_offset`."""
+    line, col = origin
+    newlines = text.count("\n", 0, offset)
+    if newlines:
+        return line + newlines, offset - text.rindex("\n", 0, offset)
+    return line, col + offset
+
+
+def _split_statements(text: str) -> tuple[list[tuple[int, str]], str]:
+    """The statements of `text` that a `;` token ends, each with its offset
+    in `text`, and the text after them if it holds a token or an open string
+    literal: that waits for more input. A character that starts no token is
+    skipped with the rest of its word; the statement that holds it reports
+    it when it runs."""
     ends, pos, waits = [0], 0, False
     while True:
         try:
@@ -174,7 +190,7 @@ def _split_statements(text: str) -> tuple[list[str], str]:
         if cut is None or text[cut] == "'":
             break
         pos = re.compile(r"\w*").match(text, cut + 1).end()
-    statements = [text[start:end] for start, end in zip(ends, ends[1:])]
+    statements = [(start, text[start:end]) for start, end in zip(ends, ends[1:])]
     return statements, text[ends[-1]:] if waits else ""
 
 
@@ -182,7 +198,7 @@ def repl_loop(engine: Engine, args) -> int:
     """Reads statements, each ended by a `;` token, plus backslash
     meta-commands; each statement runs on its own, errors are printed and
     the loop continues. At end of input, what is left runs too."""
-    buffer = ""
+    buffer, origin = "", (1, 1)  # `buffer` starts at line and column `origin`
     stream = sys.stdin
     interactive = stream.isatty()
     if interactive:
@@ -196,17 +212,20 @@ def repl_loop(engine: Engine, args) -> int:
             break
         stripped = line.strip()
         if not buffer and stripped.startswith("\\"):
+            origin = _position(line, len(line), origin)
             try:
                 if not _handle_meta(engine, stripped, args):
                     break
             except (OpenPopError, ValueError, OSError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
             continue
-        statements, buffer = _split_statements(buffer + line)
-        for statement in statements:
-            _run_text(engine, statement, args.output)
+        text = buffer + line
+        statements, buffer = _split_statements(text)
+        for start, statement in statements:
+            _run_text(engine, statement, args.output, _position(text, start, origin))
+        origin = _position(text, len(text) - len(buffer), origin)
     if buffer:
-        _run_text(engine, buffer, args.output)
+        _run_text(engine, buffer, args.output, origin)
     return 0
 
 

@@ -13,8 +13,12 @@ ratio.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import os
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -365,13 +369,41 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     aggs = query.aggregates()
     # Plain tuples come from a single generated sample.
     k = max(1, options.k_samples) if aggs else 1
-    # The tail draws and evaluates one generated sample at a time.
-    generated = (generate(trained, n_generated, options.rng) for _ in range(k))
-    return _answer(query, pop, (replace(rows, weights=np.full(len(rows), weight))
-                                for rows in generated), PROVENANCE_OPEN,
-                   k=k, generated_rows=n_generated, row_weight=weight,
-                   materialized=not aggs, generator_params=trained.net.num_params(),
-                   generator_cache=cache)
+    # The k latent batches are drawn here, in order, so the rng stream and
+    # every answer are the same for any thread count. The forward passes run
+    # on up to min(k, usable CPUs) threads, and the tail aggregates each
+    # sample as it arrives, in order.
+    shape = (n_generated, trained.net.latent_dim)
+    latents = (options.rng.standard_normal(shape) for _ in range(k))
+    workers = min(k, usable_cpus())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        generated = _in_order(pool, lambda z: generate(trained, z), latents, workers)
+        return _answer(query, pop, (replace(rows, weights=np.full(len(rows), weight))
+                                    for rows in generated), PROVENANCE_OPEN,
+                       k=k, generated_rows=n_generated, row_weight=weight,
+                       materialized=not aggs,
+                       generator_params=trained.net.num_params(),
+                       generator_cache=cache)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, args: Iterator, ahead: int) -> Iterator:
+    """`fn(arg)` for each of `args`, run on `pool` and yielded in order.
+    `args` is read on the calling thread, one item per call submitted, and
+    at most `ahead` calls are submitted beyond the one being yielded, so at
+    most that many results wait in memory."""
+    pending = deque(pool.submit(fn, arg) for arg in islice(args, ahead))
+    while pending:
+        future = pending.popleft()
+        pending.extend(pool.submit(fn, arg) for arg in islice(args, 1))
+        yield future.result()
 
 
 def intersect_group_answers(answers: list[QueryAnswer], n_group: int) -> list[tuple]:

@@ -32,7 +32,8 @@ class Linear:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        self._x = x if training else None
+        if training:
+            self._x = x
         y = x @ self.w.value
         y += self.b.value  # in place: the product is a fresh array
         return y
@@ -148,7 +149,9 @@ class GeneratorNet:
 
     def forward(self, z: np.ndarray, training: bool) -> np.ndarray:
         # The first layer is a Linear, which leaves `z` alone and hands each
-        # later layer a fresh array that inference may overwrite.
+        # later layer a fresh array that inference may overwrite. Inference
+        # writes no attribute, so threads may run it on one net at once, and
+        # it leaves the caches of a training forward for `backward`.
         x = np.asarray(z, dtype=float)
         for layer in self.layers:
             x = layer.forward(x, training)
@@ -158,7 +161,8 @@ class GeneratorNet:
             s = _softmax(x[:, offset:offset + width])
             out[:, offset:offset + width] = s
             cache.append(s)
-        self._softmax_cache = cache if training else None
+        if training:
+            self._softmax_cache = cache
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -388,7 +388,9 @@ def spiral_run():
 
 def test_criterion_6a_spiral_marginals(spiral_run):
     _, data, marginals, trained, _ = spiral_run
-    generated = np.asarray(generate(trained, 10_000, np.random.default_rng(1)).to_rows())
+    latents = np.random.default_rng(1).standard_normal(
+        (10_000, trained.net.latent_dim))
+    generated = np.asarray(generate(trained, latents).to_rows())
     results = []
     for column, (attr, marginal) in enumerate(zip(("x", "y"), marginals)):
         gen_w1 = w1_to_marginal(generated[:, column], marginal, attr)

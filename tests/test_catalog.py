@@ -1,6 +1,8 @@
 """Catalog: declarations, ingestion, marginals, persistence round-trips."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,15 @@ class TestPersistence:
         with pytest.raises(CatalogIoError):
             self.build_catalog().save(target)
         assert [p.name for p in tmp_path.iterdir()] == ["taken.opc"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_save_leaves_special_file_alone(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        with pytest.raises(CatalogIoError, match="not a regular file"):
+            self.build_catalog().save(fifo)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.opc"

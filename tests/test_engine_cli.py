@@ -424,6 +424,19 @@ SELECT CLOSED SUM(x) FROM P;
         assert "unexpected character" in err and "unknown population" in err
         assert "3.0" in out
 
+    def test_repl_reports_syntax_errors_at_input_line_and_column(self):
+        code, _, err = self.run_cli(["--quiet"], stdin=(
+            "\\help\n"
+            "SELECT CLOSED COUNT(*) FROM P; "
+            "SELECT CLOSED COUNT(*) FROM P WHERE x < 1\u00b2;\n"
+            "SELECT CLOSED\n"
+            "  COUNT(*) FROM P WHERE x < 2\u00b2; "
+            "SELECT CLOSED COUNT(*) FROM P WHERE x < 3\u00b2\n"))
+        assert code == 0
+        assert [line for line in err.splitlines() if "unexpected" in line] == [
+            f"error: {line}:{col}: unexpected character '\u00b2'"
+            for line, col in ((2, 73), (4, 30), (4, 74))]
+
     def test_repl_continues_after_train_without_metadata(self, tmp_path):
         (tmp_path / "rows.csv").write_text("x\n1\n2\n", encoding="utf-8")
         stdin = f"""

@@ -1,8 +1,14 @@
 """Executor: planning, visibility semantics, aggregate rewriting."""
 
+import sys
+import threading
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import openpop.executor
 from openpop.catalog import (
     AttributeDef,
     Catalog,
@@ -20,8 +26,10 @@ from openpop.errors import (
     UnknownMechanismNoMetadataError,
 )
 from openpop.executor import (
+    PROVENANCE_OPEN,
     ExecOptions,
     QueryAnswer,
+    _answer,
     evaluate_aggregates,
     execute,
     execute_closed,
@@ -31,7 +39,7 @@ from openpop.executor import (
     plan,
 )
 from openpop.ipf import IpfReport
-from openpop.mswg import TrainConfig
+from openpop.mswg import TrainConfig, generate
 from openpop.predicate import Comparison, Predicate
 
 SCHEMA = [AttributeDef("country", "categorical"),
@@ -411,6 +419,80 @@ class TestOpen:
         partial = QueryAnswer(["g", "COUNT(*)"], [("a", 30.0)], "open")
         rows = intersect_group_answers(full + [partial], 1)
         assert rows == [("a", 12.0)]  # 'b' generated in only 9 of 10
+
+
+def serial_open(query, catalog, options, seed):
+    """The oracle for the pooled OPEN route: its trained generator's k
+    latent batches drawn in order from a fresh rng seeded `seed`, generated
+    one at a time on this thread, and aggregated by the answer tail."""
+    ((_, trained, n),) = options.generator_cache.values()
+    k = options.k_samples if query.aggregates() else 1
+    rng = np.random.default_rng(seed)
+    generated = [generate(trained, rng.standard_normal((n, trained.net.latent_dim)))
+                 for _ in range(k)]
+    weight = trained.population_total / n
+    return _answer(query, catalog.population(query.source),
+                   [replace(rows, weights=np.full(len(rows), weight))
+                    for rows in generated], PROVENANCE_OPEN)
+
+
+class TestOpenPool:
+    CASES = {
+        "group_by": (open_world_catalog, "SELECT OPEN country, email, COUNT(*), "
+                     "AVG(age) FROM Migrants GROUP BY country, email"),
+        "where": (open_world_catalog, "SELECT OPEN country, SUM(age) FROM Migrants "
+                  "WHERE age > 35 GROUP BY country"),
+        "materialized": (open_world_catalog, "SELECT OPEN country, age FROM Migrants"),
+        "derived": (ukers_catalog, "SELECT OPEN email, COUNT(*) FROM UKers "
+                    "GROUP BY email"),
+    }
+
+    @pytest.mark.parametrize("workers", ["one", "k"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_serial_oracle_bytes(self, monkeypatch, case, workers):
+        make_catalog, text = self.CASES[case]
+        catalog, query = make_catalog(), parse_one(text)
+        options = small_options(rng=np.random.default_rng(7))
+        k = options.k_samples if query.aggregates() else 1
+        monkeypatch.setattr(openpop.executor, "usable_cpus",
+                            lambda: 1 if workers == "one" else k)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often while they generate
+        try:
+            answer = execute(query, catalog, options)
+        finally:
+            sys.setswitchinterval(interval)
+        want = serial_open(query, catalog, options, 7)
+        assert answer.rows and answer.diagnostics["k"] == k
+        assert answer.to_text() == want.to_text()
+        assert answer.to_csv() == want.to_csv()
+
+    def test_generates_at_most_workers_ahead_on_pool_threads(self, monkeypatch):
+        catalog = open_world_catalog()
+        options = small_options()
+        query = parse_one("SELECT OPEN country, COUNT(*) FROM Migrants "
+                          "GROUP BY country")
+        execute(query, catalog, options)  # trains; later runs hit the cache
+        real_generate = openpop.executor.generate
+        real_evaluate = openpop.executor.evaluate_aggregates
+        threads, ahead = [], []
+
+        def counting_generate(trained, latents):
+            threads.append(threading.get_ident())
+            return real_generate(trained, latents)
+
+        def slow_evaluate(relation, q):
+            time.sleep(0.01)  # room for a pool that ran ahead to show it
+            ahead.append(len(threads) - len(ahead) - 1)
+            return real_evaluate(relation, q)
+
+        monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(openpop.executor, "generate", counting_generate)
+        monkeypatch.setattr(openpop.executor, "evaluate_aggregates", slow_evaluate)
+        execute(query, catalog, options)
+        assert len(ahead) == len(threads) == 10
+        assert max(ahead) <= 3
+        assert threading.get_ident() not in threads
 
 
 class TestAnswerRendering:

@@ -33,6 +33,11 @@ def mixed_sample(n=60, seed=0):
     return SampleRelation.from_rows(schema, rows, np.ones(n), name="s")
 
 
+def latents(trained, n, seed):
+    """n latent rows for `generate`, drawn from a fresh seeded rng."""
+    return np.random.default_rng(seed).standard_normal((n, trained.net.latent_dim))
+
+
 class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -159,7 +164,7 @@ class TestTraining:
     def test_generate_values_in_domain(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config())
-        rows = generate(trained, 50, np.random.default_rng(0)).to_rows()
+        rows = generate(trained, latents(trained, 50, 0)).to_rows()
         assert len(rows) == 50
         for x, c in rows:
             assert c in ("red", "blue")
@@ -168,13 +173,13 @@ class TestTraining:
     def test_generate_zero_rows(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config(epochs=0))
-        assert generate(trained, 0, np.random.default_rng(0)).to_rows() == []
+        assert generate(trained, latents(trained, 0, 0)).to_rows() == []
 
     def test_generate_deterministic_given_seed(self):
         sample = mixed_sample()
         trained = train(sample, self.marginals(), self.small_config())
-        a = generate(trained, 20, np.random.default_rng(5)).to_rows()
-        b = generate(trained, 20, np.random.default_rng(5)).to_rows()
+        a = generate(trained, latents(trained, 20, 5)).to_rows()
+        b = generate(trained, latents(trained, 20, 5)).to_rows()
         assert a == b
 
     def test_non_finite_loss_detected(self):
@@ -209,9 +214,8 @@ class TestPersistence:
         path = tmp_path / "gen.opg"
         save_generator(trained, path)
         loaded = load_generator(path)
-        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        assert (generate(trained, 10, rng_a).to_rows()
-                == generate(loaded, 10, rng_b).to_rows())
+        z = latents(trained, 10, 3)
+        assert generate(trained, z).to_rows() == generate(loaded, z).to_rows()
 
     def test_fingerprint_sensitivity(self):
         sample = mixed_sample()
@@ -273,3 +277,19 @@ class TestInference:
         got = net.forward(z, False)
         assert got.tobytes() == want.tobytes()
         assert z.tobytes() == before.tobytes()
+
+    def test_inference_between_training_forward_and_backward(self):
+        # Inference writes no cache, so `backward` still differentiates the
+        # training forward before it.
+        rng = np.random.default_rng(4)
+        net = GeneratorNet(2, [8, 8], 5, [(2, 3)], rng)
+        z, dout = rng.normal(size=(16, 2)), rng.normal(size=(16, 5))
+        net.zero_grad()
+        net.forward(z, True)
+        net.backward(dout)
+        want = [p.grad.copy() for p in net.params()]
+        net.zero_grad()
+        net.forward(z, True)
+        net.forward(rng.normal(size=(4, 2)), False)
+        net.backward(dout)
+        assert [p.grad.tobytes() for p in net.params()] == [g.tobytes() for g in want]
