@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .errors import (
 from .predicate import Comparison, InList, Predicate, check_types
 
 FORMAT_TAG = "openpop-catalog v1"
+INGEST_CHUNK = 256  # records coerced at once; bounds the raw text held
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -100,27 +102,44 @@ class PopulationDef:
     predicate: Predicate | None = None
 
 
-def group_rows(columns: list[np.ndarray], n: int):
-    """Group n rows by their values in `columns`: (keys, ids, first), where
-    keys are the distinct value tuples in sorted order, as plain Python
-    values, row r is in group ids[r], and first[g] is group g's first row."""
-    ids = np.zeros(n, dtype=np.int64)
+def group_rows(columns: list, rows=slice(None)):
+    """Group the rows at `rows` (all by default) by their values in `columns`,
+    each an array or an encoding from `Relation.key_columns`: (keys, ids,
+    first), where keys are the sorted distinct value tuples, as plain Python
+    values, the r-th row is in group ids[r], and first[g] is group g's first."""
+    ids = 0
     parts = []
     for col in columns:
-        if col.dtype == object:
+        if isinstance(col, tuple):
+            distinct, codes = col[0], col[1][rows]
+        elif col.dtype == object:
+            col = col[rows]
             distinct = sorted(dict.fromkeys(col.tolist()))
             position = {value: i for i, value in enumerate(distinct)}
-            codes = np.fromiter(map(position.__getitem__, col), dtype=np.int64,
-                                count=n)
+            codes = np.fromiter(map(position.__getitem__, col), dtype=np.int64)
         else:
-            distinct, codes = np.unique(col, return_inverse=True)
+            distinct, codes = np.unique(col[rows], return_inverse=True)
             distinct = distinct.tolist()
-        _, ids = np.unique(ids * len(distinct) + codes, return_inverse=True)
+        ids = ids * len(distinct) + codes
+        if parts:  # renumber densely, so the next product stays small
+            _, ids = np.unique(ids, return_inverse=True)
         parts.append((distinct, codes))
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
     keys = [tuple(distinct[codes[row]] for distinct, codes in parts)
             for row in first]
     return keys, ids, first
+
+
+def _coerce_column(attr: AttributeDef, column: tuple):
+    """`column` coerced whole; ValueError unless every value is a str (or, if
+    numeric, a float) and every number finite. numpy parses a str as float()."""
+    if attr.kind == CATEGORICAL and set(map(type, column)) <= {str}:
+        return column
+    if attr.kind == NUMERIC and set(map(type, column)) <= {str, float}:
+        numbers = np.array(column, dtype=float)
+        if np.isfinite(numbers).all():
+            return numbers
+    raise ValueError(f"column '{attr.name}' needs the per-value loop")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -134,7 +153,7 @@ class Relation:
     array of str for categorical) plus one nonnegative weight per row.
 
     Arrays handed to a relation become read-only, and assigning any field
-    drops the memoized `digest`, so the digest always matches the content."""
+    drops the memoized `digest` and `encodings`, so both match the content."""
 
     schema: Schema
     columns: dict[str, np.ndarray]
@@ -149,6 +168,7 @@ class Relation:
         elif name == "weights":
             value = _read_only(np.asarray(value, dtype=float))
         self.__dict__.pop("digest", None)
+        self.__dict__.pop("encodings", None)
         super().__setattr__(name, value)
 
     @cached_property
@@ -162,6 +182,25 @@ class Relation:
                           else col.tobytes())
         digest.update(self.weights.tobytes())
         return digest.digest()
+
+    @cached_property
+    def encodings(self) -> dict[str, tuple[list, np.ndarray]]:
+        """Memo of categorical encodings: name -> (sorted values, int64 codes)."""
+        return {}
+
+    def key_columns(self, names) -> dict:
+        """`names` as `group_rows` reads them fastest: categorical ones encoded."""
+        for name in names:
+            if self.columns[name].dtype == object and name not in self.encodings:
+                keys, codes, _ = group_rows([self.columns[name]])
+                self.encodings[name] = ([key for key, in keys], codes)
+        return {name: self.encodings.get(name, self.columns[name]) for name in names}
+
+    def reweighted(self, weights) -> "Relation":
+        """This relation with other weights; columns and encodings are shared."""
+        relation = replace(self, weights=weights)
+        relation.__dict__["encodings"] = self.encodings
+        return relation
 
     @classmethod
     def from_rows(cls, schema: Schema, rows, weights=None, **identity):
@@ -274,7 +313,7 @@ class Marginal:
         unbinned whole number keys as an int."""
         cols = [self.binnings[a].cells(columns[a]) if a in self.binnings
                 else columns[a] for a in self.attributes]
-        found, row_groups, first = group_rows(cols, len(cols[0]))
+        found, row_groups, first = group_rows(cols)
         keys = list(self.cells)
         ids = {key: i for i, key in enumerate(keys)}
         group_ids = np.empty(len(found), dtype=np.int64)
@@ -488,19 +527,15 @@ class Catalog:
 
     def _coerce(self, attr: AttributeDef, raw, line: int):
         if attr.kind == NUMERIC:
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                value = float(raw)
-            else:
-                try:
-                    value = float(str(raw))
-                except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric value {raw!r} in numeric column "
-                        f"'{attr.name}'", line)
+            try:
+                value = float(raw if isinstance(raw, (int, float))
+                              and not isinstance(raw, bool) else str(raw))
+            except ValueError:
+                raise CsvParseError(
+                    f"non-numeric value {raw!r} in numeric column '{attr.name}'", line)
             if not math.isfinite(value):
                 raise CsvParseError(
-                    f"non-finite value {raw!r} in numeric column '{attr.name}'",
-                    line)
+                    f"non-finite value {raw!r} in numeric column '{attr.name}'", line)
             return value
         if not isinstance(raw, str):
             raise TypeMismatchError(
@@ -513,37 +548,38 @@ class Catalog:
 
     def _ingest(self, rel: Relation, records, positions) -> int:
         """Coerce every (line, row) record, whose i-th field is the attribute
-        at schema position positions[i], then commit them all. Any bad record
-        raises before the relation or a domain changes."""
-        values = [[] for _ in rel.schema]
-        fields = [(rel.schema[pos], values[pos]) for pos in positions]
-        for lineno, row in records:
-            if len(row) != len(fields):
-                raise CsvParseError(
-                    f"expected {len(fields)} fields, got {len(row)}", lineno)
-            for (attr, column), raw in zip(fields, row):
-                column.append(self._coerce(attr, raw, lineno))
-        return self._commit(rel, values)
+        at schema position positions[i], then commit them all. The first bad
+        record raises before the relation or a domain changes."""
+        attrs = [rel.schema[pos] for pos in positions]
+        records, batches = iter(records), []
+        while chunk := list(itertools.islice(records, INGEST_CHUNK)):
+            try:  # strict zips raise ValueError on a record of the wrong length
+                columns = {a.name: _coerce_column(a, c) for a, c in zip(
+                    attrs, zip(*(row for _, row in chunk), strict=True), strict=True)}
+            except ValueError:  # the per-value loop raises on the first bad record
+                columns = {attr.name: [] for attr in attrs}
+                for lineno, row in chunk:
+                    if len(row) != len(attrs):
+                        raise CsvParseError(
+                            f"expected {len(attrs)} fields, got {len(row)}", lineno)
+                    for attr, raw in zip(attrs, row):
+                        columns[attr.name].append(self._coerce(attr, raw, lineno))
+            batches.append(Relation(rel.schema, columns, np.ones(len(chunk))))
+        return self._commit(rel, batches)
 
-    def _commit(self, rel: Relation, values: list[list]) -> int:
-        """Append fully coerced per-attribute values with unit weights, and
-        grow the categorical domains they reach: the relation's own and,
-        since sample tuples exist in the global population, the global
-        population's."""
-        batch = Relation(rel.schema, {a.name: v for a, v in zip(rel.schema, values)},
-                         np.ones(len(values[0]) if values else 0))
-        rel.columns = {name: np.concatenate([col, batch.columns[name]])
+    def _commit(self, rel: Relation, batches: list[Relation]) -> int:
+        """Append the rows of coerced, unit-weight batches, and grow the
+        categorical domains they reach: the relation's own and, since sample
+        tuples exist in the global population, the global population's."""
+        rel.columns = {name: np.concatenate([col] + [b.columns[name] for b in batches])
                        for name, col in rel.columns.items()}
-        rel.weights = np.concatenate([rel.weights, batch.weights])
-        schemas = [rel.schema]
-        if isinstance(rel, SampleRelation):
-            schemas.append(self.global_population().schema)
-        for schema in schemas:
-            attrs = {a.name: a for a in schema}
-            for attr, column in zip(rel.schema, values):
-                if attr.kind == CATEGORICAL and attr.name in attrs:
-                    attrs[attr.name].extend_domain(column)
-        return len(batch)
+        rel.weights = np.concatenate([rel.weights] + [b.weights for b in batches])
+        reached = rel.schema + (self.global_population().schema
+                                if isinstance(rel, SampleRelation) else [])
+        for attr, batch in itertools.product(reached, batches):
+            if attr.kind == CATEGORICAL and attr.name in batch.columns:
+                attr.extend_domain(batch.columns[attr.name])
+        return sum(map(len, batches))
 
     def ingest_csv(self, target: str, path) -> int:
         rel = self._target_relation(target)

@@ -19,7 +19,6 @@ from .catalog import (
     Marginal,
     Relation,
     Schema,
-    group_rows,
 )
 from .errors import ConfigError
 
@@ -108,28 +107,32 @@ class Encoding:
                 out[:, enc.offset] = (values - enc.lo) / span if span > 0 else 0.5
             else:
                 positions = {v: i for i, v in enumerate(enc.values)}
-                keys, ids, _ = group_rows([values], n)
-                picks = np.asarray([positions[v] for (v,) in keys], dtype=np.int64)
-                out[np.arange(n), enc.offset + picks[ids]] = 1.0
+                picks = np.fromiter(map(positions.__getitem__, values), np.int64, n)
+                out[np.arange(n), enc.offset + picks] = 1.0
         return out
 
     def decode_rows(self, matrix: np.ndarray, attr_order: list[str]) -> Relation:
         """Harden categorical blocks by argmax and invert the numeric maps;
         the rows come back as a unit-weight relation over `attr_order`."""
         matrix = np.asarray(matrix, dtype=float)
-        cols = {}
+        cols, encodings = {}, {}
         for enc in self.attrs:
             if enc.kind == NUMERIC:
                 span = enc.hi - enc.lo
                 cols[enc.name] = enc.lo + matrix[:, enc.offset] * span \
                     if span > 0 else np.full(len(matrix), enc.lo)
             else:
-                block = matrix[:, enc.offset:enc.offset + enc.width]
-                cols[enc.name] = np.asarray(enc.values, dtype=object)[
-                    np.argmax(block, axis=1)]
+                # The argmax indices, renumbered in sorted order, are codes.
+                values = sorted(enc.values)
+                codes = np.argsort(np.argsort(np.array(enc.values, dtype=object)))[
+                    np.argmax(matrix[:, enc.offset:enc.offset + enc.width], axis=1)]
+                cols[enc.name] = np.asarray(values, dtype=object)[codes]
+                encodings[enc.name] = (values, codes)
         schema = [AttributeDef(name, self.by_name[name].kind) for name in attr_order]
-        return Relation(schema, {name: cols[name] for name in attr_order},
-                        np.ones(len(matrix)))
+        relation = Relation(schema, {name: cols[name] for name in attr_order},
+                            np.ones(len(matrix)))
+        relation.encodings.update(encodings)  # those of absent columns go unread
+        return relation
 
     def encode_cell(self, marginal: Marginal, key) -> np.ndarray:
         """A marginal cell as a point in the encoded subspace of its attributes

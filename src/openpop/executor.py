@@ -162,37 +162,36 @@ def plan(query: Select, catalog: Catalog) -> Plan:
 # --- aggregation over weighted rows -------------------------------------------
 
 
-def _filtered(relation: Relation, predicate: Predicate | None) -> Relation:
-    if not predicate:
-        return relation
-    return relation.take(filter_rows(predicate, relation))
-
-
 def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
-    """Group/aggregate filtered weighted rows; provenance filled by callers."""
+    """Group/aggregate the weighted rows the WHERE keeps, read by index, each
+    group's in ascending order; provenance filled by callers."""
     aggs = query.aggregates()
     kinds = schema_kinds(relation.schema)
     for agg in aggs:
         if agg.arg is not None and kinds.get(agg.arg) != NUMERIC:
             raise TypeMismatchError(f"{agg.label()} requires a numeric attribute")
-    data = _filtered(relation, query.predicate)
+    rows = (filter_rows(query.predicate, relation) if query.predicate
+            else np.arange(len(relation)))
 
     if not aggs:
         cols = [i for i in query.items if isinstance(i, str)]
-        rows = list(zip(*(data.columns[c].tolist() for c in cols)))
+        out_rows = list(zip(*(relation.columns[c][rows].tolist() for c in cols)))
         if query.group_by:
-            rows = sorted(set(rows))
-        return QueryAnswer(list(cols), rows, "")
+            out_rows = sorted(set(out_rows))
+        return QueryAnswer(list(cols), out_rows, "")
 
-    keys, group_ids, _ = group_rows([data.columns[g] for g in query.group_by],
-                                    len(data))
-    bounds = np.cumsum(np.bincount(group_ids))[:-1]
-    members_of = np.split(np.argsort(group_ids, kind="stable"), bounds)
+    keys, members_of = [()], [rows]
+    if query.group_by:
+        by = relation.key_columns(query.group_by)
+        keys, group_ids, _ = group_rows([by[g] for g in query.group_by], rows)
+        bounds = np.cumsum(np.bincount(group_ids))[:-1]
+        members_of = [rows[members] for members in
+                      np.split(np.argsort(group_ids, kind="stable"), bounds)]
 
     columns = list(query.group_by) + [a.label() for a in aggs]
     out_rows = []
     for key, members in zip(keys, members_of):
-        w = data.weights[members]
+        w = relation.weights[members]
         total = float(w.sum())
         if total <= 0:
             continue
@@ -201,7 +200,7 @@ def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
             if agg.func == "count":
                 values.append(total)
                 continue
-            weighted_sum = float(np.dot(w, data.columns[agg.arg][members]))
+            weighted_sum = float(np.dot(w, relation.columns[agg.arg][members]))
             values.append(weighted_sum if agg.func == "sum" else weighted_sum / total)
         if not all(math.isfinite(v) for v in values):
             raise TypeMismatchError("non-finite aggregate value")
@@ -236,7 +235,7 @@ def execute_closed(query: Select, sample: SampleRelation,
                    catalog: Catalog) -> QueryAnswer:
     """Samples as-is: unit weights, zero false positives."""
     return _answer(query, catalog.population(query.source),
-                   [replace(sample, weights=np.ones(len(sample)))], PROVENANCE_CLOSED)
+                   [sample.reweighted(np.ones(len(sample)))], PROVENANCE_CLOSED)
 
 
 def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
@@ -255,7 +254,7 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
             "marginal on that attribute to recover stratum sizes")
     k = sum(1 for v in marginal.cells.values() if v > 0)
     n_pop = marginal.total()
-    ids, keys = marginal.cell_index(sample.columns)
+    ids, keys = marginal.cell_index(sample.key_columns(marginal.attributes))
     sizes = np.array([float(marginal.cells.get(key, 0.0)) for key in keys])
     stratum = sizes[ids]
     empty = np.flatnonzero(stratum <= 0)
@@ -284,8 +283,8 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     options = options or ExecOptions()
     pop = catalog.population(query.source)
     if sample.mechanism is not None:
-        return _answer(query, pop, [replace(
-            sample, weights=_mechanism_weights(sample, catalog))], PROVENANCE_MECHANISM)
+        return _answer(query, pop, [sample.reweighted(
+            _mechanism_weights(sample, catalog))], PROVENANCE_MECHANISM)
     if not options.use_ipf:
         return _answer(query, pop, [sample], PROVENANCE_STORED)
     marginals, path, scope = _fit_inputs(
@@ -305,7 +304,7 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     key = content_key(sample, marginals, scope, sorted(vars(options.ipf).items()))
     (weights, report), cache = _cached_fit(options.ipf_cache, sample, marginals,
                                            key, fit)
-    return _answer(query, pop, [replace(sample, weights=weights)],
+    return _answer(query, pop, [sample.reweighted(weights)],
                    PROVENANCE_IPF_DIRECT if path == "direct" else PROVENANCE_IPF_GLOBAL,
                    ipf=report, ipf_cache=cache)
 
@@ -344,7 +343,7 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
     the sample rows inside `scope`; the size of each sample it generates,
     that row count but at least 1; and "hit" or "miss"."""
     def fit():
-        rows = _filtered(sample, scope)
+        rows = sample.take(filter_rows(scope, sample)) if scope else sample
         return (train(rows, marginals, options.train_config, log=log),
                 max(1, len(rows)))
 
@@ -378,7 +377,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     workers = min(k, usable_cpus())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         generated = _in_order(pool, lambda z: generate(trained, z), latents, workers)
-        return _answer(query, pop, (replace(rows, weights=np.full(len(rows), weight))
+        return _answer(query, pop, (rows.reweighted(np.full(len(rows), weight))
                                     for rows in generated), PROVENANCE_OPEN,
                        k=k, generated_rows=n_generated, row_weight=weight,
                        materialized=not aggs,

@@ -54,7 +54,7 @@ class IpfReport:
 def _index_cells(sample: Relation, marginal: Marginal):
     """Map target cells and sample rows into dense ids; id 0..k-1 are the
     marginal's cells, further ids are sample-only cells (implicit target 0)."""
-    row_ids, keys = marginal.cell_index(sample.columns)
+    row_ids, keys = marginal.cell_index(sample.key_columns(marginal.attributes))
     targets = np.zeros(len(keys))
     targets[:len(marginal.cells)] = [float(v) for v in marginal.cells.values()]
     return keys, targets, row_ids

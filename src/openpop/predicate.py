@@ -52,13 +52,15 @@ _COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
             "<=": operator.le, ">=": operator.ge}
 
 
-def _atom_mask(atom: Atom, column: np.ndarray) -> np.ndarray:
-    if isinstance(atom, InList):
-        mask = np.zeros(len(column), dtype=bool)
-        for value in atom.values:
-            mask |= column == value
-        return mask
-    return _COMPARE[atom.op](column, atom.value)
+def _atom_mask(atom: Atom, relation) -> np.ndarray:
+    column = relation.columns[atom.attr]
+    if isinstance(atom, Comparison) and (atom.op != "=" or column.dtype != object):
+        return _COMPARE[atom.op](column, atom.value)
+    literals = set(atom.values if isinstance(atom, InList) else (atom.value,))
+    if column.dtype == object:  # compare codes; a literal it lacks matches no row
+        values, column = relation.key_columns([atom.attr])[atom.attr]
+        literals = {code for code, value in enumerate(values) if value in literals}
+    return np.isin(column, list(literals))
 
 
 def filter_rows(pred: Predicate | None, relation) -> np.ndarray:
@@ -66,7 +68,7 @@ def filter_rows(pred: Predicate | None, relation) -> np.ndarray:
     holds."""
     keep = np.ones(len(relation), dtype=bool)
     for atom in pred.atoms if pred is not None else ():
-        keep &= _atom_mask(atom, relation.columns[atom.attr])
+        keep &= _atom_mask(atom, relation)
     return np.flatnonzero(keep)
 
 
