@@ -6,7 +6,7 @@ population marginals only, yet its output matches those marginals far
 better than the sample while keeping the spiral's shape, which is what
 makes its range-query counts accurate.
 
-Writes spiral_results.csv and spiral_results.svg to the working directory.
+Writes spiral_results.csv to the working directory.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 from openpop.bench import (
     SpiralSpec,
     emit_csv,
-    emit_svg_boxplot,
     gen_spiral,
     run_spiral_experiment,
     spiral_marginals,
@@ -49,5 +48,4 @@ for row in table.rows:
     print(f"  {row[0]:>8} {row[1]:>6} {row[2]:>8.2f}% {row[5]:>8.2f}%")
 
 emit_csv(table, "spiral_results.csv")
-emit_svg_boxplot(table, "spiral_results.svg", title="range-query error")
-print("\nwrote spiral_results.csv and spiral_results.svg")
+print("\nwrote spiral_results.csv")

@@ -39,9 +39,7 @@ from .mswg import (
     augment_marginals,
     coverage_penalty,
     generate,
-    load_generator,
     loss_and_grad,
-    save_generator,
     train,
 )
 from .predicate import Comparison, InList, Predicate
@@ -59,7 +57,7 @@ __all__ = [
     "execute_open", "execute_semi_open", "plan",
     "IpfConfig", "IpfReport", "discrepancy", "ipf_fit",
     "TrainConfig", "TrainedGenerator", "augment_marginals", "coverage_penalty",
-    "generate", "load_generator", "loss_and_grad", "save_generator", "train",
+    "generate", "loss_and_grad", "train",
     "Comparison", "InList", "Predicate",
     "sample_projections", "wasserstein_1d", "wasserstein_1d_grad",
     "__version__",

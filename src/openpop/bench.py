@@ -1,6 +1,6 @@
 """Synthetic experiment harness: spiral and flights-style populations,
-biased samples, random range-query workloads, error metrics, and CSV/SVG
-result artifacts.
+biased samples, random range-query workloads, error metrics, and CSV
+result tables.
 
 Ground truth for every error metric is brute force over the materialized
 synthetic population.
@@ -9,7 +9,6 @@ synthetic population.
 from __future__ import annotations
 
 import math
-import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,10 +38,6 @@ from .util import csv_text
 class ResultTable:
     columns: list[str]
     rows: list[tuple] = field(default_factory=list)
-
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
 
     def select(self, **conditions) -> "ResultTable":
         positions = {name: self.columns.index(name) for name in conditions}
@@ -447,96 +442,3 @@ def run_flightslike_experiment(spec: FlightsLikeSpec,
             mean, false_negatives, excluded = _answer_error(answer, truth, n_group)
             table.rows.append((label, method, mean, false_negatives, excluded))
     return table
-
-
-def summarize_by_method(table: ResultTable, value_column: str = "pct_diff",
-                        key_column: str = "method") -> ResultTable:
-    """Collapse a long table into summary stats per key (for box plots)."""
-    out = ResultTable([key_column, "mean", "p3", "q1", "median", "q3", "p97"])
-    keys = []
-    for key in table.column(key_column):
-        if key not in keys:
-            keys.append(key)
-    for key in keys:
-        sub = table.select(**{key_column: key})
-        values = [v for v in sub.column(value_column)
-                  if isinstance(v, (int, float)) and math.isfinite(v)]
-        stats = summary_stats(values)
-        out.rows.append((key, stats["mean"], stats["p3"], stats["q1"],
-                         stats["median"], stats["q3"], stats["p97"]))
-    return out
-
-
-# --- SVG box plot -------------------------------------------------------------------
-
-
-def emit_svg_boxplot(table: ResultTable, path, title: str = "") -> None:
-    """Static SVG: one box (q1..q3, median line, p3/p97 whiskers, mean X)
-    per table row; rows must carry the summary-stat columns."""
-    stat_cols = ("mean", "p3", "q1", "median", "q3", "p97")
-    width, height = 640, 400
-    margin = 60
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{width / 2}" y="20" text-anchor="middle" '
-                     f'font-size="14">{saxutils.escape(title)}</text>')
-    rows = table.rows
-    have_stats = all(c in table.columns for c in stat_cols)
-    if rows and have_stats:
-        idx = {c: table.columns.index(c) for c in stat_cols}
-        label_cols = [i for i, c in enumerate(table.columns)
-                      if c not in stat_cols and c != "excluded"]
-        values = [v for row in rows for v in (row[idx["p3"]], row[idx["p97"]],
-                                              row[idx["mean"]])
-                  if isinstance(v, (int, float)) and math.isfinite(v)]
-        lo = min(values + [0.0]) if values else 0.0
-        hi = max(values) if values else 1.0
-        span = (hi - lo) or 1.0
-
-        def y_of(v: float) -> float:
-            return height - margin - (v - lo) / span * (height - 2 * margin)
-
-        slot = (width - 2 * margin) / len(rows)
-        box_w = min(40.0, slot * 0.5)
-        for i, row in enumerate(rows):
-            cx = margin + slot * (i + 0.5)
-            stats = {c: row[idx[c]] for c in stat_cols}
-            if not all(isinstance(v, (int, float)) and math.isfinite(v)
-                       for v in stats.values()):
-                continue
-            color = "#4878a8" if i % 2 == 0 else "#b06040"
-            parts.append(f'<line x1="{cx}" y1="{y_of(stats["p3"])}" x2="{cx}" '
-                         f'y2="{y_of(stats["p97"])}" stroke="{color}"/>')
-            top, bottom = y_of(stats["q3"]), y_of(stats["q1"])
-            parts.append(f'<rect x="{cx - box_w / 2}" y="{top}" width="{box_w}" '
-                         f'height="{max(bottom - top, 0.5)}" fill="none" '
-                         f'stroke="{color}"/>')
-            parts.append(f'<line x1="{cx - box_w / 2}" y1="{y_of(stats["median"])}" '
-                         f'x2="{cx + box_w / 2}" y2="{y_of(stats["median"])}" '
-                         f'stroke="{color}"/>')
-            my = y_of(stats["mean"])
-            parts.append(f'<path d="M {cx - 4} {my - 4} L {cx + 4} {my + 4} '
-                         f'M {cx - 4} {my + 4} L {cx + 4} {my - 4}" '
-                         f'stroke="{color}" fill="none"/>')
-            label = " ".join(str(row[j]) for j in label_cols[:2])
-            parts.append(f'<text x="{cx}" y="{height - margin + 16}" '
-                         f'text-anchor="middle" font-size="10">'
-                         f'{saxutils.escape(label)}</text>')
-        parts.append(f'<line x1="{margin}" y1="{height - margin}" '
-                     f'x2="{width - margin}" y2="{height - margin}" stroke="black"/>')
-        parts.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-                     f'y2="{height - margin}" stroke="black"/>')
-        for frac in (0.0, 0.5, 1.0):
-            v = lo + frac * span
-            parts.append(f'<text x="{margin - 6}" y="{y_of(v) + 4}" '
-                         f'text-anchor="end" font-size="10">{v:.3g}</text>')
-    parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise CatalogIoError(f"cannot write '{path}': {exc}") from exc

@@ -142,6 +142,39 @@ def _coerce_column(attr: AttributeDef, column: tuple):
     raise ValueError(f"column '{attr.name}' needs the per-value loop")
 
 
+def _csv_records(handle):
+    """(line, record) for the header of a CSV file and each non-blank record
+    after it; lines count from 1, blank records included. An error of the
+    reader raises a CsvParseError at the record it stopped in."""
+    lineno = 0
+    try:
+        for lineno, record in enumerate(csv.reader(handle), start=1):
+            if record or lineno == 1:
+                yield lineno, record
+    except csv.Error as exc:
+        raise CsvParseError(str(exc), lineno + 1) from exc
+
+
+def _chunks(records):
+    """`records` in lists of up to INGEST_CHUNK. A CsvParseError that
+    `records` raises comes after the list of the records read before it, so
+    a bad record among those is reported first."""
+    records = iter(records)
+    while True:
+        chunk, error = [], None
+        try:
+            for record in itertools.islice(records, INGEST_CHUNK):
+                chunk.append(record)
+        except CsvParseError as exc:
+            error = exc
+        if chunk:
+            yield chunk
+        if error:
+            raise error
+        if len(chunk) < INGEST_CHUNK:
+            return
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -551,8 +584,8 @@ class Catalog:
         at schema position positions[i], then commit them all. The first bad
         record raises before the relation or a domain changes."""
         attrs = [rel.schema[pos] for pos in positions]
-        records, batches = iter(records), []
-        while chunk := list(itertools.islice(records, INGEST_CHUNK)):
+        batches = []
+        for chunk in _chunks(records):
             try:  # strict zips raise ValueError on a record of the wrong length
                 columns = {a.name: _coerce_column(a, c) for a, c in zip(
                     attrs, zip(*(row for _, row in chunk), strict=True), strict=True)}
@@ -585,9 +618,9 @@ class Catalog:
         rel = self._target_relation(target)
         try:
             with open(path, "r", encoding="utf-8", newline="") as handle:
-                reader = csv.reader(handle)
+                records = _csv_records(handle)
                 try:
-                    header = next(reader)
+                    _, header = next(records)
                 except StopIteration:
                     return 0
                 index = schema_index(rel.schema)
@@ -601,10 +634,7 @@ class Catalog:
                 if len(cols) != len(rel.schema):
                     raise CsvParseError(
                         f"header must name all of {[a.name for a in rel.schema]}", 1)
-                # Blank records are skipped; line numbers still count them.
-                return self._ingest(rel, ((lineno, record) for lineno, record
-                                          in enumerate(reader, start=2) if record),
-                                    cols)
+                return self._ingest(rel, records, cols)
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
 

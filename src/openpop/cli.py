@@ -10,13 +10,12 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import replace
 
-from . import bench, dialect
+from . import dialect
 from .catalog import Catalog
 from .engine import Engine
-from .errors import ConfigError, DialectSyntaxError, OpenPopError
-from .util import apply_kv, csv_text, read_kv_pairs
+from .errors import DialectSyntaxError, OpenPopError
+from .util import read_kv_pairs
 
 META_HELP = """meta-commands:
   \\load <file>            run a script file
@@ -24,7 +23,6 @@ META_HELP = """meta-commands:
   \\seed <n>               reseed the engine
   \\config <key> <value>   set train.<f>, ipf.<f>, or k_samples
   \\train <sample>         train the generator (kept in the cache)
-  \\experiment spiral|flights [<spec-file>]
   \\help                   this text
   \\quit                   leave"""
 
@@ -85,42 +83,6 @@ def run_script(path: str, engine: Engine, output: str) -> int:
     return _run_text(engine, text, output)
 
 
-def _run_experiment(engine: Engine, kind: str, spec_path: str | None,
-                    output: str) -> None:
-    pairs = read_kv_pairs(spec_path) if spec_path else {}
-    out_csv = pairs.pop("output_csv", f"{kind}_results.csv")
-    out_svg = pairs.pop("output_svg", None)
-    if kind == "spiral":
-        coverages = tuple(float(v) for v in
-                          pairs.pop("coverages", "0.01 0.2 0.4 0.6 0.8").split())
-        repeats = int(pairs.pop("repeats", "10"))
-        query_count = int(pairs.pop("query_count", "100"))
-        spec = bench.SpiralSpec(seed=engine.seed,
-                                **apply_kv(bench.SpiralSpec(), pairs))
-        table = bench.run_spiral_experiment(
-            spec, coverages, repeats=repeats, query_count=query_count,
-            train_cfg=replace(engine.options.train_config, seed=engine.seed),
-            log=engine.log)
-    elif kind == "flights":
-        methods = tuple(pairs.pop("methods", "unif ipf mswg").split())
-        spec = bench.FlightsLikeSpec(seed=engine.seed,
-                                     **apply_kv(bench.FlightsLikeSpec(), pairs))
-        table = bench.run_flightslike_experiment(spec, methods=methods,
-                                                 log=engine.log)
-    else:
-        raise ConfigError(f"unknown experiment {kind!r} (spiral or flights)")
-    bench.emit_csv(table, out_csv)
-    engine.log(f"wrote {out_csv}")
-    if out_svg:
-        if kind == "flights":
-            bench.emit_svg_boxplot(bench.summarize_by_method(table), out_svg)
-        else:
-            bench.emit_svg_boxplot(table, out_svg)
-        engine.log(f"wrote {out_svg}")
-    if output == "csv":
-        sys.stdout.write(csv_text(table.columns, table.rows))
-
-
 def _handle_meta(engine: Engine, line: str, args) -> bool:
     """Returns False when the REPL should stop."""
     parts = line[1:].split()
@@ -146,9 +108,6 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
     elif command == "train" and len(parts) == 2:
         trained = engine.force_train(parts[1])
         print(f"trained generator ({trained.net.num_params()} parameters)")
-    elif command == "experiment" and len(parts) >= 2:
-        _run_experiment(engine, parts[1], parts[2] if len(parts) > 2 else None,
-                        args.output)
     else:
         print(f"unknown meta-command; try \\help", file=sys.stderr)
     return True

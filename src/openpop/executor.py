@@ -49,7 +49,6 @@ PROVENANCE_CLOSED = "closed"
 PROVENANCE_MECHANISM = "semi_open_mechanism"
 PROVENANCE_IPF_DIRECT = "semi_open_ipf_direct"
 PROVENANCE_IPF_GLOBAL = "semi_open_ipf_global"
-PROVENANCE_STORED = "semi_open_stored"
 PROVENANCE_OPEN = "open"
 
 
@@ -90,7 +89,6 @@ class QueryAnswer:
 @dataclass
 class ExecOptions:
     ipf: IpfConfig = field(default_factory=IpfConfig)
-    use_ipf: bool = True
     k_samples: int = 10
     train_config: TrainConfig = field(default_factory=TrainConfig)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
@@ -285,8 +283,6 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     if sample.mechanism is not None:
         return _answer(query, pop, [sample.reweighted(
             _mechanism_weights(sample, catalog))], PROVENANCE_MECHANISM)
-    if not options.use_ipf:
-        return _answer(query, pop, [sample], PROVENANCE_STORED)
     marginals, path, scope = _fit_inputs(
         catalog, pop, UnknownMechanismNoMetadataError(
             f"no marginals for '{pop.name}' or the global population"))

@@ -13,14 +13,13 @@ step so the transport terms compare equal-sized point sets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalog import Marginal, Relation, SampleRelation, build_marginal, content_key
-from .encoding import AttrEncoding, Encoding
+from .encoding import Encoding
 from .errors import (
     ConfigError,
     EmptyDistributionError,
@@ -30,9 +29,6 @@ from .errors import (
 )
 from .net import Adam, GeneratorNet
 from .transport import aligned_w1_grad, sample_projections, wasserstein_1d_grad
-
-GENERATOR_FORMAT_TAG = "openpop-generator v1"
-
 
 @dataclass
 class TrainConfig:
@@ -296,46 +292,6 @@ def generate(trained: TrainedGenerator, latents: np.ndarray) -> Relation:
     A pure function of its inputs, so threads may call it at once."""
     out = trained.net.forward(latents, training=False)
     return trained.encoding.decode_rows(out, trained.attr_names)
-
-
-# --- persistence -----------------------------------------------------------------
-
-
-def save_generator(trained: TrainedGenerator, path) -> None:
-    record = {
-        "net": trained.net.state(),
-        "encoding": [{
-            "name": a.name, "kind": a.kind, "offset": a.offset, "width": a.width,
-            "lo": a.lo, "hi": a.hi, "values": list(a.values),
-        } for a in trained.encoding.attrs],
-        "attr_names": trained.attr_names,
-        "population_total": trained.population_total,
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(trained.config).items()},
-        "diagnostics": {k: v for k, v in trained.diagnostics.items()
-                        if k != "history"},
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(GENERATOR_FORMAT_TAG + "\n")
-        handle.write(json.dumps(record) + "\n")
-
-
-def load_generator(path) -> TrainedGenerator:
-    with open(path, "r", encoding="utf-8") as handle:
-        tag = handle.readline().rstrip("\n")
-        if tag != GENERATOR_FORMAT_TAG:
-            raise ConfigError(f"expected '{GENERATOR_FORMAT_TAG}' on line 1")
-        record = json.loads(handle.read())
-    encoding = Encoding([AttrEncoding(a["name"], a["kind"], a["offset"],
-                                      a["width"], a["lo"], a["hi"],
-                                      tuple(a["values"]))
-                         for a in record["encoding"]])
-    cfg_fields = dict(record["config"])
-    cfg_fields["layers"] = tuple(cfg_fields["layers"])
-    return TrainedGenerator(
-        GeneratorNet.from_state(record["net"]), encoding, record["attr_names"],
-        TrainConfig(**cfg_fields), record["population_total"],
-        dict(record["diagnostics"]))
 
 
 def fingerprint(sample: SampleRelation, marginals: list[Marginal],

@@ -185,33 +185,14 @@ class GeneratorNet:
         return values
 
     def restore(self, values) -> None:
-        """Load tensors (arrays or nested lists) in `snapshot` order."""
-        tensors = iter(np.array(v, dtype=float) for v in values)
+        """Load the tensors of a `snapshot`; the net takes them over."""
+        tensors = iter(values)
         for layer in self.layers:
             for p in layer.params():
-                p.value = next(tensors).reshape(p.value.shape)
+                p.value = next(tensors)
             if isinstance(layer, BatchNorm):
                 layer.running_mean = next(tensors)
                 layer.running_var = next(tensors)
-
-    def state(self) -> dict:
-        """Serializable parameter snapshot (weights plus batch-norm stats)."""
-        return {
-            "latent_dim": self.latent_dim,
-            "hidden": self.hidden,
-            "out_dim": self.out_dim,
-            "categorical_blocks": [list(b) for b in self.categorical_blocks],
-            "batch_norm": self.batch_norm,
-            "tensors": [t.tolist() for t in self.snapshot()],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GeneratorNet":
-        net = cls(state["latent_dim"], state["hidden"], state["out_dim"],
-                  [tuple(b) for b in state["categorical_blocks"]],
-                  np.random.default_rng(0), state["batch_norm"])
-        net.restore(state["tensors"])
-        return net
 
 
 class Adam:

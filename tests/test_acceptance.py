@@ -306,10 +306,11 @@ def test_criterion_5_visibility_contract():
     checked = 0
     violations = 0
     mismatches = 0
-    stored_options = ExecOptions(use_ipf=False)
     while checked < 1000:
         catalog, schema = _random_catalog(rng)
         sample = catalog.sample("S")
+        # A uniform mechanism at 100 percent weighs every tuple exactly 1.0.
+        unit = replace(sample, mechanism=Mechanism("uniform", 100.0))
         for _ in range(25):
             query = _random_query(rng, schema, Visibility.CLOSED)
             semi = Select(Visibility.SEMI_OPEN, query.items, query.source,
@@ -325,11 +326,12 @@ def test_criterion_5_visibility_contract():
                 if not fitted.group_keys(n_group) <= sample_keys:
                     violations += 1
             # unit weights: SEMI-OPEN must coincide with CLOSED
-            stored = execute_semi_open(semi, sample, catalog, stored_options)
-            if stored.columns != closed.columns or len(stored.rows) != len(closed.rows):
+            unweighted = execute_semi_open(semi, unit, catalog)
+            if (unweighted.columns != closed.columns
+                    or len(unweighted.rows) != len(closed.rows)):
                 mismatches += 1
             else:
-                for a, b in zip(stored.rows, closed.rows):
+                for a, b in zip(unweighted.rows, closed.rows):
                     if a[:n_group] != b[:n_group] or not np.allclose(
                             a[n_group:], b[n_group:]):
                         mismatches += 1

@@ -268,6 +268,26 @@ class TestAtomicIngest:
         assert err.value.line == 3
         assert self.state(cat) == before
 
+    def test_reader_error_at_its_line_after_earlier_bad_values(self, tmp_path):
+        # A field over the csv module's 131,072-character limit stops the
+        # reader; a bad value in an earlier record of the same chunk, or a
+        # full chunk before it, does not change which error is reported.
+        huge = "NL," + "9" * 200_000
+        cat = self.build()
+        before = self.state(cat)
+        path = tmp_path / "huge.csv"
+        for records, line, message in (
+                (["UK,1", huge], 3, "field larger than field limit"),
+                (["UK,1", "FR,x", huge], 3, "non-numeric value 'x'"),
+                (["UK,1"] * 256 + [huge], 258, "field larger than field limit"),
+                (["UK,1"] * 255 + ["FR,x", huge], 257, "non-numeric value 'x'")):
+            path.write_text("\n".join(["country,n"] + records) + "\n",
+                            encoding="utf-8")
+            with pytest.raises(CsvParseError, match=message) as err:
+                cat.ingest_csv("S", path)
+            assert err.value.line == line
+            assert self.state(cat) == before
+
     def test_failed_rows_keep_domains(self):
         cat = self.build()
         before = self.state(cat)

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["01_biased_email_sample.py",
                                   "02_reweighting_with_ipf.py",
+                                  "03_spiral_generator.py",
                                   "04_flights_benchmark.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -599,60 +599,6 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert "--catalog" in result.stdout
 
 
-class TestCliExperiment:
-    def test_spiral_experiment_deterministic(self, tmp_path):
-        spec = tmp_path / "spiral.conf"
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        base = ("population_size = 3000\nsample_size = 300\n"
-                "coverages = 0.6\nrepeats = 2\nquery_count = 10\n")
-        spec.write_text(base + f"output_csv = {out_a}\n", encoding="utf-8")
-        config = tmp_path / "train.conf"
-        config.write_text("train.epochs = 2\ntrain.batch_size = 32\n"
-                          "train.layers = 16 16\n", encoding="utf-8")
-        stdin = f"\\experiment spiral {spec}\n\\quit\n"
-        code, _, _ = self.run_cli(["--quiet", "--seed", "3",
-                                   "--config", str(config)], stdin=stdin)
-        assert code == 0
-        spec.write_text(base + f"output_csv = {out_b}\n", encoding="utf-8")
-        code, _, _ = self.run_cli(["--quiet", "--seed", "3",
-                                   "--config", str(config)], stdin=stdin)
-        assert code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-    def test_experiment_csv_stdout_matches_file(self, tmp_path):
-        spec = tmp_path / "spiral.conf"
-        out_csv = tmp_path / "spiral.csv"
-        spec.write_text("population_size = 2000\nsample_size = 200\n"
-                        "coverages = 0.6\nrepeats = 1\nquery_count = 5\n"
-                        f"output_csv = {out_csv}\n", encoding="utf-8")
-        config = tmp_path / "train.conf"
-        config.write_text("train.epochs = 1\ntrain.batch_size = 32\n"
-                          "train.layers = 8 8\n", encoding="utf-8")
-        code, out, _ = self.run_cli(
-            ["--quiet", "--output", "csv", "--config", str(config)],
-            stdin=f"\\experiment spiral {spec}\n\\quit\n")
-        assert code == 0
-        assert out == out_csv.read_text(encoding="utf-8")
-
-    def test_flights_experiment_writes_artifacts(self, tmp_path):
-        spec = tmp_path / "flights.conf"
-        out_csv = tmp_path / "flights.csv"
-        out_svg = tmp_path / "flights.svg"
-        spec.write_text(
-            f"population_size = 20000\nmethods = unif ipf\n"
-            f"output_csv = {out_csv}\noutput_svg = {out_svg}\n",
-            encoding="utf-8")
-        stdin = f"\\experiment flights {spec}\n\\quit\n"
-        code, _, _ = self.run_cli(["--quiet", "--seed", "1"], stdin=stdin)
-        assert code == 0
-        assert out_csv.exists() and out_svg.exists()
-        header = out_csv.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "query,method,pct_diff,false_negatives,excluded"
-
-    run_cli = TestCli.run_cli
-
-
 def cache_script(tmp_path) -> str:
     """Migrants with a UK-only population that owns an email marginal, so
     the global and the derived population each fit their own weights."""

@@ -251,17 +251,6 @@ class TestSemiOpenIpf:
         sample_keys = {(r[0], r[1]) for r in ROWS}
         assert answer.group_keys(2) <= sample_keys
 
-    def test_stored_weights_when_ipf_disabled(self):
-        catalog = fresh_catalog()
-        options = ExecOptions(use_ipf=False)
-        closed = execute(parse_one(
-            "SELECT country, COUNT(*) FROM Migrants GROUP BY country"), catalog)
-        semi = execute(parse_one(
-            "SELECT SEMI-OPEN country, COUNT(*) FROM Migrants GROUP BY country"),
-            catalog, options)
-        assert semi.provenance == "semi_open_stored"
-        assert semi.rows == closed.rows
-
 
 class TestAggregateRewriting:
     def test_weighted_equals_repeated_rows(self):

@@ -13,10 +13,8 @@ from openpop.mswg import (
     augment_marginals,
     fingerprint,
     generate,
-    load_generator,
     prepare_targets,
     resample_target,
-    save_generator,
     train,
 )
 from openpop.net import BatchNorm, GeneratorNet, Linear, _softmax
@@ -204,19 +202,6 @@ class TestTraining:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        sample = mixed_sample()
-        marginals = [Marginal("p", ("x",), {0: 50.0, 4: 50.0}),
-                     Marginal("p", ("c",), {"red": 60.0, "blue": 40.0})]
-        cfg = TrainConfig(coverage_weight=0.01, latent_dim=2, projections=4,
-                          batch_size=8, epochs=2, layers=(8,), seed=0)
-        trained = train(sample, marginals, cfg)
-        path = tmp_path / "gen.opg"
-        save_generator(trained, path)
-        loaded = load_generator(path)
-        z = latents(trained, 10, 3)
-        assert generate(trained, z).to_rows() == generate(loaded, z).to_rows()
-
     def test_fingerprint_sensitivity(self):
         sample = mixed_sample()
         marginals = [Marginal("p", ("x",), {0: 1.0})]
