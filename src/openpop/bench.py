@@ -183,11 +183,10 @@ def _spiral_columns(points: np.ndarray) -> dict[str, np.ndarray]:
     return {"x": points[:, 0], "y": points[:, 1]}
 
 
-def spiral_marginals(data: SpiralData, nbins: int = 64) -> list[Marginal]:
+def spiral_marginals(data: SpiralData) -> list[Marginal]:
     population = Relation(SPIRAL_SCHEMA, _spiral_columns(data.population),
                           np.ones(len(data.population)))
-    return [build_marginal("population", (attr,), population, nbins=nbins)
-            for attr in ("x", "y")]
+    return [build_marginal("population", (attr,), population) for attr in ("x", "y")]
 
 
 def train_spiral_generator(data: SpiralData, marginals=None,

@@ -281,6 +281,11 @@ class AuxRelation(Relation):
     name: str
 
 
+# Bins of each NumericBinning that build_marginal attaches; a saved catalog
+# carries its own count.
+MARGINAL_BINS = 64
+
+
 @dataclass(frozen=True)
 class NumericBinning:
     """Equi-width binning rule for marginals over unrounded numeric data."""
@@ -379,11 +384,11 @@ def content_key(relation: Relation, marginals, *settings) -> str:
     return digest.hexdigest()
 
 
-def build_marginal(owner, attributes, relation: Relation, name=None, nbins=64,
+def build_marginal(owner, attributes, relation: Relation, name=None,
                    weights=None) -> Marginal:
     """Aggregate a relation's rows (unit weights unless given) into a
-    marginal, attaching equi-width binning to any numeric attribute whose
-    values are not whole numbers."""
+    marginal, attaching equi-width binning (MARGINAL_BINS bins) to any
+    numeric attribute whose values are not whole numbers."""
     attributes = tuple(attributes)
     kinds = schema_kinds(relation.schema)
     for attr in attributes:
@@ -394,7 +399,8 @@ def build_marginal(owner, attributes, relation: Relation, name=None, nbins=64,
         col = relation.columns[attr]
         if (kinds[attr] == NUMERIC and len(col)
                 and not np.array_equal(col, np.trunc(col))):
-            binnings[attr] = NumericBinning(float(col.min()), float(col.max()), nbins)
+            binnings[attr] = NumericBinning(float(col.min()), float(col.max()),
+                                            MARGINAL_BINS)
     ids, keys = Marginal(owner, attributes, {}, binnings, name).cell_index(
         relation.columns)
     weights = np.ones(len(relation)) if weights is None else weights
@@ -637,6 +643,9 @@ class Catalog:
                 return self._ingest(rel, records, cols)
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CatalogIoError(
+                f"cannot read '{path}': not UTF-8 text ({exc.reason})") from exc
 
     # --- persistence ----------------------------------------------------------
 

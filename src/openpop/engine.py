@@ -40,24 +40,23 @@ from .executor import (
     applicable_marginals,
     execute,
 )
-from .ipf import IpfConfig
 from .mswg import TrainConfig
 from .util import apply_kv
 
 
 class Engine:
     """A catalog plus execution options, driven by dialect statements. The
-    settings (TrainConfig, IpfConfig, k_samples) live in `options` only."""
+    settings (TrainConfig, IpfConfig, k_samples) live in `options` only;
+    `set_config` changes them. The one seed drives the catalog, the
+    generators and the OPEN rng."""
 
     def __init__(self, seed: int = 0, train_config: TrainConfig | None = None,
-                 ipf_config: IpfConfig | None = None, k_samples: int = 10,
                  log=None):
         self.catalog = Catalog(seed=seed)
         self.seed = seed
         self.log = log or (lambda message: None)
         self.options = ExecOptions(
-            ipf=ipf_config or IpfConfig(), k_samples=k_samples,
-            train_config=train_config or TrainConfig(seed=seed),
+            train_config=replace(train_config or TrainConfig(), seed=seed),
             rng=np.random.default_rng(seed))
 
     def set_seed(self, seed: int) -> None:

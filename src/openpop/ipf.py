@@ -10,6 +10,10 @@ at the first unmet one, except on the last allowed round, so the report
 always carries every marginal's discrepancy. The counts it computes for the
 first marginal are the ones the next round's first pass needs, since the
 weights have not changed in between, so that pass reuses them.
+
+Target cells that no sample tuple reaches (structural zeros) are dropped
+and the marginal's other cells rescaled to its declared total; the report
+lists the dropped cells and mass.
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ EPS = 1e-12
 class IpfConfig:
     max_rounds: int = 1000
     tolerance: float = 1e-6
-    zero_policy: str = "drop_and_renormalize"  # or "error"
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.zero_policy not in ("error", "drop_and_renormalize"):
-            raise ConfigError(f"unknown zero_policy {self.zero_policy!r}")
 
 
 @dataclass
@@ -92,11 +93,6 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
         occupied = np.bincount(row_ids, minlength=len(targets)) > 0
         zero_cells = [i for i, key in enumerate(keys)
                       if targets[i] > 0 and not occupied[i]]
-        if zero_cells and cfg.zero_policy == "error":
-            raise StructuralZeroError(
-                f"marginal over {marginal.attributes} has target mass in cells "
-                f"with no sample tuples: {[keys[i] for i in zero_cells[:5]]}"
-                + ("..." if len(zero_cells) > 5 else ""))
         drop = 0.0
         if zero_cells:
             total = targets.sum()

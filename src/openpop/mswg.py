@@ -30,6 +30,14 @@ from .errors import (
 from .net import Adam, GeneratorNet
 from .transport import aligned_w1_grad, sample_projections, wasserstein_1d_grad
 
+# Learning-rate decay on a plateau of the epoch loss (see `train`).
+PLATEAU_FACTOR = 0.1
+PLATEAU_PATIENCE = 5
+PLATEAU_MIN_IMPROVEMENT = 1e-4
+# Sample rows drawn per step as the coverage penalty's reference points.
+COVERAGE_SUBSAMPLE = 2048
+
+
 @dataclass
 class TrainConfig:
     coverage_weight: float = 0.04      # lambda: marginal fit vs sample structure
@@ -38,13 +46,8 @@ class TrainConfig:
     batch_size: int = 500
     epochs: int = 30
     learning_rate: float = 1e-3
-    plateau_factor: float = 0.1
-    plateau_patience: int = 5
-    plateau_min_improvement: float = 1e-4
     seed: int = 0
     layers: tuple[int, ...] = (100, 100, 100)
-    batch_norm: bool = True
-    coverage_subsample: int = 2048
 
     def __post_init__(self):
         if self.coverage_weight < 0:
@@ -219,7 +222,7 @@ def train(sample: SampleRelation, marginals: list[Marginal],
     """Train a generator on a sample plus population marginals.
 
     One epoch is ceil(population_total / batch_size) minibatch steps; the
-    learning rate decays by `plateau_factor` after `plateau_patience` epochs
+    learning rate decays by PLATEAU_FACTOR after PLATEAU_PATIENCE epochs
     without relative improvement, and the parameters with the best epoch
     loss are the ones returned.
     """
@@ -232,7 +235,7 @@ def train(sample: SampleRelation, marginals: list[Marginal],
     targets = prepare_targets(augmented, encoding, cfg.projections, rng)
     sample_points = encoding.encode_rows(sample.columns)
     net = GeneratorNet(cfg.latent_dim, list(cfg.layers), encoding.dim,
-                       encoding.categorical_blocks(), rng, cfg.batch_norm)
+                       encoding.categorical_blocks(), rng)
     population_total = augmented[0].total()
     steps_per_epoch = max(1, math.ceil(population_total / cfg.batch_size))
     optimizer = Adam(net.params(), lr=cfg.learning_rate)
@@ -247,8 +250,8 @@ def train(sample: SampleRelation, marginals: list[Marginal],
             latents = rng.standard_normal((cfg.batch_size, cfg.latent_dim))
             step_targets = [resample_target(t, cfg.batch_size, rng)
                             for t in targets]
-            if len(sample_points) > cfg.coverage_subsample:
-                pick = rng.choice(len(sample_points), size=cfg.coverage_subsample,
+            if len(sample_points) > COVERAGE_SUBSAMPLE:
+                pick = rng.choice(len(sample_points), size=COVERAGE_SUBSAMPLE,
                                   replace=False)
                 refs = sample_points[pick]
             else:
@@ -262,7 +265,7 @@ def train(sample: SampleRelation, marginals: list[Marginal],
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs}  loss {epoch_loss:.6f}  "
                 f"lr {optimizer.lr:g}")
-        improved = epoch_loss < best_loss * (1 - cfg.plateau_min_improvement)
+        improved = epoch_loss < best_loss * (1 - PLATEAU_MIN_IMPROVEMENT)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
             best_snapshot = net.snapshot()
@@ -270,8 +273,8 @@ def train(sample: SampleRelation, marginals: list[Marginal],
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.plateau_patience:
-                optimizer.lr *= cfg.plateau_factor
+            if stall >= PLATEAU_PATIENCE:
+                optimizer.lr *= PLATEAU_FACTOR
                 stall = 0
     net.restore(best_snapshot)
     return TrainedGenerator(

@@ -1,7 +1,7 @@
 """Minimal feed-forward generator with manual backpropagation.
 
-Fully-connected ReLU stack with optional batch normalization after each
-hidden layer, a linear output over numeric dimensions, and a softmax head
+Fully-connected ReLU stack with batch normalization after each hidden
+layer, a linear output over numeric dimensions, and a softmax head
 per categorical block. Written directly on numpy so gradients are exact,
 inspectable, and bit-reproducible in single-threaded runs.
 """
@@ -117,19 +117,13 @@ class GeneratorNet:
 
     def __init__(self, latent_dim: int, hidden: list[int], out_dim: int,
                  categorical_blocks: list[tuple[int, int]],
-                 rng: np.random.Generator, batch_norm: bool = True):
+                 rng: np.random.Generator):
         self.latent_dim = latent_dim
-        self.hidden = list(hidden)
-        self.out_dim = out_dim
         self.categorical_blocks = list(categorical_blocks)
-        self.batch_norm = batch_norm
         self.layers = []
         size = latent_dim
         for width in hidden:
-            self.layers.append(Linear(size, width, rng))
-            if batch_norm:
-                self.layers.append(BatchNorm(width))
-            self.layers.append(Relu())
+            self.layers += [Linear(size, width, rng), BatchNorm(width), Relu()]
             size = width
         self.layers.append(Linear(size, out_dim, rng))
         self._softmax_cache = None

@@ -24,16 +24,13 @@ def read_kv_pairs(path) -> dict[str, str]:
 
 
 def _coerce_like(current, value: str):
-    """Parse `value` with the type of `current` (bool, int, float, tuple, str)."""
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+    """Parse `value` with the type of `current`: int, float, or a tuple of
+    ints separated by commas or spaces."""
     if isinstance(current, int):
         return int(value)
     if isinstance(current, float):
         return float(value)
-    if isinstance(current, tuple):
-        return tuple(int(v) for v in value.replace(",", " ").split())
-    return value
+    return tuple(int(v) for v in value.replace(",", " ").split())
 
 
 def apply_kv(defaults, pairs: dict[str, str]) -> dict:

@@ -141,7 +141,7 @@ def test_criterion_2_gradient_suite():
     encoding = Encoding.build(schema, sample.columns, marginals)
     targets = prepare_targets(marginals, encoding, projections=4, rng=rng)
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
-                       rng, batch_norm=True)
+                       rng)
     latents = rng.standard_normal((8, 2))
     points = encoding.encode_rows(sample.columns)
     lam = 0.07

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openpop.catalog import (
+    MARGINAL_BINS,
     AttributeDef,
     Catalog,
     Marginal,
@@ -268,6 +270,18 @@ class TestAtomicIngest:
         assert err.value.line == 3
         assert self.state(cat) == before
 
+    def test_non_utf8_csv_is_an_io_error(self, tmp_path):
+        # The bad bytes come first and after chunks of good records.
+        cat = self.build()
+        before = self.state(cat)
+        path = tmp_path / "latin.csv"
+        for good in (0, 3000):
+            path.write_bytes(b"country,n\n" + b"NL,2\n" * good + b"\xff\xfe,2\n")
+            with pytest.raises(CatalogIoError,
+                               match=re.escape(f"cannot read '{path}': not UTF-8")):
+                cat.ingest_csv("S", path)
+            assert self.state(cat) == before
+
     def test_reader_error_at_its_line_after_earlier_bad_values(self, tmp_path):
         # A field over the csv module's 131,072-character limit stops the
         # reader; a bad value in an earlier record of the same chunk, or a
@@ -332,10 +346,9 @@ class TestMarginals:
     def test_binning_attached_for_unrounded_data(self):
         schema = [AttributeDef("x", "numeric")]
         rows = [(0.25,), (0.5,), (9.75,)]
-        marginal = build_marginal("P", ("x",), Relation.from_rows(schema, rows), nbins=4)
-        binning = marginal.binnings["x"]
-        assert binning.nbins == 4
-        assert sum(marginal.cells.values()) == 3
+        marginal = build_marginal("P", ("x",), Relation.from_rows(schema, rows))
+        assert marginal.binnings["x"] == NumericBinning(0.25, 9.75, MARGINAL_BINS)
+        assert marginal.cells == {0: 1.0, 1: 1.0, MARGINAL_BINS - 1: 1.0}
 
     def test_integer_data_uses_point_cells(self):
         schema = [AttributeDef("x", "numeric")]

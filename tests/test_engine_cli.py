@@ -3,8 +3,11 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from openpop.errors import (
     OpenPopError,
     UnknownRelationError,
 )
+from openpop.executor import ExecOptions
+from openpop.ipf import IpfConfig
 from openpop.mswg import TrainConfig
 
 COUNTRY_CSV = "country,reported_count\nUK,600\nFR,400\n"
@@ -125,6 +130,25 @@ CREATE METADATA Uk_M FOR UkOnly AS (SELECT country, reported_count FROM Stats);
         engine.set_seed(42)
         assert engine.options.train_config.seed == 42
 
+    def test_engine_seed_reaches_training(self, tmp_path):
+        # The seed given to Engine trains the generators, as set_seed's does,
+        # whatever seed the TrainConfig carries.
+        write_fixture_files(tmp_path)
+        cfg = TrainConfig(coverage_weight=0.01, latent_dim=2, projections=8,
+                          batch_size=16, epochs=3, layers=(16, 16))
+        seeded = Engine(seed=5, train_config=cfg)
+        reseeded = Engine(train_config=cfg)
+        reseeded.set_seed(5)
+        assert seeded.options.train_config.seed == 5
+        answers = []
+        for engine in (seeded, reseeded):
+            (answer,) = engine.run_script(migrants_script(tmp_path).rsplit(
+                "SELECT SEMI-OPEN", 1)[0]
+                + "SELECT OPEN country, email, COUNT(*) FROM Migrants "
+                  "GROUP BY country, email;")
+            answers.append((answer.to_text(), answer.to_csv()))
+        assert answers[0] == answers[1]
+
     def test_mechanism_statement_weighting(self):
         engine = fast_engine()
         engine.run_script("""
@@ -168,11 +192,30 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
     def test_set_config_rejects_unknown_keys(self):
         engine = fast_engine()
         for key in ("train.bogus", "ipf.bogus", "train.__init__", "train.",
-                    "bogus"):
+                    "bogus", "train.batch_norm", "train.plateau_factor",
+                    "train.plateau_patience", "train.plateau_min_improvement",
+                    "train.coverage_subsample", "ipf.zero_policy"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 engine.set_config(key, "1")
         engine.set_config("k_samples", "3")
         assert engine.options.k_samples == 3
+
+    def test_readme_lists_every_config_key(self):
+        # README's table of \config keys names each key set_config takes,
+        # with its default.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("`\\config` takes these keys:", 1)[1].split("\n\n")[1]
+        listed = dict(re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", table, re.M))
+        accepted = ({f"train.{f.name}" for f in fields(TrainConfig)} - {"train.seed"}
+                    | {f"ipf.{f.name}" for f in fields(IpfConfig)} | {"k_samples"})
+        assert sorted(listed) == sorted(accepted)
+        engine = Engine()
+        for key, default in listed.items():
+            engine.set_config(key, default)
+        defaults = ExecOptions()
+        assert (engine.options.train_config, engine.options.ipf,
+                engine.options.k_samples) == (defaults.train_config, defaults.ipf,
+                                              defaults.k_samples)
 
     def test_config_file_seed_then_flag(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -259,15 +302,42 @@ class TestCli:
         assert "error" in err
 
     def test_strict_ipf_structural_zero_fails_script(self, tmp_path):
+        # No cell of the email marginal holds a row of the Yahoo-only
+        # sample, so IPF has none of its mass left to fit.
         write_fixture_files(tmp_path)
-        config = tmp_path / "strict.conf"
-        config.write_text("ipf.zero_policy = error\n", encoding="utf-8")
+        (tmp_path / "email_stats.csv").write_text(
+            "email,reported_count\nAOL,450\nGmail,550\n", encoding="utf-8")
+        config = tmp_path / "ipf.conf"
+        config.write_text("ipf.max_rounds = 50\n", encoding="utf-8")
         text = migrants_script(tmp_path).rsplit("SELECT OPEN", 1)[0]
         path = self.script_path(tmp_path, text)
         code, _, err = self.run_cli(["--script", path, "--quiet",
                                      "--config", str(config)])
         assert code == 1
-        assert "error" in err
+        assert "error: all target mass of marginal over ('email',)" in err
+        assert "internal error" not in err
+
+    def non_utf8_ingest(self, tmp_path) -> str:
+        (tmp_path / "latin.csv").write_bytes(b"country,email\nUK,Yahoo\n\xff\xfe,Yahoo\n")
+        return (migrants_script(tmp_path).rsplit("SELECT SEMI-OPEN", 1)[0]
+                + f"INGEST YahooUsers FROM '{tmp_path / 'latin.csv'}';\n")
+
+    def test_non_utf8_csv_fails_script(self, tmp_path):
+        write_fixture_files(tmp_path)
+        path = self.script_path(tmp_path, self.non_utf8_ingest(tmp_path))
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert f"error: cannot read '{tmp_path / 'latin.csv'}': not UTF-8 text" in err
+        assert "internal error" not in err
+
+    def test_repl_continues_after_non_utf8_csv(self, tmp_path):
+        write_fixture_files(tmp_path)
+        stdin = (self.non_utf8_ingest(tmp_path)
+                 + "SELECT CLOSED COUNT(*) FROM Migrants;\n\\quit\n")
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert "not UTF-8 text" in err and "internal error" not in err
+        assert "80.0" in out and "(1 row, closed)" in out
 
     def empty_sample_script(self, tmp_path) -> str:
         (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
@@ -481,10 +551,14 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
 
     def test_repl_unknown_config_key_continues(self):
         stdin = ("\\config train.bogus 1\n\\config ipf.tolerance nan\n"
+                 "\\config train.batch_norm false\n\\config ipf.zero_policy error\n"
+                 "\\config train.plateau_patience 2\n"
                  "\\config k_samples 3\n\\quit\n")
         code, _, err = self.run_cli(["--quiet"], stdin=stdin)
         assert code == 0
-        assert "error: unknown config key" in err
+        for key in ("train.bogus", "train.batch_norm", "ipf.zero_policy",
+                    "train.plateau_patience"):
+            assert f"error: unknown config key {key.partition('.')[2]!r}" in err
         assert "error: tolerance must be positive, got nan" in err
         assert "internal error" not in err
 
@@ -512,7 +586,8 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert "train.seed is not a config key" in err
 
     def test_config_file_unknown_key_exit_one(self, tmp_path):
-        for text in ("bogus = 1\n", "train.bogus = 1\n"):
+        for text in ("bogus = 1\n", "train.bogus = 1\n",
+                     "train.coverage_subsample = 10\n"):
             config = tmp_path / "bad.conf"
             config.write_text(text, encoding="utf-8")
             code, _, err = self.run_cli(["--quiet", "--config", str(config)],

@@ -76,7 +76,7 @@ class TestCoverageGradient:
         assert_close(grad, numeric)
 
 
-def small_problem(rng, batch_norm=True):
+def small_problem(rng):
     schema = [AttributeDef("x", "numeric"),
               AttributeDef("c", "categorical", domain=["u", "v", "w"])]
     rows = [(float(v), c) for v, c in zip(rng.uniform(0, 10, 25),
@@ -91,17 +91,16 @@ def small_problem(rng, batch_norm=True):
     encoding = Encoding.build(schema, sample.columns, marginals)
     targets = prepare_targets(marginals, encoding, projections=4, rng=rng)
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
-                       rng, batch_norm=batch_norm)
+                       rng)
     latents = rng.standard_normal((8, 2))
     points = encoding.encode_rows(sample.columns)
     return net, latents, points, targets
 
 
 class TestFullLossGradient:
-    @pytest.mark.parametrize("batch_norm", [True, False])
-    def test_all_parameters(self, batch_norm):
+    def test_all_parameters(self):
         rng = np.random.default_rng(2024)
-        net, latents, points, targets = small_problem(rng, batch_norm)
+        net, latents, points, targets = small_problem(rng)
         lam = 0.07
         loss, _ = loss_and_grad(net, latents, points, targets, lam)
         assert loss > 0

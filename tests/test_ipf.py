@@ -28,8 +28,6 @@ class TestConfig:
             IpfConfig(tolerance=float("nan"))
         with pytest.raises(ConfigError):
             IpfConfig(max_rounds=0)
-        with pytest.raises(ConfigError):
-            IpfConfig(zero_policy="ignore")
 
 
 class TestCellOf:
@@ -85,12 +83,6 @@ class TestSingleMarginal:
 
 
 class TestStructuralZeros:
-    def test_error_policy(self):
-        sample = categorical_sample([("Yahoo",)] * 4)
-        marginal = Marginal("p", ("a0",), {"Yahoo": 80.0, "AOL": 20.0})
-        with pytest.raises(StructuralZeroError):
-            ipf_fit(sample, [marginal], IpfConfig(zero_policy="error"))
-
     def test_drop_and_renormalize(self):
         sample = categorical_sample([("Yahoo",)] * 4)
         marginal = Marginal("p", ("a0",), {"Yahoo": 80.0, "AOL": 20.0})

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, SampleRelation
 from openpop.encoding import Encoding
 from openpop.errors import ConfigError, NonFiniteLossError, NoPopulationMarginalsError
@@ -48,10 +49,10 @@ class TestTrainConfig:
     def test_from_file(self, tmp_path):
         path = tmp_path / "train.conf"
         path.write_text("epochs = 3\nlayers = 8 8\ncoverage_weight = 0.5\n"
-                        "# comment\nbatch_norm = false\n", encoding="utf-8")
+                        "# comment\nlearning_rate = 0.02\n", encoding="utf-8")
         cfg = TrainConfig(**apply_kv(TrainConfig(), read_kv_pairs(path)))
         assert cfg.epochs == 3 and cfg.layers == (8, 8)
-        assert cfg.coverage_weight == 0.5 and cfg.batch_norm is False
+        assert cfg.coverage_weight == 0.5 and cfg.learning_rate == 0.02
 
 
 class TestEncoding:
@@ -140,7 +141,7 @@ class TestTraining:
         trained = train(sample, self.marginals(), self.small_config(epochs=0))
         fresh = GeneratorNet(2, [16, 16], trained.encoding.dim,
                              trained.encoding.categorical_blocks(),
-                             np.random.default_rng(1), True)
+                             np.random.default_rng(1))
         # same rng consumption order up to net construction
         assert trained.diagnostics["best_loss"] is None
         assert trained.net.num_params() == fresh.num_params()
@@ -192,11 +193,11 @@ class TestTraining:
             loss_and_grad(trained.net, rng.standard_normal((8, 2)), None,
                           targets, 0.0)
 
-    def test_plateau_decays_learning_rate(self):
+    def test_plateau_decays_learning_rate(self, monkeypatch):
+        monkeypatch.setattr(openpop.mswg, "PLATEAU_PATIENCE", 2)
+        monkeypatch.setattr(openpop.mswg, "PLATEAU_MIN_IMPROVEMENT", 0.9)
         sample = mixed_sample()
-        cfg = self.small_config(epochs=12, plateau_patience=2,
-                                plateau_min_improvement=0.9)
-        trained = train(sample, self.marginals(), cfg)
+        trained = train(sample, self.marginals(), self.small_config(epochs=12))
         rates = [lr for _, lr in trained.diagnostics["history"]]
         assert rates[-1] < rates[0]
 
@@ -245,11 +246,10 @@ def reference_inference(net: GeneratorNet, z: np.ndarray) -> np.ndarray:
 
 
 class TestInference:
-    @pytest.mark.parametrize("batch_norm", [True, False])
     @pytest.mark.parametrize("blocks", [[], [(1, 3), (4, 2)]])
-    def test_matches_reference_bytes_and_keeps_latents(self, batch_norm, blocks):
+    def test_matches_reference_bytes_and_keeps_latents(self, blocks):
         rng = np.random.default_rng(11)
-        net = GeneratorNet(3, [16, 8], 6, blocks, rng, batch_norm=batch_norm)
+        net = GeneratorNet(3, [16, 8], 6, blocks, rng)
         for layer in net.layers:
             for param in layer.params():
                 param.value = rng.normal(size=param.value.shape)
