@@ -186,7 +186,9 @@ class Relation:
     array of str for categorical) plus one nonnegative weight per row.
 
     Arrays handed to a relation become read-only, and assigning any field
-    drops the memoized `digest` and `encodings`, so both match the content."""
+    drops the memoized `digest` and `encodings`, so both match the content.
+    Assigning any field but `weights` drops the memoized `cell_ids`, which
+    never read weights; `Catalog._commit` extends them instead."""
 
     schema: Schema
     columns: dict[str, np.ndarray]
@@ -202,6 +204,8 @@ class Relation:
             value = _read_only(np.asarray(value, dtype=float))
         self.__dict__.pop("digest", None)
         self.__dict__.pop("encodings", None)
+        if name != "weights":
+            self.__dict__.pop("cell_memo", None)
         super().__setattr__(name, value)
 
     @cached_property
@@ -228,6 +232,23 @@ class Relation:
                 keys, codes, _ = group_rows([self.columns[name]])
                 self.encodings[name] = ([key for key, in keys], codes)
         return {name: self.encodings.get(name, self.columns[name]) for name in names}
+
+    @cached_property
+    def cell_memo(self) -> dict:
+        """Memo of `cell_ids`: marginal digest -> (marginal, ids, keys, key -> id)."""
+        return {}
+
+    def cell_ids(self, marginal: Marginal) -> tuple[np.ndarray, list]:
+        """`marginal.cell_index` over this relation's rows, memoized per
+        marginal. The ids are read-only, and the keys list is shared: neither
+        may be changed."""
+        entry = self.cell_memo.get(marginal.digest)
+        if entry is None:
+            ids, keys = marginal.cell_index(self.key_columns(marginal.attributes))
+            entry = (marginal, _read_only(ids), keys,
+                     {key: i for i, key in enumerate(keys)})
+            self.cell_memo[marginal.digest] = entry
+        return entry[1], entry[2]
 
     def reweighted(self, weights) -> "Relation":
         """This relation with other weights; columns and encodings are shared."""
@@ -382,6 +403,23 @@ def content_key(relation: Relation, marginals, *settings) -> str:
         digest.update(marginal.digest)
     digest.update(repr(settings).encode("utf-8"))
     return digest.hexdigest()
+
+
+def _extend_cells(entry: tuple, appended: dict[str, np.ndarray]) -> tuple:
+    """A `Relation.cell_ids` memo entry grown by the rows of `appended`, as
+    `Marginal.cell_index` over the whole columns would number them: a key
+    the old rows never reached takes the next id, by first appearance."""
+    marginal, ids, keys, index = entry
+    new_ids, new_keys = marginal.cell_index(appended)
+    extra = new_keys[len(marginal.cells):]  # sample-only keys of the new rows
+    unseen = [key for key in extra if key not in index]
+    if unseen:
+        index = index | {key: i for i, key in enumerate(unseen, start=len(keys))}
+        keys = keys + unseen
+    remap = np.concatenate([np.arange(len(marginal.cells)),
+                            np.array([index[key] for key in extra], dtype=np.int64)])
+    return (marginal, _read_only(np.concatenate([ids, remap[new_ids]])), keys,
+            index)
 
 
 def build_marginal(owner, attributes, relation: Relation, name=None,
@@ -609,10 +647,16 @@ class Catalog:
     def _commit(self, rel: Relation, batches: list[Relation]) -> int:
         """Append the rows of coerced, unit-weight batches, and grow the
         categorical domains they reach: the relation's own and, since sample
-        tuples exist in the global population, the global population's."""
+        tuples exist in the global population, the global population's.
+        The memoized cell ids of the old rows are kept, and only the appended
+        rows are indexed."""
+        memo, start = rel.cell_memo, len(rel)
         rel.columns = {name: np.concatenate([col] + [b.columns[name] for b in batches])
                        for name, col in rel.columns.items()}
         rel.weights = np.concatenate([rel.weights] + [b.weights for b in batches])
+        appended = {name: col[start:] for name, col in rel.columns.items()}
+        rel.__dict__["cell_memo"] = {digest: _extend_cells(entry, appended)
+                                     for digest, entry in memo.items()}
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
         for attr, batch in itertools.product(reached, batches):

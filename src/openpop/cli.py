@@ -80,6 +80,10 @@ def run_script(path: str, engine: Engine, output: str) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: cannot read '{path}': not UTF-8 text ({exc.reason})",
+              file=sys.stderr)
+        return 1
     return _run_text(engine, text, output)
 
 

@@ -252,7 +252,7 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
             "marginal on that attribute to recover stratum sizes")
     k = sum(1 for v in marginal.cells.values() if v > 0)
     n_pop = marginal.total()
-    ids, keys = marginal.cell_index(sample.key_columns(marginal.attributes))
+    ids, keys = sample.cell_ids(marginal)
     sizes = np.array([float(marginal.cells.get(key, 0.0)) for key in keys])
     stratum = sizes[ids]
     empty = np.flatnonzero(stratum <= 0)

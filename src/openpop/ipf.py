@@ -14,6 +14,13 @@ weights have not changed in between, so that pass reuses them.
 Target cells that no sample tuple reaches (structural zeros) are dropped
 and the marginal's other cells rescaled to its declared total; the report
 lists the dropped cells and mass.
+
+Row-to-cell ids come from the sample's memo (`Relation.cell_ids`), so a
+refit after INGEST indexes only the appended rows. The rounds visit only
+the cells some row occupies. Each marginal's factor and mask buffers are
+allocated once per fit, so a round allocates only its bincounts and
+gathers. Every sum and product is taken in the same order as in the plain
+loop, so the weights are bit-for-bit those it gives.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ class IpfReport:
 def _index_cells(sample: Relation, marginal: Marginal):
     """Map target cells and sample rows into dense ids; id 0..k-1 are the
     marginal's cells, further ids are sample-only cells (implicit target 0)."""
-    row_ids, keys = marginal.cell_index(sample.key_columns(marginal.attributes))
+    row_ids, keys = sample.cell_ids(marginal)
     targets = np.zeros(len(keys))
     targets[:len(marginal.cells)] = [float(v) for v in marginal.cells.values()]
     return keys, targets, row_ids
@@ -91,10 +98,9 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
     for m_pos, marginal in enumerate(marginals):
         keys, targets, row_ids = _index_cells(sample, marginal)
         occupied = np.bincount(row_ids, minlength=len(targets)) > 0
-        zero_cells = [i for i, key in enumerate(keys)
-                      if targets[i] > 0 and not occupied[i]]
+        zero_cells = np.flatnonzero((targets > 0) & ~occupied)
         drop = 0.0
-        if zero_cells:
+        if len(zero_cells):
             total = targets.sum()
             for i in zero_cells:
                 drop += targets[i]
@@ -109,26 +115,38 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
             # otherwise round-robin totals disagree and IPF cannot converge.
             targets *= total / remaining
         dropped.append(drop)
-        plans.append((targets, np.maximum(targets, EPS), row_ids))
+        # Rounds visit only the occupied cells, renumbered densely: each keeps
+        # its rows in order, so its counts are unchanged, and an unoccupied
+        # cell's |count - target| is 0 once structural zeros are dropped.
+        targets = targets[occupied]
+        row_ids = (np.cumsum(occupied) - 1)[row_ids]
+        # Per-fit buffers: the factors (the check's scratch too) and live mask.
+        plans.append((targets, np.maximum(targets, EPS), row_ids,
+                      np.empty_like(targets), np.empty(len(targets), dtype=bool)))
 
     rounds = 0
     converged = False
     counts_first = None  # the first marginal's counts at the current weights
     while rounds < cfg.max_rounds:
         rounds += 1
-        for targets, _, row_ids in plans:
+        for targets, _, row_ids, factors, live in plans:
             counts = (np.bincount(row_ids, weights=weights, minlength=len(targets))
                       if counts_first is None else counts_first)
             counts_first = None
-            factors = np.divide(targets, counts, out=np.zeros_like(targets),
-                                where=counts > 0)
-            weights *= np.take(factors, row_ids)
+            np.greater(counts, 0, out=live)
+            factors.fill(0.0)  # the factor of a cell without mass is 0
+            np.divide(targets, counts, out=factors, where=live)
+            weights *= factors[row_ids]
         discs = []
-        for targets, floor, row_ids in plans:
+        for targets, floor, row_ids, scratch, _ in plans:
             counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
             if not discs:
                 counts_first = counts
-            discs.append(float(np.max(np.abs(counts - targets) / floor)))
+            # |counts - targets| / floor, in place in the factor buffer
+            np.subtract(counts, targets, out=scratch)
+            np.abs(scratch, out=scratch)
+            np.divide(scratch, floor, out=scratch)
+            discs.append(float(scratch.max()))
             if not discs[-1] <= cfg.tolerance and rounds < cfg.max_rounds:
                 break
         if all(d <= cfg.tolerance for d in discs):

@@ -182,6 +182,66 @@ class TestDigest:
         assert sample.weights.tolist() == [2.0, 3.0]
 
 
+CELL_ROW = st.tuples(st.sampled_from(["a", "b", "c", "d"]),
+                     st.integers(0, 3).map(float),
+                     st.floats(-3.0, 13.0, allow_nan=False))
+
+
+class TestCellIds:
+    """A relation's memoized cell ids: each commit extends them and a weight
+    change keeps them, and they always equal the cell rule over the whole
+    columns."""
+
+    MARGINALS = [
+        Marginal("P", ("x",), {0: 5.0, 2: 1.0}, {"x": NumericBinning(0.0, 10.0, 4)}),
+        Marginal("P", ("c", "n"), {("a", 1): 3.0, ("b", 2): 4.0, ("z", 0): 1.0}),
+        # the 1-D marginal the stratified mechanism reads stratum sizes from
+        Marginal("P", ("c",), {"b": 20.0, "a": 10.0, "z": 5.0}),
+    ]
+
+    @given(initial=st.lists(CELL_ROW, min_size=1, max_size=8),
+           steps=st.lists(st.one_of(
+               st.tuples(st.just("ingest"), st.lists(CELL_ROW, max_size=6),
+                         st.booleans()),
+               st.tuples(st.just("weights"), st.floats(0.1, 5.0))), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_extended_memo_equals_fresh_index(self, initial, steps):
+        cat = Catalog()
+        cat.create_population(PopulationDef("P", True, [
+            AttributeDef("c", "categorical"), AttributeDef("n", "numeric"),
+            AttributeDef("x", "numeric")]))
+        cat.create_sample("S", mechanism=Mechanism("stratified", 10.0, "c"))
+        cat.ingest_rows("S", initial)
+        sample = cat.sample("S")
+        for step in [None] + steps:
+            if step is None:
+                pass
+            elif step[0] == "weights":
+                cat.set_weights("S", np.full(len(sample), step[1]))
+            elif step[2]:  # a bad value commits none of the batch
+                with pytest.raises(CsvParseError):
+                    cat.ingest_rows("S", step[1] + [("a", 1.0, "oops")])
+            else:
+                cat.ingest_rows("S", step[1])
+            for marginal in self.MARGINALS:
+                assert step is None or marginal.digest in sample.cell_memo
+                ids, keys = sample.cell_ids(marginal)
+                fresh_ids, fresh_keys = marginal.cell_index(sample.columns)
+                assert np.array_equal(ids, fresh_ids)
+                assert repr(keys) == repr(fresh_keys)
+
+    def test_other_column_assignments_drop_the_memo(self, catalog):
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "AOL")])
+        sample = catalog.sample("S")
+        marginal = Marginal("Migrants", ("country",), {"UK": 1.0})
+        sample.cell_ids(marginal)
+        sample.columns = {name: col[::-1] for name, col in sample.columns.items()}
+        assert not sample.cell_memo
+        ids, keys = sample.cell_ids(marginal)
+        assert keys == ["UK", "FR"] and ids.tolist() == [1, 0]
+
+
 class TestIngestCsv:
     def test_csv_round(self, catalog, tmp_path):
         path = tmp_path / "rows.csv"

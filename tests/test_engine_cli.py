@@ -339,6 +339,26 @@ class TestCli:
         assert "not UTF-8 text" in err and "internal error" not in err
         assert "80.0" in out and "(1 row, closed)" in out
 
+    def test_non_utf8_script_fails(self, tmp_path):
+        path = tmp_path / "latin.opq"
+        path.write_bytes(b"SELECT CLOSED COUNT(*) FROM P;\n-- \xff\n")
+        code, out, err = self.run_cli(["--script", str(path), "--quiet"])
+        assert code == 1 and out == ""
+        assert err == (f"error: cannot read '{path}': not UTF-8 text "
+                       "(invalid start byte)\n")
+
+    def test_repl_continues_after_loading_non_utf8_script(self, tmp_path):
+        write_fixture_files(tmp_path)
+        path = tmp_path / "latin.opq"
+        path.write_bytes(b"-- \xff\n")
+        stdin = (migrants_script(tmp_path).rsplit("SELECT SEMI-OPEN", 1)[0]
+                 + f"\\load {path}\nSELECT CLOSED COUNT(*) FROM Migrants;\n\\quit\n")
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert code == 0
+        assert f"error: cannot read '{path}': not UTF-8 text" in err
+        assert "internal error" not in err
+        assert "80.0" in out and "(1 row, closed)" in out
+
     def empty_sample_script(self, tmp_path) -> str:
         (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
         return f"""

@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 import openpop.executor
+from openpop.bench import (
+    FLIGHTS_QUERIES,
+    FlightsLikeData,
+    FlightsLikeSpec,
+    flights_catalog,
+    gen_flightslike,
+)
 from openpop.catalog import (
     AttributeDef,
     Catalog,
@@ -18,6 +25,7 @@ from openpop.catalog import (
     Relation,
 )
 from openpop.dialect import parse_one
+from openpop.engine import Engine
 from openpop.errors import (
     EmptySampleError,
     NoMetadataError,
@@ -250,6 +258,65 @@ class TestSemiOpenIpf:
             "GROUP BY country, email"), catalog)
         sample_keys = {(r[0], r[1]) for r in ROWS}
         assert answer.group_keys(2) <= sample_keys
+
+
+class TestRefitAfterIngest:
+    """A refit after INGEST reads the cell ids the commit extended."""
+
+    def test_indexes_only_the_appended_rows(self, monkeypatch):
+        catalog = fresh_catalog()
+        query = parse_one("SELECT SEMI-OPEN country, COUNT(*) FROM Migrants "
+                          "GROUP BY country")
+        execute(query, catalog)  # the first fit indexes the whole sample
+        handed = []
+        cell_index = Marginal.cell_index
+
+        def counting(marginal, columns):
+            column = columns[marginal.attributes[0]]
+            handed.append((marginal.attributes,
+                           len(column[1] if isinstance(column, tuple) else column)))
+            return cell_index(marginal, columns)
+
+        monkeypatch.setattr(Marginal, "cell_index", counting)
+        catalog.ingest_rows("Yahoo", [("UK", "AOL", 33.0), ("FR", "Yahoo", 61.0)])
+        answer = execute(query, catalog)
+        assert answer.diagnostics["ipf_cache"] == "miss"
+        assert sorted(handed) == [(("country",), 2), (("email",), 2)]
+
+    def test_incremental_answers_equal_one_go(self, tmp_path):
+        spec = FlightsLikeSpec(population_size=20_000, seed=3)
+        data = gen_flightslike(spec)
+        first = len(data.sample) // 2
+        base = flights_catalog(
+            FlightsLikeData(data.population, data.sample.take(np.arange(first))), spec)
+        saved = tmp_path / "base.catalog"
+        base.save(saved)
+        queries = "".join(f"{text};\n" for _, text in FLIGHTS_QUERIES)
+
+        def engine():
+            fresh = Engine(seed=spec.seed)
+            fresh.catalog = Catalog.load(saved)
+            return fresh
+
+        def ingest(indices, name):
+            path = tmp_path / name
+            path.write_text("C,O,I,E,D\n" + "".join(
+                ",".join(map(str, row)) + "\n"
+                for row in data.sample.take(indices).to_rows()), encoding="utf-8")
+            return f"INGEST FlightsSample FROM '{path}';\n"
+
+        def rendered(answers):
+            assert len(answers) == len(FLIGHTS_QUERIES)
+            return [(answer.to_text(), answer.to_csv()) for answer in answers]
+
+        growing = engine()
+        growing.run_script(queries)  # fits once, so each INGEST extends cell ids
+        batches = np.array_split(np.arange(first, len(data.sample)), 5)
+        for k, batch in enumerate(batches):
+            got = growing.run_script(ingest(batch, f"batch_{k}.csv") + queries)
+            everything = np.arange(first, batch[-1] + 1)
+            want = engine().run_script(ingest(everything, f"upto_{k}.csv") + queries)
+            assert rendered(got) == rendered(want)
 
 
 class TestAggregateRewriting:

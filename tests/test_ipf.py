@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openpop.catalog import AttributeDef, Marginal, SampleRelation
+from openpop.catalog import AttributeDef, Catalog, Marginal, PopulationDef, SampleRelation
 from openpop.errors import ConfigError, EmptySampleError, StructuralZeroError
-from openpop.ipf import EPS, IpfConfig, IpfReport, _index_cells, discrepancy, ipf_fit
+from openpop.ipf import EPS, IpfConfig, IpfReport, discrepancy, ipf_fit
 
 
 def categorical_sample(rows):
@@ -233,13 +233,16 @@ class TestPurity:
 def reference_ipf_fit(sample, marginals, cfg):
     """The oracle: the round-robin loop as first written, with a fresh
     bincount for every update and every check and all discrepancies taken
-    each round (argument checks and the error policy left out)."""
+    each round (argument checks and the error policy left out). It indexes
+    the whole columns afresh, never through the sample's memo."""
     weights = np.asarray(sample.weights, dtype=float).copy()
     plans = []
     structural = []
     dropped = []
     for m_pos, marginal in enumerate(marginals):
-        keys, targets, row_ids = _index_cells(sample, marginal)
+        row_ids, keys = marginal.cell_index(sample.columns)
+        targets = np.zeros(len(keys))
+        targets[:len(marginal.cells)] = [float(v) for v in marginal.cells.values()]
         occupied = np.bincount(row_ids, minlength=len(targets)) > 0
         zero_cells = [i for i, key in enumerate(keys)
                       if targets[i] > 0 and not occupied[i]]
@@ -277,14 +280,17 @@ def reference_ipf_fit(sample, marginals, cfg):
     return weights, IpfReport(rounds, discs, converged, structural, dropped)
 
 
-def correlated_sample(seed=11, n=400, unit_weights=True):
+def correlated_rows(rng, n):
     """Three categorical attributes whose values move together, so fitting
     one marginal disturbs the others; a3 is one value on every row."""
-    rng = np.random.default_rng(seed)
     base = rng.integers(0, 4, n)
-    rows = [(f"x{b}", f"y{(b + rng.integers(0, 2)) % 3}", f"z{rng.integers(0, 2)}",
+    return [(f"x{b}", f"y{(b + rng.integers(0, 2)) % 3}", f"z{rng.integers(0, 2)}",
              "all") for b in base]
-    sample = categorical_sample(rows)
+
+
+def correlated_sample(seed=11, n=400, unit_weights=True):
+    rng = np.random.default_rng(seed)
+    sample = categorical_sample(correlated_rows(rng, n))
     if not unit_weights:
         sample.weights = rng.uniform(0.2, 5.0, n)
     return sample
@@ -303,9 +309,33 @@ PAIRS = [Marginal("p", ("a0", "a1"), {("x0", "y0"): 200.0, ("x1", "y1"): 200.0,
 MIDDLE_UNMET = [Marginal("p", ("a3",), {"all": 1000.0}), ONE_D[0], ONE_D[1]]
 
 
+# Rows an INGEST appends to a fitted sample, by what they reach.
+GROWTH = {
+    "existing_cells": [("x0", "y0", "z0", "all"), ("x3", "y1", "z1", "all")] * 3,
+    # a3 has no marginal in ONE_D or PAIRS; in MIDDLE_UNMET the first
+    # marginal gets a sample-only cell.
+    "new_value": [("x1", "y1", "z1", "other")],
+    # y9 and z9 are sample-only cells with target 0: the pass over a1 zeroes
+    # the row, so the later marginals see cells with count 0.
+    "sample_only_zero": [("x0", "y9", "z9", "all")],
+    # PAIRS drops (x0, y2) as a structural zero until this row reaches it.
+    "structural_zero_reached": [("x0", "y2", "z0", "all")],
+}
+
+
+def ingested_sample(rows) -> tuple[Catalog, SampleRelation]:
+    catalog = Catalog()
+    catalog.create_population(PopulationDef(
+        "p", True, [AttributeDef(f"a{i}", "categorical") for i in range(4)]))
+    catalog.create_sample("s")
+    catalog.ingest_rows("s", rows)
+    return catalog, catalog.sample("s")
+
+
 class TestMatchesReferenceLoop:
-    """The fit reuses the check's counts and stops the check early; weights
-    and report must still be exactly those of the plain loop."""
+    """The fit reuses the check's counts, stops the check early, visits only
+    occupied cells and, after INGEST, reads the cell ids the commit extended;
+    weights and report must still be exactly those of the plain loop."""
 
     @pytest.mark.parametrize("unit_weights", [True, False])
     @pytest.mark.parametrize("marginals, cfg", [
@@ -336,3 +366,34 @@ class TestMatchesReferenceLoop:
         _, report = ipf_fit(sample, MIDDLE_UNMET, IpfConfig(max_rounds=2))
         first, middle, _ = report.discrepancies
         assert first <= 1e-6 < middle
+
+    @pytest.mark.parametrize("growth", list(GROWTH))
+    @pytest.mark.parametrize("marginals", [ONE_D, PAIRS, MIDDLE_UNMET],
+                             ids=["one_d", "pairs", "middle_unmet"])
+    @pytest.mark.parametrize("cfg", [IpfConfig(), IpfConfig(max_rounds=1),
+                                     IpfConfig(max_rounds=2)],
+                             ids=["default", "rounds_1", "rounds_2"])
+    def test_byte_equal_after_ingest(self, growth, marginals, cfg):
+        catalog, sample = ingested_sample(
+            correlated_rows(np.random.default_rng(11), 400))
+        ipf_fit(sample, marginals, cfg)
+        catalog.ingest_rows("s", GROWTH[growth])
+        weights, report = ipf_fit(sample, marginals, cfg)
+        expected_weights, expected = reference_ipf_fit(sample, marginals, cfg)
+        assert weights.tobytes() == expected_weights.tobytes()
+        assert report == expected
+
+    def test_ingest_cases_reach_the_paths_they_name(self):
+        catalog, sample = ingested_sample(
+            correlated_rows(np.random.default_rng(11), 400))
+        _, before = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=1))
+        assert (0, ("x0", "y2")) in before.structural_zeros
+        catalog.ingest_rows("s", GROWTH["structural_zero_reached"])
+        _, after = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=1))
+        assert (0, ("x0", "y2")) not in after.structural_zeros
+        assert after.dropped_mass[0] < before.dropped_mass[0]
+        catalog.ingest_rows("s", GROWTH["sample_only_zero"])
+        weights, _ = ipf_fit(sample, ONE_D, IpfConfig(max_rounds=1))
+        assert weights[-1] == 0.0
+        ids, keys = sample.cell_ids(ONE_D[2])
+        assert keys[ids[-1]] == "z9" and np.count_nonzero(ids == ids[-1]) == 1
