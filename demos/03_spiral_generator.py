@@ -12,6 +12,7 @@ Writes spiral_results.csv to the working directory.
 import numpy as np
 
 from openpop.bench import (
+    SPIRAL_COLUMNS,
     SpiralSpec,
     emit_csv,
     gen_spiral,
@@ -41,11 +42,11 @@ for column, attr in enumerate(("x", "y")):
     print(f"  {attr}: biased sample {sample_w1:.3f}  ->  generated {gen_w1:.3f}")
 
 print("\nrange-query percent differences (100 queries, 10 generated samples):")
-table = run_spiral_experiment(spec, (0.2, 0.4, 0.6, 0.8),
-                              trained=trained, data=data)
+rows = run_spiral_experiment(spec, (0.2, 0.4, 0.6, 0.8),
+                             trained=trained, data=data)
 print("  coverage method   mean     median")
-for row in table.rows:
+for row in rows:
     print(f"  {row[0]:>8} {row[1]:>6} {row[2]:>8.2f}% {row[5]:>8.2f}%")
 
-emit_csv(table, "spiral_results.csv")
+emit_csv(SPIRAL_COLUMNS, rows, "spiral_results.csv")
 print("\nwrote spiral_results.csv")

@@ -12,6 +12,7 @@ Writes flights_results.csv to the working directory.
 import numpy as np
 
 from openpop.bench import (
+    FLIGHTS_COLUMNS,
     FLIGHTS_QUERIES,
     FlightsLikeSpec,
     emit_csv,
@@ -19,10 +20,10 @@ from openpop.bench import (
 )
 
 spec = FlightsLikeSpec(population_size=100_000, seed=0)
-table = run_flightslike_experiment(spec, methods=("unif", "ipf"))
+rows = run_flightslike_experiment(spec, methods=("unif", "ipf"))
 
 by_query = {}
-for query, method, pct, _, _ in table.rows:
+for query, method, pct, _, _ in rows:
     by_query.setdefault(query, {})[method] = pct
 
 print("percent difference vs the population truth:")
@@ -37,5 +38,5 @@ print(f"\naverage over the numeric-predicate queries: "
       f"unif {np.mean([by_query[q]['unif'] for q in numeric]):.2f}%  "
       f"ipf {np.mean([by_query[q]['ipf'] for q in numeric]):.2f}%")
 
-emit_csv(table, "flights_results.csv")
+emit_csv(FLIGHTS_COLUMNS, rows, "flights_results.csv")
 print("wrote flights_results.csv")

@@ -1,6 +1,6 @@
 """Synthetic experiment harness: spiral and flights-style populations,
 biased samples, random range-query workloads, error metrics, and CSV
-result tables.
+output of result rows.
 
 Ground truth for every error metric is brute force over the materialized
 synthetic population.
@@ -9,7 +9,7 @@ synthetic population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,25 +31,18 @@ from .transport import wasserstein_1d
 from .util import csv_text
 
 
-# --- result tables ------------------------------------------------------------
+# --- result rows ----------------------------------------------------------------
 
 
-@dataclass
-class ResultTable:
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-
-    def select(self, **conditions) -> "ResultTable":
-        positions = {name: self.columns.index(name) for name in conditions}
-        kept = [row for row in self.rows
-                if all(row[positions[k]] == v for k, v in conditions.items())]
-        return ResultTable(list(self.columns), kept)
+SPIRAL_COLUMNS = ("coverage", "method", "mean", "p3", "q1", "median", "q3",
+                  "p97", "excluded")
+FLIGHTS_COLUMNS = ("query", "method", "pct_diff", "false_negatives", "excluded")
 
 
-def emit_csv(table: ResultTable, path) -> None:
+def emit_csv(columns, rows, path) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text(table.columns, table.rows))
+            handle.write(csv_text(columns, rows))
     except OSError as exc:
         raise CatalogIoError(f"cannot write '{path}': {exc}") from exc
 
@@ -65,112 +58,77 @@ def percent_difference(estimate: float, truth: float) -> float | None:
     return 100.0 * abs(estimate - truth) / abs(truth)
 
 
-def summary_stats(values) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return {k: math.nan for k in ("mean", "p3", "q1", "median", "q3", "p97")}
-    p3, q1, median, q3, p97 = np.percentile(arr, [3, 25, 50, 75, 97])
-    return {"mean": float(arr.mean()), "p3": float(p3), "q1": float(q1),
-            "median": float(median), "q3": float(q3), "p97": float(p97)}
-
-
 # --- spiral population -----------------------------------------------------------
 
 
 @dataclass
 class SpiralSpec:
     population_size: int = 100_000
-    arms: int = 2
-    theta_min: float = 0.25 * math.pi
-    theta_max: float = 4.0 * math.pi
-    radial_slope: float = 1.0
-    noise_sigma: float = 0.25
-    bias_exponent: float = 2.0
     sample_size: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if not (self.population_size > self.sample_size > 0):
             raise ConfigError("need population_size > sample_size > 0")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.theta_max <= self.theta_min:
-            raise ConfigError("need theta_max > theta_min")
 
 
 @dataclass
 class SpiralData:
     population: np.ndarray  # (N, 2)
     sample: np.ndarray      # (n, 2)
-    population_theta: np.ndarray
-    sample_theta: np.ndarray
 
 
 def gen_spiral(spec: SpiralSpec) -> SpiralData:
-    """Arms of r = slope * theta with isotropic noise; the biased sample
-    includes points with probability proportional to theta ** bias_exponent,
-    over-covering the outer turns."""
+    """Two arms of r = theta, theta uniform in [pi/4, 4 pi], with isotropic
+    noise of sigma 0.25; the biased sample includes points with probability
+    proportional to theta ** 2, over-covering the outer turns."""
     rng = np.random.default_rng(spec.seed)
     n = spec.population_size
-    theta = rng.uniform(spec.theta_min, spec.theta_max, n)
-    arm = rng.integers(0, spec.arms, n)
-    angle = theta + 2.0 * math.pi * arm / spec.arms
-    radius = spec.radial_slope * theta
+    theta = rng.uniform(0.25 * math.pi, 4.0 * math.pi, n)
+    arm = rng.integers(0, 2, n)
+    angle = theta + math.pi * arm
     points = np.column_stack([
-        radius * np.cos(angle) + rng.normal(0.0, spec.noise_sigma, n),
-        radius * np.sin(angle) + rng.normal(0.0, spec.noise_sigma, n),
+        theta * np.cos(angle) + rng.normal(0.0, 0.25, n),
+        theta * np.sin(angle) + rng.normal(0.0, 0.25, n),
     ])
-    weights = theta ** spec.bias_exponent
     # Exponential race: the sample_size smallest exp(1)/w keys form a
     # weighted sample without replacement.
-    keys = rng.exponential(1.0, n) / weights
+    keys = rng.exponential(1.0, n) / theta ** 2.0
     chosen = np.argsort(keys, kind="stable")[:spec.sample_size]
-    return SpiralData(points, points[chosen], theta, theta[chosen])
+    return SpiralData(points, points[chosen])
 
 
 # --- range queries ----------------------------------------------------------------
 
 
-@dataclass
-class RangeQuerySpec:
-    coverage: float
-    count: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.coverage <= 1):
-            raise ConfigError("coverage must be in (0, 1]")
-        if self.count < 1:
-            raise ConfigError("count must be >= 1")
-
-
-def gen_range_queries(population: np.ndarray, spec: RangeQuerySpec) -> np.ndarray:
+def gen_range_queries(population: np.ndarray, coverage: float, count: int,
+                      seed: int) -> np.ndarray:
     """(count, 4) boxes [lo_x, hi_x, lo_y, hi_y]: each side spans `coverage`
     of that dimension's data range, uniformly placed inside it."""
-    rng = np.random.default_rng(spec.seed)
+    if not (0 < coverage <= 1):
+        raise ConfigError("coverage must be in (0, 1]")
+    rng = np.random.default_rng(seed)
     lo = population.min(axis=0)
     hi = population.max(axis=0)
     span = hi - lo
-    side = spec.coverage * span
+    side = coverage * span
     slack = span - side
-    starts = lo[None, :] + rng.uniform(0.0, 1.0, (spec.count, 2)) * slack[None, :]
+    starts = lo[None, :] + rng.uniform(0.0, 1.0, (count, 2)) * slack[None, :]
     return np.column_stack([starts[:, 0], starts[:, 0] + side[0],
                             starts[:, 1], starts[:, 1] + side[1]])
 
 
-def box_count(points: np.ndarray, box, weights=None) -> float:
+def box_count(points: np.ndarray, box) -> float:
     inside = ((points[:, 0] >= box[0]) & (points[:, 0] <= box[1])
               & (points[:, 1] >= box[2]) & (points[:, 1] <= box[3]))
-    if weights is None:
-        return float(inside.sum())
-    return float(np.asarray(weights)[inside].sum())
+    return float(inside.sum())
 
 
-def w1_to_marginal(values, marginal: Marginal, attr: str, weights=None) -> float:
+def w1_to_marginal(values, marginal: Marginal, attr: str) -> float:
     """W1 between an empirical column and a 1-D marginal, in raw units."""
     positions = np.asarray([marginal.position_of(k, attr) for k in marginal.cells])
     masses = np.asarray([float(v) for v in marginal.cells.values()])
-    return wasserstein_1d(positions, values, masses, weights)
+    return wasserstein_1d(positions, values, masses)
 
 
 # --- spiral experiment ----------------------------------------------------------
@@ -201,59 +159,44 @@ def run_spiral_experiment(spec: SpiralSpec, coverages,
                           methods=("unif", "mswg"), repeats: int = 10,
                           query_count: int = 100,
                           train_cfg: TrainConfig | None = None,
-                          trained=None, data: SpiralData | None = None,
-                          log=None) -> ResultTable:
-    """Per coverage and method, summary stats of the per-query percent
-    differences of weighted box counts against the population truth."""
+                          trained=None, data: SpiralData | None = None
+                          ) -> list[tuple]:
+    """One SPIRAL_COLUMNS row per coverage and method. Each method answers
+    a box from point sets: unif from the sample alone, mswg from `repeats`
+    generated samples. A query's error is the mean over the sets of the
+    percent difference between the set's box count, scaled to the
+    population, and the population's; a query no set can score is
+    excluded."""
     data = data or gen_spiral(spec)
     n_pop = len(data.population)
-    n_sample = len(data.sample)
-    unif_weight = n_pop / n_sample
-
-    generated = []
+    point_sets = {"unif": [data.sample], "mswg": []}
     if "mswg" in methods:
         if trained is None:
-            trained = train_spiral_generator(data, cfg=train_cfg, log=log)
+            trained = train_spiral_generator(data, cfg=train_cfg)
         rng = np.random.default_rng(spec.seed + 1)
         for _ in range(repeats):
-            latents = rng.standard_normal((n_sample, trained.net.latent_dim))
+            latents = rng.standard_normal((len(data.sample), trained.net.latent_dim))
             points = generate(trained, latents).columns
-            generated.append(np.column_stack([points["x"], points["y"]]))
+            point_sets["mswg"].append(np.column_stack([points["x"], points["y"]]))
 
-    table = ResultTable(["coverage", "method", "mean", "p3", "q1", "median",
-                         "q3", "p97", "excluded"])
+    rows = []
     for coverage in coverages:
-        boxes = gen_range_queries(
-            data.population, RangeQuerySpec(coverage, query_count, spec.seed + 2))
+        boxes = gen_range_queries(data.population, coverage, query_count,
+                                  spec.seed + 2)
         truths = [box_count(data.population, box) for box in boxes]
-        per_method: dict[str, list[float]] = {m: [] for m in methods}
-        excluded = {m: 0 for m in methods}
-        for box, truth in zip(boxes, truths):
-            if "unif" in methods:
-                estimate = unif_weight * box_count(data.sample, box)
-                diff = percent_difference(estimate, truth)
-                if diff is None:
-                    excluded["unif"] += 1
-                else:
-                    per_method["unif"].append(diff)
-            if "mswg" in methods:
-                diffs = []
-                for sample_points in generated:
-                    estimate = (n_pop / len(sample_points)) * box_count(
-                        sample_points, box)
-                    diff = percent_difference(estimate, truth)
-                    if diff is not None:
-                        diffs.append(diff)
-                if diffs:
-                    per_method["mswg"].append(float(np.mean(diffs)))
-                else:
-                    excluded["mswg"] += 1
         for method in methods:
-            stats = summary_stats(per_method[method])
-            table.rows.append((float(coverage), method, stats["mean"],
-                               stats["p3"], stats["q1"], stats["median"],
-                               stats["q3"], stats["p97"], excluded[method]))
-    return table
+            per_query = []
+            for box, truth in zip(boxes, truths):
+                diffs = [percent_difference(n_pop / len(points) * box_count(points, box),
+                                            truth) for points in point_sets[method]]
+                diffs = [diff for diff in diffs if diff is not None]
+                if diffs:
+                    per_query.append(float(np.mean(diffs)))
+            stats = ((np.mean(per_query), *np.percentile(per_query, [3, 25, 50, 75, 97]))
+                     if per_query else [math.nan] * 6)
+            rows.append((float(coverage), method, *map(float, stats),
+                         len(boxes) - len(per_query)))
+    return rows
 
 
 # --- flights-style population ------------------------------------------------------
@@ -271,16 +214,7 @@ CARRIER_MEAN_DISTANCE = (760, 1090, 940, 1210, 520, 480, 1130, 980,
 @dataclass
 class FlightsLikeSpec:
     population_size: int = 426_411
-    bias_threshold: float = 200.0  # long flights: E > threshold
-    bias_rate: float = 0.95
-    sample_fraction: float = 0.05
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.bias_rate <= 1):
-            raise ConfigError("bias_rate must be in [0, 1]")
-        if not (0 < self.sample_fraction < 1):
-            raise ConfigError("sample_fraction must be in (0, 1)")
 
 
 FLIGHTS_SCHEMA = [
@@ -303,8 +237,9 @@ def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
     lognormal on a 25-mile lattice, elapsed time E grows with D on a
     5-minute lattice, taxi times O and I grow mildly with E. The coarse
     lattices keep the pairwise marginals dense enough that reweighting has
-    mass to move. The sample takes `bias_rate` of its rows from the
-    long-flight stratum (E > threshold), uniformly within each stratum."""
+    mass to move. The sample holds 5% of the rows and takes 95% of them
+    from the long-flight stratum (E > 200), uniformly within each
+    stratum."""
     rng = np.random.default_rng(spec.seed)
     n = spec.population_size
     zipf = 1.0 / np.arange(1, len(CARRIERS) + 1)
@@ -323,10 +258,10 @@ def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
         "O": taxi_out, "I": taxi_in, "E": elapsed, "D": distance,
     }, np.ones(n))
 
-    n_sample = max(1, int(spec.sample_fraction * n))
-    long_idx = np.flatnonzero(elapsed > spec.bias_threshold)
-    short_idx = np.flatnonzero(elapsed <= spec.bias_threshold)
-    n_long = min(int(round(spec.bias_rate * n_sample)), len(long_idx))
+    n_sample = max(1, int(0.05 * n))
+    long_idx = np.flatnonzero(elapsed > 200.0)
+    short_idx = np.flatnonzero(elapsed <= 200.0)
+    n_long = min(int(round(0.95 * n_sample)), len(long_idx))
     n_short = min(n_sample - n_long, len(short_idx))
     picked = np.concatenate([
         rng.choice(long_idx, size=n_long, replace=False),
@@ -336,16 +271,14 @@ def gen_flightslike(spec: FlightsLikeSpec) -> FlightsLikeData:
     return FlightsLikeData(population, population.take(picked))
 
 
-def flights_pair_marginals(data: FlightsLikeData,
-                           pairs=(("C", "E"), ("O", "E"), ("I", "E"), ("D", "E")),
-                           owner: str = "FlightsLike") -> list[Marginal]:
-    """Joint integer-cell histograms of the population for each pair, cells
-    in sorted key order."""
+def flights_pair_marginals(data: FlightsLikeData) -> list[Marginal]:
+    """Joint integer-cell histograms of the population for (C, E), (O, E),
+    (I, E) and (D, E), cells in sorted key order."""
     marginals = []
-    for a, b in pairs:
-        counts = build_marginal(owner, (a, b), data.population).cells
-        marginals.append(Marginal(owner, (a, b), dict(sorted(counts.items())),
-                                  name=f"{owner}_{a}{b}"))
+    for a, b in (("C", "E"), ("O", "E"), ("I", "E"), ("D", "E")):
+        counts = build_marginal("FlightsLike", (a, b), data.population).cells
+        marginals.append(Marginal("FlightsLike", (a, b), dict(sorted(counts.items())),
+                                  name=f"FlightsLike_{a}{b}"))
     return marginals
 
 
@@ -399,30 +332,22 @@ def _answer_error(answer, truth, n_group: int):
 
 
 def run_flightslike_experiment(spec: FlightsLikeSpec,
-                               methods=("unif", "ipf", "mswg"),
-                               ipf_cfg: IpfConfig | None = None,
-                               train_cfg: TrainConfig | None = None,
-                               k_samples: int = 10,
-                               data: FlightsLikeData | None = None,
-                               log=None) -> ResultTable:
-    """Percent differences of the eight benchmark queries under uniform
-    reweighting, IPF, and the generator, against brute force over the
-    synthetic population."""
-    data = data or gen_flightslike(spec)
+                               methods=("unif", "ipf", "mswg")) -> list[tuple]:
+    """One FLIGHTS_COLUMNS row per benchmark query and method: the percent
+    difference under uniform reweighting, IPF (200 rounds) and the generator
+    (k = 10 samples), against brute force over the synthetic population."""
+    data = gen_flightslike(spec)
     catalog = flights_catalog(data, spec)
     sample = catalog.sample("FlightsSample")
-    n_pop = spec.population_size
-    unif_weight = n_pop / len(sample)
+    unif_weight = spec.population_size / len(sample)
+    options = ExecOptions(
+        ipf=IpfConfig(max_rounds=200), k_samples=10,
+        train_config=TrainConfig(coverage_weight=1e-7, latent_dim=18,
+                                 projections=1000, batch_size=500, epochs=3,
+                                 layers=(50, 50, 50, 50, 50), seed=spec.seed),
+        rng=np.random.default_rng(spec.seed + 3))
 
-    mswg_cfg = train_cfg or TrainConfig(
-        coverage_weight=1e-7, latent_dim=18, projections=1000,
-        batch_size=500, epochs=3, layers=(50, 50, 50, 50, 50), seed=spec.seed)
-    options = ExecOptions(ipf=ipf_cfg or IpfConfig(max_rounds=200),
-                          k_samples=k_samples, train_config=mswg_cfg,
-                          rng=np.random.default_rng(spec.seed + 3))
-
-    table = ResultTable(["query", "method", "pct_diff", "false_negatives",
-                         "excluded"])
+    rows = []
     for label, text in FLIGHTS_QUERIES:
         query = parse_one(text)
         n_group = len(query.group_by)
@@ -434,10 +359,9 @@ def run_flightslike_experiment(spec: FlightsLikeSpec,
             elif method == "ipf":
                 answer = execute(query, catalog, options)
             elif method == "mswg":
-                open_query = replace(query, visibility=Visibility.OPEN)
-                answer = execute(open_query, catalog, options, log=log)
+                answer = execute(replace(query, visibility=Visibility.OPEN),
+                                 catalog, options)
             else:
                 raise ConfigError(f"unknown method {method!r}")
-            mean, false_negatives, excluded = _answer_error(answer, truth, n_group)
-            table.rows.append((label, method, mean, false_negatives, excluded))
-    return table
+            rows.append((label, method, *_answer_error(answer, truth, n_group)))
+    return rows

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from openpop.bench import (
+    SPIRAL_COLUMNS,
     FlightsLikeSpec,
     SpiralSpec,
     emit_csv,
@@ -418,12 +419,13 @@ def test_spiral_training_loss_decreases_early(spiral_run):
 
 def test_criterion_6b_spiral_queries(spiral_run):
     spec, data, _, trained, started = spiral_run
-    table = run_spiral_experiment(spec, (0.4, 0.6, 0.8), repeats=10,
-                                  query_count=100, trained=trained, data=data)
+    rows = run_spiral_experiment(spec, (0.4, 0.6, 0.8), repeats=10,
+                                 query_count=100, trained=trained, data=data)
+    mean = {(row[0], row[1]): row[2] for row in rows}
     outcomes = []
     for coverage in (0.4, 0.6, 0.8):
-        unif = table.select(coverage=coverage, method="unif").rows[0][2]
-        mswg = table.select(coverage=coverage, method="mswg").rows[0][2]
+        unif = mean[coverage, "unif"]
+        mswg = mean[coverage, "mswg"]
         outcomes.append((coverage, mswg, unif))
     elapsed = time.time() - started
     ok = all(m < u for _, m, u in outcomes) and elapsed < 1200
@@ -439,11 +441,12 @@ def test_criterion_6b_spiral_queries(spiral_run):
 
 
 def test_criterion_7_flightslike_ordering():
-    table = run_flightslike_experiment(FlightsLikeSpec(seed=0),
-                                       methods=("unif", "ipf"))
+    rows = run_flightslike_experiment(FlightsLikeSpec(seed=0),
+                                      methods=("unif", "ipf"))
+    pct_diff = {(row[0], row[1]): row[2] for row in rows}
 
     def err(query, method):
-        return table.select(query=query, method=method).rows[0][2]
+        return pct_diff[query, method]
 
     q1_unif, q1_ipf = err("q1", "unif"), err("q1", "ipf")
     numeric = [f"q{i}" for i in range(1, 5)]
@@ -516,10 +519,10 @@ def test_criterion_9_determinism(tmp_path):
                       epochs=3, layers=(32, 32), seed=11)
     outputs = []
     for name in ("one.csv", "two.csv"):
-        table = run_spiral_experiment(spec, (0.6, 0.8), repeats=3,
-                                      query_count=20, train_cfg=cfg)
+        rows = run_spiral_experiment(spec, (0.6, 0.8), repeats=3,
+                                     query_count=20, train_cfg=cfg)
         path = tmp_path / name
-        emit_csv(table, path)
+        emit_csv(SPIRAL_COLUMNS, rows, path)
         outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1]
     report("criterion-9 determinism", ok,

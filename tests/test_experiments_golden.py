@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from openpop.bench import (
+    FLIGHTS_COLUMNS,
     FLIGHTS_SCHEMA,
+    SPIRAL_COLUMNS,
     FlightsLikeSpec,
     SpiralSpec,
     gen_flightslike,
@@ -51,8 +53,8 @@ def golden_text() -> str:
         hashes.append(("flights", seed, _sha256(
             [relation.columns[attr.name] for relation in (rows.population, rows.sample)
              for attr in FLIGHTS_SCHEMA])))
-    return (csv_text(spiral.columns, spiral.rows)
-            + csv_text(flights.columns, flights.rows)
+    return (csv_text(SPIRAL_COLUMNS, spiral)
+            + csv_text(FLIGHTS_COLUMNS, flights)
             + csv_text(["generator", "seed", "sha256"], hashes))
 
 
