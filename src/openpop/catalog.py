@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    CatalogError,
     CatalogIoError,
     CsvParseError,
     DuplicateNameError,
@@ -315,6 +316,12 @@ class NumericBinning:
     hi: float
     nbins: int
 
+    def __post_init__(self):
+        if type(self.nbins) is not int or self.nbins < 1:
+            raise CatalogError(f"binning nbins must be a positive int, got {self.nbins!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+            raise CatalogError(f"binning needs finite lo <= hi, got [{self.lo}, {self.hi}]")
+
     def cells(self, values) -> np.ndarray:
         """Bin ids of `values`; values outside [lo, hi] clamp to the boundary
         bin."""
@@ -349,8 +356,9 @@ class Marginal:
         if len(set(self.attributes)) != len(self.attributes):
             raise DuplicateNameError("marginal attributes must be distinct")
         for key, count in self.cells.items():
-            if count < 0:
-                raise NegativeCountError(f"cell {key!r} has negative count {count}")
+            if not 0 <= count < math.inf:
+                raise NegativeCountError(
+                    f"cell {key!r} has count {count}; counts must be finite and >= 0")
         if self.cells and self.total() <= 0:
             raise NegativeCountError("marginal total count must be positive")
 

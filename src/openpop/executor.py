@@ -34,6 +34,7 @@ from .catalog import (
 )
 from .dialect import Select, Visibility
 from .errors import (
+    ConfigError,
     NoMetadataError,
     NoUsableSampleError,
     OpenPopError,
@@ -96,6 +97,10 @@ class ExecOptions:
     generator_cache: dict = field(default_factory=dict)
     # (sample name, marginal owner) -> (content key, weights, IpfReport)
     ipf_cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.k_samples < 1:
+            raise ConfigError(f"k_samples must be >= 1, got {self.k_samples}")
 
 
 @dataclass
@@ -363,7 +368,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     weight = trained.population_total / n_generated
     aggs = query.aggregates()
     # Plain tuples come from a single generated sample.
-    k = max(1, options.k_samples) if aggs else 1
+    k = options.k_samples if aggs else 1
     # The k latent batches are drawn here, in order, so the rng stream and
     # every answer are the same for any thread count. The forward passes run
     # on up to min(k, usable CPUs) threads, and the tail aggregates each

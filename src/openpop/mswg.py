@@ -50,8 +50,10 @@ class TrainConfig:
     layers: tuple[int, ...] = (100, 100, 100)
 
     def __post_init__(self):
-        if self.coverage_weight < 0:
-            raise ConfigError("coverage_weight must be >= 0")
+        if not 0 <= self.coverage_weight < math.inf:
+            raise ConfigError("coverage_weight must be finite and >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.projections < 1:
             raise ConfigError("projections must be >= 1")
         if self.batch_size < 2:
@@ -61,6 +63,8 @@ class TrainConfig:
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         self.layers = tuple(int(x) for x in self.layers)
+        if any(width < 1 for width in self.layers):
+            raise ConfigError("layers must be widths >= 1")
 
 
 # --- marginal targets --------------------------------------------------------

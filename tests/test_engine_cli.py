@@ -14,7 +14,7 @@ import pytest
 
 import openpop.cli
 import openpop.executor
-from openpop.catalog import AttributeDef, Catalog, PopulationDef
+from openpop.catalog import AttributeDef, Catalog, NumericBinning, PopulationDef
 from openpop.cli import _build_engine, main
 from openpop.engine import Engine
 from openpop.errors import (
@@ -573,6 +573,13 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         stdin = ("\\config train.bogus 1\n\\config ipf.tolerance nan\n"
                  "\\config train.batch_norm false\n\\config ipf.zero_policy error\n"
                  "\\config train.plateau_patience 2\n"
+                 "\\config train.layers 0\n\\config train.layers 8,0\n"
+                 "\\config train.coverage_weight nan\n"
+                 "\\config train.coverage_weight inf\n"
+                 "\\config train.learning_rate -1\n"
+                 "\\config train.learning_rate nan\n"
+                 "\\config train.learning_rate inf\n"
+                 "\\config k_samples 0\n\\config k_samples -4\n"
                  "\\config k_samples 3\n\\quit\n")
         code, _, err = self.run_cli(["--quiet"], stdin=stdin)
         assert code == 0
@@ -580,6 +587,11 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
                     "train.plateau_patience"):
             assert f"error: unknown config key {key.partition('.')[2]!r}" in err
         assert "error: tolerance must be positive, got nan" in err
+        assert err.count("error: layers must be widths >= 1") == 2
+        assert err.count("error: coverage_weight must be finite and >= 0") == 2
+        assert err.count("error: learning_rate must be finite and > 0") == 3
+        assert "error: k_samples must be >= 1, got 0" in err
+        assert "error: k_samples must be >= 1, got -4" in err
         assert "internal error" not in err
 
     def test_repl_rejects_train_seed(self, monkeypatch):
@@ -624,22 +636,32 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert "error" in err
         assert catalog_path.read_bytes() == b"\x00 not a catalog\n"
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda record: {**record, "rows": [["UK"]]},
-        lambda record: {**record, "rows": [["UK", 30.0, "extra"]]},
-        lambda record: {"kind": "sample"},
-        lambda record: [1, 2],
-        lambda record: {**record, "mechanism": {"kind": "uniform", "percent": 0,
-                                                "strat_attribute": None}},
-        lambda record: {**record, "weights": []},
-        lambda record: {**record, "schema": [{**record["schema"][0], "name": "zzz"},
-                                             record["schema"][1]]},
-        lambda record: {**record, "mechanism": {"kind": "stratified", "percent": 10.0,
-                                                "strat_attribute": "zzz"}},
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("sample", lambda record: {**record, "rows": [["UK"]]}),
+        ("sample", lambda record: {**record, "rows": [["UK", 30.0, "extra"]]}),
+        ("sample", lambda record: {"kind": "sample"}),
+        ("sample", lambda record: [1, 2]),
+        ("sample", lambda record: {**record, "mechanism": {
+            "kind": "uniform", "percent": 0, "strat_attribute": None}}),
+        ("sample", lambda record: {**record, "weights": []}),
+        ("sample", lambda record: {**record, "schema": [
+            {**record["schema"][0], "name": "zzz"}, record["schema"][1]]}),
+        ("sample", lambda record: {**record, "mechanism": {
+            "kind": "stratified", "percent": 10.0, "strat_attribute": "zzz"}}),
+        ("marginal", lambda record: {**record, "cells": [[0, float("nan")], [1, 2.0]]}),
+        ("marginal", lambda record: {**record, "cells": [[0, float("inf")], [1, 2.0]]}),
+        ("marginal", lambda record: {**record, "binnings": {"age": [0.0, 100.0, 0]}}),
+        ("marginal", lambda record: {**record, "binnings": {"age": [0.0, 100.0, -3]}}),
+        ("marginal", lambda record: {**record, "binnings": {"age": [0.0, 100.0, 2.5]}}),
+        ("marginal", lambda record: {**record, "binnings": {
+            "age": [0.0, float("inf"), 2]}}),
+        ("marginal", lambda record: {**record, "binnings": {"age": [100.0, 0.0, 2]}}),
     ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
             "zero_percent", "short_weights", "attribute_not_in_global",
-            "strat_attribute_not_in_global"])
-    def test_malformed_catalog_record_exit_one(self, tmp_path, corrupt):
+            "strat_attribute_not_in_global", "nan_count", "inf_count",
+            "zero_bins", "negative_bins", "fractional_bins", "infinite_hi",
+            "hi_below_lo"])
+    def test_malformed_catalog_record_exit_one(self, tmp_path, kind, corrupt):
         catalog_path = tmp_path / "cat.opc"
         catalog = Catalog()
         catalog.create_population(PopulationDef(
@@ -647,10 +669,12 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
                         AttributeDef("age", "numeric")]))
         catalog.create_sample("S")
         catalog.ingest_rows("S", [("UK", 30.0)])
+        catalog.create_metadata("P", ("age",), {0: 1.0, 1: 2.0},
+                                {"age": NumericBinning(0.0, 100.0, 2)})
         catalog.save(catalog_path)
         lines = catalog_path.read_text(encoding="utf-8").splitlines()
         lineno = next(i for i, line in enumerate(lines, start=1)
-                      if line.startswith('{"kind": "sample"'))
+                      if line.startswith(f'{{"kind": "{kind}"'))
         lines[lineno - 1] = json.dumps(corrupt(json.loads(lines[lineno - 1])))
         catalog_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],

@@ -27,6 +27,7 @@ from openpop.catalog import (
 from openpop.dialect import parse_one
 from openpop.engine import Engine
 from openpop.errors import (
+    ConfigError,
     EmptySampleError,
     NoMetadataError,
     NoUsableSampleError,
@@ -370,6 +371,11 @@ def open_world_catalog() -> Catalog:
 
 
 class TestOpen:
+    def test_k_samples_below_one_rejected(self):
+        for k in (0, -4):
+            with pytest.raises(ConfigError, match="k_samples must be >= 1"):
+                small_options(k_samples=k)
+
     def test_intersection_and_new_groups(self):
         catalog = open_world_catalog()
         options = small_options()

@@ -45,6 +45,13 @@ class TestTrainConfig:
             TrainConfig(projections=0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
+        for bad in ({"layers": (0,)}, {"layers": (8, 0)}, {"layers": (8, -2)},
+                    {"coverage_weight": float("nan")},
+                    {"coverage_weight": float("inf")},
+                    {"learning_rate": -1.0}, {"learning_rate": 0.0},
+                    {"learning_rate": float("nan")}, {"learning_rate": float("inf")}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "train.conf"
