@@ -126,9 +126,7 @@ def box_count(points: np.ndarray, box) -> float:
 
 def w1_to_marginal(values, marginal: Marginal, attr: str) -> float:
     """W1 between an empirical column and a 1-D marginal, in raw units."""
-    positions = np.asarray([marginal.position_of(k, attr) for k in marginal.cells])
-    masses = np.asarray([float(v) for v in marginal.cells.values()])
-    return wasserstein_1d(positions, values, masses)
+    return wasserstein_1d(marginal.positions(attr), values, marginal.counts)
 
 
 # --- spiral experiment ----------------------------------------------------------

@@ -236,7 +236,7 @@ class Relation:
 
     @cached_property
     def cell_memo(self) -> dict:
-        """Memo of `cell_ids`: marginal digest -> (marginal, ids, keys, key -> id)."""
+        """Memo of `cell_ids`: marginal digest -> (marginal, ids, keys)."""
         return {}
 
     def cell_ids(self, marginal: Marginal) -> tuple[np.ndarray, list]:
@@ -246,9 +246,7 @@ class Relation:
         entry = self.cell_memo.get(marginal.digest)
         if entry is None:
             ids, keys = marginal.cell_index(self.key_columns(marginal.attributes))
-            entry = (marginal, _read_only(ids), keys,
-                     {key: i for i, key in enumerate(keys)})
-            self.cell_memo[marginal.digest] = entry
+            entry = self.cell_memo[marginal.digest] = (marginal, _read_only(ids), keys)
         return entry[1], entry[2]
 
     def reweighted(self, weights) -> "Relation":
@@ -332,9 +330,9 @@ class NumericBinning:
         return np.clip(np.floor(frac * self.nbins), 0,
                        self.nbins - 1).astype(np.int64)
 
-    def midpoint(self, cell: int) -> float:
+    def midpoint(self, cells: np.ndarray) -> np.ndarray:
         width = (self.hi - self.lo) / self.nbins
-        return self.lo + (cell + 0.5) * width
+        return self.lo + (cells + 0.5) * width
 
 
 @dataclass(frozen=True)
@@ -355,7 +353,10 @@ class Marginal:
                 f"marginals take 1 or 2 attributes, got {len(self.attributes)}")
         if len(set(self.attributes)) != len(self.attributes):
             raise DuplicateNameError("marginal attributes must be distinct")
+        pair = len(self.attributes) == 2
         for key, count in self.cells.items():
+            if isinstance(key, tuple) != pair or pair and len(key) != 2:
+                raise CatalogError(f"cell key {key!r} does not fit {self.attributes}")
             if not 0 <= count < math.inf:
                 raise NegativeCountError(
                     f"cell {key!r} has count {count}; counts must be finite and >= 0")
@@ -372,33 +373,62 @@ class Marginal:
             self.owner, self.attributes, list(self.cells.items()),
             sorted(self.binnings.items()))).encode("utf-8")).digest()
 
-    def cell_index(self, columns: dict[str, np.ndarray]) -> tuple[np.ndarray, list]:
+    @cached_property
+    def parts(self) -> dict[str, tuple]:
+        """Attribute -> its value in each cell key, in cell order."""
+        keys = self.cells if len(self.attributes) == 2 else zip(self.cells)
+        columns = tuple(zip(*keys)) or ((),) * len(self.attributes)
+        return dict(zip(self.attributes, columns))
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The cell counts as float64, in cell order; read-only."""
+        return _read_only(np.fromiter(self.cells.values(), float, len(self.cells)))
+
+    @cached_property
+    def key_ids(self) -> dict:
+        """Cell key -> its position in cell order."""
+        return {key: i for i, key in enumerate(self.cells)}
+
+    @cached_property
+    def _positions(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def positions(self, attr: str) -> np.ndarray:
+        """Numeric position of each cell on `attr`, in cell order: the bin
+        midpoint when binned, else the value; read-only."""
+        if attr not in self._positions:
+            binning = self.binnings.get(attr)
+            values = np.asarray(self.parts[attr], dtype=float)
+            self._positions[attr] = _read_only(
+                values if binning is None else binning.midpoint(values))
+        return self._positions[attr]
+
+    def cell_index(self, columns: dict[str, np.ndarray],
+                   keys: list | None = None) -> tuple[np.ndarray, list]:
         """The cell rule, over whole columns: (ids, keys) such that row r
-        falls in cell keys[ids[r]]. `keys` lists this marginal's cells in
-        order, then the cells only the rows reach, by first appearance.
-        Numeric attributes are binned when the marginal has a binning; an
-        unbinned whole number keys as an int."""
+        falls in cell keys[ids[r]]. The ids continue `keys`, the numbering of
+        earlier rows (by default the cells): a cell first reached here takes
+        the next id in a copy of `keys`. Numeric attributes are binned when
+        the marginal has a binning; an unbinned whole number keys as an int."""
         cols = [self.binnings[a].cells(columns[a]) if a in self.binnings
                 else columns[a] for a in self.attributes]
         found, row_groups, first = group_rows(cols)
-        keys = list(self.cells)
-        ids = {key: i for i, key in enumerate(keys)}
+        keys = list(self.cells) if keys is None else keys
+        known, extra = self.key_ids, {key: i for i, key in enumerate(
+            keys[len(self.cells):], start=len(self.cells))}  # sample-only keys
+        new = []
         group_ids = np.empty(len(found), dtype=np.int64)
         for group in np.argsort(first):
             key = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
                         for v in found[group])
             key = key[0] if len(key) == 1 else key
-            if key not in ids:
-                ids[key] = len(keys)
-                keys.append(key)
-            group_ids[group] = ids[key]
-        return group_ids[row_groups], keys
-
-    def position_of(self, key, attr: str) -> float:
-        """Numeric position of a cell key on `attr` (bin midpoint when binned)."""
-        binning = self.binnings.get(attr)
-        part = key if len(self.attributes) == 1 else key[self.attributes.index(attr)]
-        return binning.midpoint(part) if binning is not None else float(part)
+            i = known.get(key, extra.get(key))
+            if i is None:
+                i = extra[key] = len(keys) + len(new)
+                new.append(key)
+            group_ids[group] = i
+        return group_ids[row_groups], keys + new if new else keys
 
 
 def content_key(relation: Relation, marginals, *settings) -> str:
@@ -411,23 +441,6 @@ def content_key(relation: Relation, marginals, *settings) -> str:
         digest.update(marginal.digest)
     digest.update(repr(settings).encode("utf-8"))
     return digest.hexdigest()
-
-
-def _extend_cells(entry: tuple, appended: dict[str, np.ndarray]) -> tuple:
-    """A `Relation.cell_ids` memo entry grown by the rows of `appended`, as
-    `Marginal.cell_index` over the whole columns would number them: a key
-    the old rows never reached takes the next id, by first appearance."""
-    marginal, ids, keys, index = entry
-    new_ids, new_keys = marginal.cell_index(appended)
-    extra = new_keys[len(marginal.cells):]  # sample-only keys of the new rows
-    unseen = [key for key in extra if key not in index]
-    if unseen:
-        index = index | {key: i for i, key in enumerate(unseen, start=len(keys))}
-        keys = keys + unseen
-    remap = np.concatenate([np.arange(len(marginal.cells)),
-                            np.array([index[key] for key in extra], dtype=np.int64)])
-    return (marginal, _read_only(np.concatenate([ids, remap[new_ids]])), keys,
-            index)
 
 
 def build_marginal(owner, attributes, relation: Relation, name=None,
@@ -578,13 +591,13 @@ class Catalog:
         if name and name in self._all_names():
             raise DuplicateNameError(f"name '{name}' already in use")
         marginal = Marginal(owner, attributes, dict(cells), dict(binnings or {}), name)
+        if not marginal.cells:
+            raise CatalogError(f"marginal over {attributes} has no cells")
         # Marginal cell keys extend the owner's categorical active domains, so
         # open-world answers can name values never seen in any sample.
-        index = {a.name: a for a in pop.schema}
-        keys = [key if isinstance(key, tuple) else (key,) for key in marginal.cells]
-        for pos, attr in enumerate(attributes):
-            if kinds[attr] == CATEGORICAL:
-                index[attr].extend_domain(key[pos] for key in keys)
+        for attr in pop.schema:
+            if attr.name in attributes and attr.kind == CATEGORICAL:
+                attr.extend_domain(marginal.parts[attr.name])
         self.marginals.append(marginal)
         return marginal
 
@@ -663,8 +676,10 @@ class Catalog:
                        for name, col in rel.columns.items()}
         rel.weights = np.concatenate([rel.weights] + [b.weights for b in batches])
         appended = {name: col[start:] for name, col in rel.columns.items()}
-        rel.__dict__["cell_memo"] = {digest: _extend_cells(entry, appended)
-                                     for digest, entry in memo.items()}
+        for digest, (marginal, ids, keys) in memo.items():
+            new_ids, keys = marginal.cell_index(appended, keys)
+            memo[digest] = (marginal, _read_only(np.concatenate([ids, new_ids])), keys)
+        rel.__dict__["cell_memo"] = memo
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
         for attr, batch in itertools.product(reached, batches):
@@ -675,7 +690,7 @@ class Catalog:
     def ingest_csv(self, target: str, path) -> int:
         rel = self._target_relation(target)
         try:
-            with open(path, "r", encoding="utf-8", newline="") as handle:
+            with open(path, "r", encoding="utf-8-sig", newline="") as handle:
                 records = _csv_records(handle)
                 try:
                     _, header = next(records)
@@ -756,7 +771,7 @@ class Catalog:
     @classmethod
     def load(cls, path) -> "Catalog":
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 lines = handle.read().splitlines()
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc

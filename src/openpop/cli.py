@@ -75,7 +75,7 @@ def _run_text(engine: Engine, text: str, output: str,
 def run_script(path: str, engine: Engine, output: str) -> int:
     """Non-interactive execution; stops at the first error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

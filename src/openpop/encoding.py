@@ -36,10 +36,6 @@ class AttrEncoding:
     def dims(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + self.width)
 
-    def scale(self, value: float) -> float:
-        span = self.hi - self.lo
-        return (float(value) - self.lo) / span if span > 0 else 0.5
-
 
 class Encoding:
     def __init__(self, attrs: list[AttrEncoding]):
@@ -63,15 +59,11 @@ class Encoding:
                 if attr.hi is not None:
                     hi = max(hi, attr.hi)
                 for marginal in marginals:
-                    if attr.name not in marginal.attributes:
-                        continue
-                    binning = marginal.binnings.get(attr.name)
-                    if binning is not None:
-                        lo, hi = min(lo, binning.lo), max(hi, binning.hi)
-                    else:
-                        for key in marginal.cells:
-                            pos = marginal.position_of(key, attr.name)
-                            lo, hi = min(lo, pos), max(hi, pos)
+                    if attr.name in marginal.attributes:
+                        binning = marginal.binnings.get(attr.name)
+                        ends = ([binning.lo, binning.hi] if binning is not None
+                                else marginal.positions(attr.name).tolist())
+                        lo, hi = min([lo, *ends]), max([hi, *ends])
                 attrs.append(AttrEncoding(attr.name, NUMERIC, offset, 1,
                                           float(lo), float(hi)))
                 offset += 1
@@ -81,11 +73,7 @@ class Encoding:
                 values = dict.fromkeys(attr.domain)
                 values.update(dict.fromkeys(col.tolist()))
                 for marginal in marginals:
-                    if attr.name in marginal.attributes:
-                        pos = marginal.attributes.index(attr.name)
-                        values.update(dict.fromkeys(
-                            key[pos] if isinstance(key, tuple) else key
-                            for key in marginal.cells))
+                    values.update(dict.fromkeys(marginal.parts.get(attr.name, ())))
                 if not values:
                     raise ConfigError(
                         f"categorical attribute '{attr.name}' has an empty domain")
@@ -98,9 +86,13 @@ class Encoding:
         return [(a.offset, a.width) for a in self.attrs if a.kind == CATEGORICAL]
 
     def encode_rows(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        n = len(columns[self.attrs[0].name]) if self.attrs else 0
+        """Rows as points in the encoded space; the dimensions of attributes
+        absent from `columns` stay 0."""
+        n = len(next(iter(columns.values()))) if columns else 0
         out = np.zeros((n, self.dim))
         for enc in self.attrs:
+            if enc.name not in columns:
+                continue
             values = columns[enc.name]
             if enc.kind == NUMERIC:
                 span = enc.hi - enc.lo
@@ -134,21 +126,14 @@ class Encoding:
         relation.encodings.update(encodings)  # those of absent columns go unread
         return relation
 
-    def encode_cell(self, marginal: Marginal, key) -> np.ndarray:
-        """A marginal cell as a point in the encoded subspace of its attributes
-        (numeric cells at their scaled midpoint, categorical cells one-hot)."""
-        parts = key if isinstance(key, tuple) else (key,)
-        segments = []
-        for attr, part in zip(marginal.attributes, parts):
-            enc = self.by_name[attr]
-            if enc.kind == NUMERIC:
-                pos = marginal.position_of(key, attr)
-                segments.append(np.array([enc.scale(pos)]))
-            else:
-                onehot = np.zeros(enc.width)
-                onehot[enc.values.index(part)] = 1.0
-                segments.append(onehot)
-        return np.concatenate(segments)
+    def encode_cells(self, marginal: Marginal) -> np.ndarray:
+        """A marginal's cells, in order, as points in the encoded subspace of
+        its attributes (numeric cells at their scaled position, categorical
+        cells one-hot)."""
+        return self.encode_rows({
+            attr: marginal.positions(attr) if self.by_name[attr].kind == NUMERIC
+            else marginal.parts[attr] for attr in marginal.attributes
+        })[:, self.marginal_dims(marginal)]
 
     def marginal_dims(self, marginal: Marginal) -> np.ndarray:
         return np.concatenate([self.by_name[a].dims() for a in marginal.attributes])

@@ -255,11 +255,10 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
         raise NoMetadataError(
             f"stratified mechanism on '{mech.strat_attribute}' requires a 1-D "
             "marginal on that attribute to recover stratum sizes")
-    k = sum(1 for v in marginal.cells.values() if v > 0)
+    k = np.count_nonzero(marginal.counts > 0)
     n_pop = marginal.total()
     ids, keys = sample.cell_ids(marginal)
-    sizes = np.array([float(marginal.cells.get(key, 0.0)) for key in keys])
-    stratum = sizes[ids]
+    stratum = np.pad(marginal.counts, (0, len(keys) - len(marginal.counts)))[ids]
     empty = np.flatnonzero(stratum <= 0)
     if len(empty):
         raise NoMetadataError(f"sample tuple falls in stratum "

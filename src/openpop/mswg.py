@@ -117,11 +117,9 @@ def prepare_targets(marginals: list[Marginal], encoding: Encoding,
     targets = []
     for marginal in marginals:
         dims = encoding.marginal_dims(marginal)
-        masses = np.asarray([float(v) for v in marginal.cells.values()])
-        keep = masses > 0
-        masses = masses[keep] / masses[keep].sum()
-        keys = [k for k, m in zip(marginal.cells, keep) if m]
-        points = np.vstack([encoding.encode_cell(marginal, k) for k in keys])
+        keep = marginal.counts > 0
+        masses = marginal.counts[keep] / marginal.counts[keep].sum()
+        points = encoding.encode_cells(marginal)[keep]
         omega = (np.ones((1, 1)) if len(dims) == 1
                  else sample_projections(projections, len(dims), rng))
         targets.append(MarginalTarget(dims, points, masses, omega,

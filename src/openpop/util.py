@@ -11,7 +11,7 @@ from .errors import ConfigError
 
 def read_kv_pairs(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:

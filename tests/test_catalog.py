@@ -1,5 +1,6 @@
 """Catalog: declarations, ingestion, marginals, persistence round-trips."""
 
+import functools
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from openpop.catalog import (
     content_key,
 )
 from openpop.errors import (
+    CatalogError,
     CatalogIoError,
     CsvParseError,
     DuplicateNameError,
@@ -230,6 +232,30 @@ class TestCellIds:
                 assert np.array_equal(ids, fresh_ids)
                 assert repr(keys) == repr(fresh_keys)
 
+    def test_ingest_batches_reuse_the_key_map(self, catalog, monkeypatch):
+        built = []
+        real_key_ids = Marginal.key_ids.func
+
+        def counting_key_ids(marginal):
+            built.append(marginal.attributes)
+            return real_key_ids(marginal)
+
+        key_ids = functools.cached_property(counting_key_ids)
+        key_ids.__set_name__(Marginal, "key_ids")
+        monkeypatch.setattr(Marginal, "key_ids", key_ids)
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo")])
+        sample = catalog.sample("S")
+        marginal = Marginal("Migrants", ("country", "email"),
+                            {("UK", "Yahoo"): 3.0, ("FR", "AOL"): 1.0})
+        sample.cell_ids(marginal)
+        for batch in ([("FR", "AOL")], [("DE", "AOL")], [("DE", "AOL"), ("UK", "AOL")]):
+            catalog.ingest_rows("S", batch)
+        ids, keys = sample.cell_ids(marginal)
+        assert built == [("country", "email")]
+        assert keys == [("UK", "Yahoo"), ("FR", "AOL"), ("DE", "AOL"), ("UK", "AOL")]
+        assert ids.tolist() == [0, 1, 2, 2, 3]
+
     def test_other_column_assignments_drop_the_memo(self, catalog):
         catalog.create_sample("S")
         catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "AOL")])
@@ -248,6 +274,13 @@ class TestIngestCsv:
         path.write_text("country,email\nUK,Yahoo\nFR,Yahoo\n", encoding="utf-8")
         catalog.create_sample("S")
         assert catalog.ingest_csv("S", path) == 2
+
+    def test_byte_order_mark(self, catalog, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeffcountry,email\nUK,Yahoo\n", encoding="utf-8")
+        catalog.create_sample("S")
+        assert catalog.ingest_csv("S", path) == 1
+        assert catalog.sample("S").to_rows() == [("UK", "Yahoo")]
 
     def test_empty_file(self, catalog, tmp_path):
         path = tmp_path / "empty.csv"
@@ -394,6 +427,34 @@ class TestMarginals:
                                 {("UK", "Yahoo"): 5.0, ("UK", "AOL"): 2.0})
         (marginal,) = catalog.marginals_for("Migrants")
         assert marginal.attributes == ("country", "email")
+
+    def test_views_in_cell_order(self):
+        marginal = Marginal("P", ("x", "c"), {(3, "b"): 2.0, (0, "a"): 5.0, (1, "b"): 0.0},
+                            {"x": NumericBinning(0.0, 8.0, 4)})
+        assert marginal.parts == {"x": (3, 0, 1), "c": ("b", "a", "b")}
+        assert marginal.counts.tolist() == [2.0, 5.0, 0.0]
+        assert not marginal.counts.flags.writeable
+        assert marginal.key_ids == {(3, "b"): 0, (0, "a"): 1, (1, "b"): 2}
+        assert marginal.positions("x").tolist() == [7.0, 1.0, 3.0]
+        single = Marginal("P", ("n",), {250: 1.0, 3: 2.0})
+        assert single.parts == {"n": (250, 3)}
+        assert single.positions("n").tolist() == [250.0, 3.0]
+        assert Marginal("P", ("n", "c"), {}).parts == {"n": (), "c": ()}
+
+    @pytest.mark.parametrize("attributes, key", [
+        (("country", "email"), "UK"), (("country", "email"), ("UK", "AOL", "x")),
+        (("country", "email"), ("UK",)), (("country",), ("UK",))],
+        ids=["pair_bare", "pair_three", "pair_one", "single_tuple"])
+    def test_key_shape_must_match_attributes(self, catalog, attributes, key):
+        with pytest.raises(CatalogError, match="does not fit"):
+            catalog.create_metadata("Migrants", attributes, {key: 1.0})
+        assert not catalog.marginals
+        assert [a.domain for a in catalog.global_population().schema] == [[], []]
+
+    def test_no_cells_rejected(self, catalog):
+        with pytest.raises(CatalogError, match="no cells"):
+            catalog.create_metadata("Migrants", ("country",), {})
+        assert not catalog.marginals
 
     def test_three_attributes_rejected(self, catalog):
         with pytest.raises(TooManyAttributesError):

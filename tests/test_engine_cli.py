@@ -347,6 +347,44 @@ class TestCli:
         assert err == (f"error: cannot read '{path}': not UTF-8 text "
                        "(invalid start byte)\n")
 
+    def test_script_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.opq"
+        path.write_text("\ufeffCREATE GLOBAL POPULATION P (a TEXT);\n"
+                        "CREATE SAMPLE S AS (SELECT * FROM P);\n"
+                        "SELECT CLOSED COUNT(*) FROM P;\n", encoding="utf-8")
+        code, out, err = self.run_cli(["--script", str(path), "--quiet"])
+        assert (code, err) == (0, "")
+        assert "(0 rows, closed)" in out
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        config = tmp_path / "bom.conf"
+        config.write_text("\ufeffk_samples = 4\n", encoding="utf-8")
+        args = argparse.Namespace(seed=None, config=str(config), quiet=True,
+                                  catalog=None)
+        assert _build_engine(args).options.k_samples == 4
+
+    def test_catalog_with_byte_order_mark(self, tmp_path):
+        catalog_path = tmp_path / "bom.opc"
+        Catalog(seed=7).save(catalog_path)
+        assert not catalog_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        catalog_path.write_bytes(b"\xef\xbb\xbf" + catalog_path.read_bytes())
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="\\quit\n")
+        assert (code, err) == (0, "")
+        assert Catalog.load(catalog_path).seed == 7
+
+    def test_metadata_over_header_only_table_exit_one(self, tmp_path):
+        (tmp_path / "stats.csv").write_text("a,n\n", encoding="utf-8")
+        path = self.script_path(tmp_path, f"""
+CREATE GLOBAL POPULATION P (a TEXT);
+CREATE TABLE Stats (a TEXT, n INT);
+INGEST Stats FROM '{tmp_path / "stats.csv"}';
+CREATE METADATA P_a AS (SELECT a, n FROM Stats);
+""")
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert err == "error: marginal over ('a',) has no cells\n"
+
     def test_repl_continues_after_loading_non_utf8_script(self, tmp_path):
         write_fixture_files(tmp_path)
         path = tmp_path / "latin.opq"
@@ -656,11 +694,18 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         ("marginal", lambda record: {**record, "binnings": {
             "age": [0.0, float("inf"), 2]}}),
         ("marginal", lambda record: {**record, "binnings": {"age": [100.0, 0.0, 2]}}),
+        ("marginal", lambda record: {**record, "attributes": ["country", "age"],
+                                     "cells": [["UK", 5.0]]}),
+        ("marginal", lambda record: {**record, "attributes": ["country", "age"],
+                                     "cells": [[["UK", 1, 0], 5.0]]}),
+        ("marginal", lambda record: {**record, "cells": [[[0], 5.0]]}),
+        ("marginal", lambda record: {**record, "cells": []}),
     ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
             "zero_percent", "short_weights", "attribute_not_in_global",
             "strat_attribute_not_in_global", "nan_count", "inf_count",
             "zero_bins", "negative_bins", "fractional_bins", "infinite_hi",
-            "hi_below_lo"])
+            "hi_below_lo", "pair_one_value_key", "pair_three_value_key",
+            "single_tuple_key", "no_cells"])
     def test_malformed_catalog_record_exit_one(self, tmp_path, kind, corrupt):
         catalog_path = tmp_path / "cat.opc"
         catalog = Catalog()

@@ -272,11 +272,11 @@ class TestRefitAfterIngest:
         handed = []
         cell_index = Marginal.cell_index
 
-        def counting(marginal, columns):
+        def counting(marginal, columns, *args):
             column = columns[marginal.attributes[0]]
             handed.append((marginal.attributes,
                            len(column[1] if isinstance(column, tuple) else column)))
-            return cell_index(marginal, columns)
+            return cell_index(marginal, columns, *args)
 
         monkeypatch.setattr(Marginal, "cell_index", counting)
         catalog.ingest_rows("Yahoo", [("UK", "AOL", 33.0), ("FR", "Yahoo", 61.0)])

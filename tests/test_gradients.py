@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, Relation, SampleRelation
 from openpop.encoding import Encoding
-from openpop.mswg import coverage_penalty, loss_and_grad, prepare_targets
+from openpop.mswg import coverage_penalty, loss_and_grad, prepare_targets, resample_target
 from openpop.net import Adam, BatchNorm, GeneratorNet, Linear
 from openpop.transport import wasserstein_1d, wasserstein_1d_grad
 
@@ -104,6 +105,32 @@ class TestFullLossGradient:
         lam = 0.07
         loss, _ = loss_and_grad(net, latents, points, targets, lam)
         assert loss > 0
+        analytic = [p.grad.copy() for p in net.params()]
+        for param, grad in zip(net.params(), analytic):
+            numeric = finite_diff(
+                lambda: loss_and_grad(net, latents, points, targets, lam)[0],
+                param.value)
+            assert_close(grad, numeric)
+
+    @pytest.mark.parametrize("seed", [2024, 7, 11])
+    def test_all_parameters_with_batch_sized_targets(self, seed, monkeypatch):
+        # Training resamples each target to the batch size, so transport_term
+        # takes the aligned kernel: the gradient every training step uses.
+        rng = np.random.default_rng(seed)
+        net, latents, points, targets = small_problem(rng)
+        targets = [resample_target(t, len(latents), rng) for t in targets]
+        aligned = []
+        real_aligned = openpop.mswg.aligned_w1_grad
+
+        def counting_aligned(*args):
+            aligned.append(len(args[1]))
+            return real_aligned(*args)
+
+        monkeypatch.setattr(openpop.mswg, "aligned_w1_grad", counting_aligned)
+        lam = 0.07
+        loss, _ = loss_and_grad(net, latents, points, targets, lam)
+        assert loss > 0
+        assert aligned == [len(latents)] * len(targets)
         analytic = [p.grad.copy() for p in net.params()]
         for param, grad in zip(net.params(), analytic):
             numeric = finite_diff(

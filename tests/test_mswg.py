@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import openpop.mswg
-from openpop.catalog import AttributeDef, Marginal, SampleRelation
+from openpop.catalog import AttributeDef, Marginal, NumericBinning, SampleRelation
 from openpop.encoding import Encoding
 from openpop.errors import ConfigError, NonFiniteLossError, NoPopulationMarginalsError
 from openpop.mswg import (
@@ -89,6 +89,67 @@ class TestEncoding:
         encoding = Encoding.build(sample.schema, sample.columns, marginals)
         assert encoding.by_name["x"].hi == 9.0
         assert "green" in encoding.by_name["c"].values
+
+
+def per_cell_point(encoding, marginal, key):
+    """A marginal cell encoded on its own, as `prepare_targets` once did it
+    key by key: the oracle for the column-wise encoding."""
+    segments = []
+    for attr, part in zip(marginal.attributes,
+                          key if isinstance(key, tuple) else (key,)):
+        enc = encoding.by_name[attr]
+        if enc.kind == "numeric":
+            binning = marginal.binnings.get(attr)
+            if binning is None:
+                pos = float(part)
+            else:
+                width = (binning.hi - binning.lo) / binning.nbins
+                pos = binning.lo + (part + 0.5) * width
+            span = enc.hi - enc.lo
+            segments.append(np.array([(float(pos) - enc.lo) / span
+                                      if span > 0 else 0.5]))
+        else:
+            onehot = np.zeros(enc.width)
+            onehot[enc.values.index(part)] = 1.0
+            segments.append(onehot)
+    return np.concatenate(segments)
+
+
+class TestTargetPoints:
+    def test_equal_the_per_cell_encoding_bytes(self):
+        rng = np.random.default_rng(4)
+        schema = [AttributeDef("x", "numeric"), AttributeDef("n", "numeric"),
+                  AttributeDef("c", "categorical", domain=["red", "blue"])]
+        rows = [(float(x), float(n), c) for x, n, c in zip(
+            rng.uniform(0.1, 3.7, 40), rng.integers(2, 9, 40),
+            rng.choice(["red", "blue"], 40))]
+        sample = SampleRelation.from_rows(schema, rows, np.ones(40), name="s")
+        binning = {"x": NumericBinning(-0.3, 4.4, 7)}
+        marginals = [
+            Marginal("p", ("x",), {i: float(i % 3) for i in range(7)}, binning),
+            Marginal("p", ("n",), {2: 3.0, 11: 1.5, -1: 0.25, 5: 0.0}),
+            Marginal("p", ("c",), {"blue": 2.0, "green": 1.0, "red": 4.0}),
+            Marginal("p", ("x", "c"), {(6, "red"): 1.0, (0, "green"): 2.0,
+                                       (3, "blue"): 0.0}, binning),
+            Marginal("p", ("c", "n"), {("red", 7): 5.0, ("blue", 12): 0.5}),
+            Marginal("p", ("n", "x"), {(3, 2): 1.0, (2, 5): 3.0}, binning),
+        ]
+        encoding = Encoding.build(schema, sample.columns, marginals)
+        targets = prepare_targets(marginals, encoding, 5, np.random.default_rng(0))
+        for marginal, target in zip(marginals, targets):
+            masses = np.asarray([float(v) for v in marginal.cells.values()])
+            keep = masses > 0
+            points = np.vstack([per_cell_point(encoding, marginal, key)
+                                for key, kept in zip(marginal.cells, keep) if kept])
+            assert target.points.tobytes() == points.tobytes()
+            assert target.points.shape == points.shape
+            assert target.weights.tobytes() == (masses[keep] / masses[keep].sum()).tobytes()
+
+    def test_encode_rows_leaves_absent_attributes_zero(self):
+        sample = mixed_sample()
+        encoding = Encoding.build(sample.schema, sample.columns)
+        matrix = encoding.encode_rows({"c": np.array(["blue", "red"], dtype=object)})
+        assert matrix.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 class TestAugmentMarginals:
