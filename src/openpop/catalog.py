@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -593,6 +594,16 @@ class Catalog:
         marginal = Marginal(owner, attributes, dict(cells), dict(binnings or {}), name)
         if not marginal.cells:
             raise CatalogError(f"marginal over {attributes} has no cells")
+        for attr in attributes:
+            values = marginal.parts[attr]
+            numeric = kinds[attr] == NUMERIC
+            for cls in set(map(type, values)):  # few types, many cells
+                if not (issubclass(cls, Real) and not issubclass(cls, bool)
+                        if numeric else issubclass(cls, str)):
+                    value = next(v for v in values if type(v) is cls)
+                    raise TypeMismatchError(
+                        f"cell value {value!r} does not fit {kinds[attr]} "
+                        f"attribute '{attr}'")
         # Marginal cell keys extend the owner's categorical active domains, so
         # open-world answers can name values never seen in any sample.
         for attr in pop.schema:

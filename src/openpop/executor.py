@@ -41,7 +41,7 @@ from .errors import (
     TypeMismatchError,
     UnknownMechanismNoMetadataError,
 )
-from .ipf import IpfConfig, ipf_fit
+from .ipf import STALL_WINDOW, IpfConfig, ipf_fit
 from .mswg import TrainConfig, fingerprint, generate, train
 from .predicate import Predicate, check_types, filter_rows
 from .util import csv_text, format_cell
@@ -74,7 +74,12 @@ class QueryAnswer:
         lines.append(f"({len(self.rows)} row{'s' if len(self.rows) != 1 else ''}, "
                      f"{self.provenance})")
         report = self.diagnostics.get("ipf")
-        if report is not None and not report.converged:
+        if report is not None and report.stalled:
+            lines.append(f"warning: IPF stopped at round {report.rounds}: the "
+                         "marginals cannot all be met on this sample's rows "
+                         f"(discrepancies unchanged over {STALL_WINDOW} rounds; "
+                         f"max discrepancy {report.max_discrepancy():.3g})")
+        elif report is not None and not report.converged:
             lines.append(f"warning: IPF did not converge in {report.rounds} rounds "
                          f"(max discrepancy {report.max_discrepancy():.3g})")
         if report is not None and report.structural_zeros:

@@ -6,10 +6,27 @@ that marginal is matched exactly (on cells with sample mass) before moving
 on. After each round the fit has converged when every marginal's max
 relative cell discrepancy (see `discrepancy`) is `<= tolerance`; a NaN
 discrepancy never passes. The check visits the marginals in order and stops
-at the first unmet one, except on the last allowed round, so the report
-always carries every marginal's discrepancy. The counts it computes for the
-first marginal are the ones the next round's first pass needs, since the
-weights have not changed in between, so that pass reuses them.
+at the first unmet one, except on checkpoint rounds (every `STALL_WINDOW`th
+round and the last allowed one), where it takes every marginal's
+discrepancy, so the report always carries the whole vector. The counts it
+computes for the first marginal are the ones the next round's first pass
+needs, since the weights have not changed in between, so that pass reuses
+them.
+
+IPF reaches a fit only when some weighting of the sample's rows meets every
+marginal (Csiszar 1975). When none does, for example when pair marginals
+imply different totals on a shared attribute once structural zeros are
+dropped, the discrepancies settle at a fixed vector while the rounds go on
+moving mass between rows. So the fit also stops, and its report says it
+`stalled`, at a checkpoint where no marginal's discrepancy has moved by
+more than `STALL_TOLERANCE` (relative) since the previous checkpoint,
+`STALL_WINDOW` rounds before. A marginal met (`<= tolerance`) at both
+checkpoints counts as unmoved, since the marginal fitted last in a round is
+met up to rounding and its discrepancy jitters at ~1e-15. A NaN
+discrepancy never counts as unmoved. `max_rounds` stays the cap. A fit
+whose discrepancies shrink by more than `STALL_TOLERANCE` over each window
+never meets the rule, so it stops at the same round, with the same weights
+and report, as it would without it.
 
 Target cells that no sample tuple reaches (structural zeros) are dropped
 and the marginal's other cells rescaled to its declared total; the report
@@ -33,6 +50,11 @@ from .catalog import Marginal, Relation, SampleRelation
 from .errors import ConfigError, EmptySampleError, StructuralZeroError
 
 EPS = 1e-12
+# A fit stops as stalled when, at a check every STALL_WINDOW rounds, no
+# unmet marginal's discrepancy has moved by more than STALL_TOLERANCE
+# (relative) since the previous check.
+STALL_WINDOW = 10
+STALL_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -54,6 +76,7 @@ class IpfReport:
     converged: bool
     structural_zeros: list[tuple[int, object]] = field(default_factory=list)
     dropped_mass: list[float] = field(default_factory=list)
+    stalled: bool = False  # stopped by the stall rule, not by max_rounds
 
     def max_discrepancy(self) -> float:
         return max(self.discrepancies) if self.discrepancies else 0.0
@@ -123,8 +146,9 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
                       np.empty_like(targets), np.empty(len(targets), dtype=bool)))
 
     rounds = 0
-    converged = False
+    converged = stalled = False
     counts_first = None  # the first marginal's counts at the current weights
+    previous = None  # the discrepancies at the last stall check
     while rounds < cfg.max_rounds:
         rounds += 1
         for targets, _, row_ids, factors, live in plans:
@@ -135,6 +159,8 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
             factors.fill(0.0)  # the factor of a cell without mass is 0
             np.divide(targets, counts, out=factors, where=live)
             weights *= factors[row_ids]
+        stall_check = rounds % STALL_WINDOW == 0
+        checkpoint = stall_check or rounds == cfg.max_rounds
         discs = []
         for targets, floor, row_ids, scratch, _ in plans:
             counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
@@ -145,10 +171,19 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
             np.abs(scratch, out=scratch)
             np.divide(scratch, floor, out=scratch)
             discs.append(float(scratch.max()))
-            if not discs[-1] <= cfg.tolerance and rounds < cfg.max_rounds:
+            if not discs[-1] <= cfg.tolerance and not checkpoint:
                 break
         if all(d <= cfg.tolerance for d in discs):
             converged = True
             break
+        if stall_check:
+            # a marginal met at both checks has not moved; NaN never passes
+            if previous is not None and all(
+                    abs(d - p) <= STALL_TOLERANCE * p
+                    or d <= cfg.tolerance and p <= cfg.tolerance
+                    for d, p in zip(discs, previous)):
+                stalled = True
+                break
+            previous = discs
 
-    return weights, IpfReport(rounds, discs, converged, structural, dropped)
+    return weights, IpfReport(rounds, discs, converged, structural, dropped, stalled)

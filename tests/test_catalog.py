@@ -451,6 +451,37 @@ class TestMarginals:
         assert not catalog.marginals
         assert [a.domain for a in catalog.global_population().schema] == [[], []]
 
+    @pytest.mark.parametrize("attributes, cells", [
+        (("age",), {"abc": 1.0, 40: 2.0}), (("age",), {"40": 1.0}),
+        (("age",), {True: 1.0}), (("age",), {None: 1.0, 40: 2.0}),
+        (("country",), {7: 1.0, "UK": 2.0}), (("country",), {1.5: 1.0}),
+        (("country",), {None: 1.0}),
+        (("country", "age"), {("UK", 41): 1.0, ("UK", "40"): 2.0}),
+        (("country", "age"), {(3, 40): 1.0})],
+        ids=["numeric_str", "numeric_digit_str", "numeric_bool", "numeric_none",
+             "categorical_int", "categorical_float", "categorical_none",
+             "pair_numeric_str", "pair_categorical_int"])
+    def test_key_kind_must_match_attribute(self, attributes, cells):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric")]))
+        with pytest.raises(TypeMismatchError, match="does not fit"):
+            catalog.create_metadata("P", attributes, cells)
+        assert not catalog.marginals
+        assert catalog.global_population().schema[0].domain == []
+
+    def test_key_kinds_accepted(self):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric")]))
+        catalog.create_metadata("P", ("age",), {40: 1.0, 41.5: 2.0, np.int64(42): 1.0,
+                                                np.float64(43.5): 1.0})
+        catalog.create_metadata("P", ("country", "age"), {("UK", 40): 1.0,
+                                                          (np.str_("FR"), 41.0): 1.0})
+        assert len(catalog.marginals) == 2
+
     def test_no_cells_rejected(self, catalog):
         with pytest.raises(CatalogError, match="no cells"):
             catalog.create_metadata("Migrants", ("country",), {})
@@ -596,11 +627,18 @@ class TestPersistence:
         ("Survey", first_weight(-1.0), "NegativeCountError"),
         ("Survey", first_weight(float("nan")), "TypeMismatchError"),
         ("Survey", first_weight(float("inf")), "TypeMismatchError"),
+        ("P_age", lambda r: {**r, "binnings": {}, "cells": [["abc", 1.0], [40, 2.0]]},
+         "TypeMismatchError"),
+        ("P_country", lambda r: {**r, "cells": [[7, 1.0], ["UK", 2.0]]},
+         "TypeMismatchError"),
+        ("P_country_email", lambda r: {**r, "cells": [[["UK", 3], 1.0]]},
+         "TypeMismatchError"),
     ], ids=["duplicate_sample", "duplicate_aux", "aux_named_like_sample",
             "duplicate_population", "second_global", "duplicate_marginal",
             "marginal_named_like_sample", "marginal_attribute_not_in_owner",
             "missing_marginal_owner", "negative_weight", "nan_weight",
-            "infinite_weight"])
+            "infinite_weight", "numeric_key_not_a_number",
+            "categorical_key_not_a_string", "pair_key_not_a_string"])
     def test_load_enforces_the_create_rules(self, tmp_path, name, change, error):
         # Each case edits one record of the golden catalog so that the call
         # which made it would refuse it; the load must fail at that line.

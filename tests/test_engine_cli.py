@@ -728,6 +728,45 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert f"error: line {lineno}: malformed catalog record" in err
         assert "Traceback" not in err and "internal error" not in err
 
+    def test_saved_marginal_key_of_wrong_kind_fails_script(self, tmp_path):
+        # A string cell on a numeric attribute used to load, be dropped as a
+        # structural zero by SEMI-OPEN and crash OPEN with a ValueError.
+        catalog_path = tmp_path / "cat.opc"
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", 40.0), ("FR", 41.0)])
+        catalog.create_metadata("P", ("age",), {40: 1.0, 41: 2.0})
+        catalog.save(catalog_path)
+        text = catalog_path.read_text(encoding="utf-8")
+        edited = text.replace('"cells": [[40, 1.0], [41, 2.0]]',
+                              '"cells": [["abc", 1.0], [40, 2.0]]')
+        assert edited != text
+        catalog_path.write_text(edited, encoding="utf-8")
+        path = self.script_path(tmp_path, "SELECT SEMI-OPEN COUNT(*) FROM P;\n"
+                                          "SELECT OPEN COUNT(*) FROM P;\n")
+        code, out, err = self.run_cli(["--script", path, "--quiet",
+                                       "--catalog", str(catalog_path)])
+        assert code == 1 and out == ""
+        assert ("malformed catalog record (TypeMismatchError: cell value 'abc' "
+                "does not fit numeric attribute 'age')") in err
+        assert "internal error" not in err
+
+    def test_create_metadata_from_table_of_other_kind_fails_script(self, tmp_path):
+        (tmp_path / "ages.csv").write_text("age,n\nforty,3\n", encoding="utf-8")
+        path = self.script_path(tmp_path, f"""
+CREATE TABLE Ages (age TEXT, n INT);
+INGEST Ages FROM '{tmp_path / "ages.csv"}';
+CREATE GLOBAL POPULATION P (age INT);
+CREATE METADATA P_age AS (SELECT age, n FROM Ages);
+""")
+        code, _, err = self.run_cli(["--script", path, "--quiet"])
+        assert code == 1
+        assert "cell value 'forty' does not fit numeric attribute 'age'" in err
+        assert "internal error" not in err
+
     def test_missing_catalog_starts_fresh(self, tmp_path):
         catalog_path = tmp_path / "new.opc"
         stdin = "CREATE GLOBAL POPULATION P (a TEXT);\n\\save\n\\quit\n"

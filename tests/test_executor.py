@@ -576,6 +576,33 @@ class TestAnswerRendering:
         answer.diagnostics["ipf"] = IpfReport(1000, [0.25, 1e-3], False)
         assert ("warning: IPF did not converge in 1000 rounds "
                 "(max discrepancy 0.25)") in answer.to_text()
+        assert "stopped at round" not in answer.to_text()
+
+    def test_text_warns_when_ipf_stalls(self):
+        answer = execute(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"),
+                         fresh_catalog())
+        answer.diagnostics["ipf"] = IpfReport(20, [0.25, 1e-3], False, stalled=True)
+        text = answer.to_text()
+        assert ("warning: IPF stopped at round 20: the marginals cannot all be "
+                "met on this sample's rows (discrepancies unchanged over 10 "
+                "rounds; max discrepancy 0.25)") in text
+        assert "did not converge" not in text
+
+    def test_stalled_fit_reaches_the_text(self):
+        # The pair marginals disagree on b's totals, so no weighting meets both.
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef(n, "categorical") for n in ("a", "b", "c")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [(a, b, c) for a in "xy" for b in "uv" for c in "pq"])
+        catalog.create_metadata("P", ("a", "b"), {("x", "u"): 10.0, ("x", "v"): 10.0,
+                                                  ("y", "u"): 10.0, ("y", "v"): 10.0})
+        catalog.create_metadata("P", ("b", "c"), {("u", "p"): 5.0, ("u", "q"): 5.0,
+                                                  ("v", "p"): 15.0, ("v", "q"): 15.0})
+        answer = execute(parse_one("SELECT SEMI-OPEN COUNT(*) FROM P"), catalog)
+        report = answer.diagnostics["ipf"]
+        assert report.stalled and report.rounds < 1000
+        assert f"warning: IPF stopped at round {report.rounds}: " in answer.to_text()
 
     def test_text_has_no_warning_without_ipf(self):
         answer = execute(parse_one("SELECT COUNT(*) FROM Migrants"),

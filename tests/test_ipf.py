@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from openpop.catalog import AttributeDef, Catalog, Marginal, PopulationDef, SampleRelation
 from openpop.errors import ConfigError, EmptySampleError, StructuralZeroError
-from openpop.ipf import EPS, IpfConfig, IpfReport, discrepancy, ipf_fit
+from openpop.ipf import (EPS, STALL_TOLERANCE, STALL_WINDOW, IpfConfig, IpfReport,
+                         discrepancy, ipf_fit)
 
 
 def categorical_sample(rows):
@@ -233,8 +234,10 @@ class TestPurity:
 def reference_ipf_fit(sample, marginals, cfg):
     """The oracle: the round-robin loop as first written, with a fresh
     bincount for every update and every check and all discrepancies taken
-    each round (argument checks and the error policy left out). It indexes
-    the whole columns afresh, never through the sample's memo."""
+    each round (argument checks and the error policy left out), stopping
+    when every 10th round's discrepancies are within 0.1% of those 10
+    rounds before or met at both. It indexes the whole columns afresh,
+    never through the sample's memo."""
     weights = np.asarray(sample.weights, dtype=float).copy()
     plans = []
     structural = []
@@ -259,7 +262,8 @@ def reference_ipf_fit(sample, marginals, cfg):
         plans.append((targets, row_ids))
 
     rounds = 0
-    converged = False
+    converged = stalled = False
+    previous = None
     while rounds < cfg.max_rounds:
         rounds += 1
         for targets, row_ids in plans:
@@ -276,8 +280,16 @@ def reference_ipf_fit(sample, marginals, cfg):
         if max(discs) <= cfg.tolerance:
             converged = True
             break
+        if rounds % 10 == 0:
+            now = np.asarray(discs)
+            if previous is not None and np.all(
+                    (np.abs(now - previous) <= 1e-3 * previous)
+                    | (np.maximum(now, previous) <= cfg.tolerance)):
+                stalled = True
+                break
+            previous = now
 
-    return weights, IpfReport(rounds, discs, converged, structural, dropped)
+    return weights, IpfReport(rounds, discs, converged, structural, dropped, stalled)
 
 
 def correlated_rows(rng, n):
@@ -305,6 +317,9 @@ PAIRS = [Marginal("p", ("a0", "a1"), {("x0", "y0"): 200.0, ("x1", "y1"): 200.0,
                                       ("x3", "y0"): 400.0, ("x0", "y2"): 200.0}),
          Marginal("p", ("a1", "a2"), {("y0", "z0"): 100.0, ("y1", "z1"): 500.0,
                                       ("y2", "z0"): 200.0, ("y2", "z1"): 200.0})]
+# The pair marginal, fitted last in each round, is met up to rounding, and
+# its discrepancy jitters between stall checks while the others settle.
+JITTER = [ONE_D[0], ONE_D[1], PAIRS[0]]
 # The total-only marginal is met after every round; a0 is the first unmet.
 MIDDLE_UNMET = [Marginal("p", ("a3",), {"all": 1000.0}), ONE_D[0], ONE_D[1]]
 
@@ -345,10 +360,13 @@ class TestMatchesReferenceLoop:
         (ONE_D, IpfConfig(max_rounds=3)),
         (PAIRS, IpfConfig(max_rounds=200)),
         (PAIRS, IpfConfig(max_rounds=1)),
+        (PAIRS, IpfConfig(max_rounds=15)),
+        (PAIRS, IpfConfig(max_rounds=20)),
+        (JITTER, IpfConfig()),
         (MIDDLE_UNMET, IpfConfig()),
         (MIDDLE_UNMET, IpfConfig(max_rounds=2)),
     ], ids=["one_d", "one_d_1", "one_d_2", "one_d_3", "pairs", "pairs_1",
-            "middle_unmet", "middle_unmet_2"])
+            "pairs_15", "pairs_20", "jitter", "middle_unmet", "middle_unmet_2"])
     def test_byte_equal(self, marginals, cfg, unit_weights):
         sample = correlated_sample(unit_weights=unit_weights)
         weights, report = ipf_fit(sample, marginals, cfg)
@@ -361,8 +379,12 @@ class TestMatchesReferenceLoop:
         _, report = ipf_fit(sample, ONE_D)
         assert report.converged and 3 < report.rounds < 1000
         _, report = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=200))
-        assert not report.converged and report.rounds == 200
+        assert report.stalled and report.rounds < 200
         assert report.structural_zeros and len(report.discrepancies) == 2
+        _, report = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=15))
+        assert not report.converged and not report.stalled and report.rounds == 15
+        _, report = ipf_fit(sample, PAIRS, IpfConfig(max_rounds=20))
+        assert report.stalled and report.rounds == 20
         _, report = ipf_fit(sample, MIDDLE_UNMET, IpfConfig(max_rounds=2))
         first, middle, _ = report.discrepancies
         assert first <= 1e-6 < middle
@@ -397,3 +419,86 @@ class TestMatchesReferenceLoop:
         assert weights[-1] == 0.0
         ids, keys = sample.cell_ids(ONE_D[2])
         assert keys[ids[-1]] == "z9" and np.count_nonzero(ids == ids[-1]) == 1
+
+
+class TestStallRule:
+    """IPF stops once its discrepancies stop moving; a fit that converges
+    is not touched by the rule."""
+
+    def test_constants(self):
+        assert STALL_WINDOW == 10 and STALL_TOLERANCE == 1e-3
+
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_inconsistent_pairs_stall(self, unit_weights):
+        sample = correlated_sample(unit_weights=unit_weights)
+        cfg = IpfConfig()
+        _, report = ipf_fit(sample, PAIRS, cfg)
+        assert report.stalled and not report.converged
+        assert report.rounds % STALL_WINDOW == 0 and report.rounds < cfg.max_rounds
+        assert len(report.discrepancies) == len(PAIRS)
+        assert report.max_discrepancy() > cfg.tolerance
+
+    def test_met_marginal_jitter_does_not_block_the_stall(self):
+        sample = correlated_sample(unit_weights=False)
+        _, at_10 = ipf_fit(sample, JITTER, IpfConfig(max_rounds=10))
+        _, report = ipf_fit(sample, JITTER)
+        assert report.stalled and report.rounds == 2 * STALL_WINDOW
+        before, after = at_10.discrepancies[-1], report.discrepancies[-1]
+        assert max(before, after) <= 1e-12
+        assert abs(after - before) > STALL_TOLERANCE * before
+
+    def test_stalled_vector_matches_the_full_fit(self, monkeypatch):
+        # the rounds the rule skips would not have moved any discrepancy
+        sample = correlated_sample()
+        _, stalled = ipf_fit(sample, PAIRS)
+        monkeypatch.setattr("openpop.ipf.STALL_WINDOW", 10 ** 9)
+        _, full = ipf_fit(sample, PAIRS)
+        assert not full.stalled and full.rounds == 1000
+        assert full.discrepancies == pytest.approx(stalled.discrepancies, rel=1e-3)
+
+    @pytest.mark.parametrize("marginals", [ONE_D, PAIRS], ids=["one_d", "pairs"])
+    def test_nan_discrepancies_never_stall(self, marginals):
+        sample = correlated_sample()
+        initial = np.ones(len(sample))
+        initial[0] = np.nan
+        sample.weights = initial
+        _, report = ipf_fit(sample, marginals, IpfConfig(max_rounds=50))
+        assert report.rounds == 50
+        assert not report.stalled and not report.converged
+        assert len(report.discrepancies) == len(marginals)
+        assert all(np.isnan(d) for d in report.discrepancies)
+
+    @pytest.mark.parametrize("max_rounds", [1, 5, STALL_WINDOW - 1])
+    def test_cap_below_window_reports_every_marginal(self, max_rounds):
+        _, report = ipf_fit(correlated_sample(), PAIRS, IpfConfig(max_rounds=max_rounds))
+        assert report.rounds == max_rounds
+        assert not report.stalled and not report.converged
+        assert len(report.discrepancies) == len(PAIRS)
+
+    @pytest.mark.parametrize("marginals, cfg", [
+        (ONE_D, IpfConfig()),
+        (ONE_D, IpfConfig(tolerance=1e-12)),
+        (MIDDLE_UNMET, IpfConfig()),
+        ("consistent_pairs", IpfConfig()),
+    ], ids=["one_d", "one_d_tight", "middle_unmet", "consistent_pairs"])
+    def test_converging_fit_unchanged(self, marginals, cfg, monkeypatch):
+        sample = correlated_sample()
+        if marginals == "consistent_pairs":
+            # pair counts of the sample's own rows under other weights: one
+            # weighting meets all three, so the fit converges
+            truth = np.random.default_rng(3).uniform(0.5, 4.0, len(sample))
+            columns = sample.columns
+            marginals = []
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                cells: dict = {}
+                for a, b, w in zip(columns[f"a{i}"], columns[f"a{j}"], truth):
+                    cells[(a, b)] = cells.get((a, b), 0.0) + w
+                marginals.append(Marginal("p", (f"a{i}", f"a{j}"), cells))
+        weights, report = ipf_fit(sample, marginals, cfg)
+        assert report.converged and not report.stalled
+        assert report.rounds > STALL_WINDOW  # at least one stall check ran
+        # without the rule: no stall check is ever reached
+        monkeypatch.setattr("openpop.ipf.STALL_WINDOW", 10 ** 9)
+        plain_weights, plain = ipf_fit(sample, marginals, cfg)
+        assert weights.tobytes() == plain_weights.tobytes()
+        assert report == plain
