@@ -63,15 +63,13 @@ class AttributeDef:
 Schema = list[AttributeDef]
 
 
-def schema_index(schema: Schema) -> dict[str, int]:
-    return {a.name: i for i, a in enumerate(schema)}
-
-
 def schema_kinds(schema: Schema) -> dict[str, str]:
     return {a.name: a.kind for a in schema}
 
 
 def _check_schema(schema: Schema) -> None:
+    if not schema:
+        raise CatalogError("a schema needs at least one attribute")
     names = [a.name for a in schema]
     if len(set(names)) != len(names):
         raise DuplicateNameError(f"duplicate attribute names in schema: {names}")
@@ -104,6 +102,21 @@ class PopulationDef:
     predicate: Predicate | None = None
 
 
+def _category_codes(column, values=(), codes=np.empty(0, np.int64)):
+    """(sorted distinct values, int64 codes) of a categorical column; given
+    the (values, codes) of rows before it, of those rows and `column` in
+    turn. The earlier codes are renumbered only when `column` brings a value
+    `values` lacks."""
+    column = column.tolist()
+    new = set(column).difference(values)
+    merged = sorted([*values, *new])  # a sorted run and a tail: near-linear
+    position = {value: i for i, value in enumerate(merged)}
+    if new:
+        codes = np.fromiter(map(position.__getitem__, values), np.int64, len(values))[codes]
+    return merged, np.concatenate([codes, np.fromiter(
+        map(position.__getitem__, column), np.int64, len(column))])
+
+
 def group_rows(columns: list, rows=slice(None)):
     """Group the rows at `rows` (all by default) by their values in `columns`,
     each an array or an encoding from `Relation.key_columns`: (keys, ids,
@@ -115,10 +128,7 @@ def group_rows(columns: list, rows=slice(None)):
         if isinstance(col, tuple):
             distinct, codes = col[0], col[1][rows]
         elif col.dtype == object:
-            col = col[rows]
-            distinct = sorted(dict.fromkeys(col.tolist()))
-            position = {value: i for i, value in enumerate(distinct)}
-            codes = np.fromiter(map(position.__getitem__, col), dtype=np.int64)
+            distinct, codes = _category_codes(col[rows])
         else:
             distinct, codes = np.unique(col[rows], return_inverse=True)
             distinct = distinct.tolist()
@@ -187,10 +197,10 @@ class Relation:
     """Rows stored as one array per attribute (float64 for numeric, an object
     array of str for categorical) plus one nonnegative weight per row.
 
-    Arrays handed to a relation become read-only, and assigning any field
-    drops the memoized `digest` and `encodings`, so both match the content.
-    Assigning any field but `weights` drops the memoized `cell_ids`, which
-    never read weights; `Catalog._commit` extends them instead."""
+    Arrays handed to a relation become read-only. `memo` holds what the rows
+    alone determine, under one rule: assigning `weights` keeps it, `append`
+    extends it over the appended rows, and assigning `columns` drops it.
+    The memoized `digest` reads the weights too, so any assignment drops it."""
 
     schema: Schema
     columns: dict[str, np.ndarray]
@@ -202,12 +212,10 @@ class Relation:
             value = {col_name: _read_only(np.ascontiguousarray(
                 col, dtype=float if kinds[col_name] == NUMERIC else object))
                 for col_name, col in value.items()}
+            self.__dict__.pop("memo", None)
         elif name == "weights":
             value = _read_only(np.asarray(value, dtype=float))
         self.__dict__.pop("digest", None)
-        self.__dict__.pop("encodings", None)
-        if name != "weights":
-            self.__dict__.pop("cell_memo", None)
         super().__setattr__(name, value)
 
     @cached_property
@@ -223,37 +231,52 @@ class Relation:
         return digest.digest()
 
     @cached_property
-    def encodings(self) -> dict[str, tuple[list, np.ndarray]]:
-        """Memo of categorical encodings: name -> (sorted values, int64 codes)."""
+    def memo(self) -> dict:
+        """What the rows alone determine: a categorical attribute's name ->
+        (sorted values, int64 codes), and a marginal's digest -> (marginal,
+        cell ids, keys)."""
         return {}
 
     def key_columns(self, names) -> dict:
         """`names` as `group_rows` reads them fastest: categorical ones encoded."""
         for name in names:
-            if self.columns[name].dtype == object and name not in self.encodings:
-                keys, codes, _ = group_rows([self.columns[name]])
-                self.encodings[name] = ([key for key, in keys], codes)
-        return {name: self.encodings.get(name, self.columns[name]) for name in names}
-
-    @cached_property
-    def cell_memo(self) -> dict:
-        """Memo of `cell_ids`: marginal digest -> (marginal, ids, keys)."""
-        return {}
+            if self.columns[name].dtype == object and name not in self.memo:
+                self.memo[name] = _category_codes(self.columns[name])
+        return {name: self.memo.get(name, self.columns[name]) for name in names}
 
     def cell_ids(self, marginal: Marginal) -> tuple[np.ndarray, list]:
         """`marginal.cell_index` over this relation's rows, memoized per
         marginal. The ids are read-only, and the keys list is shared: neither
         may be changed."""
-        entry = self.cell_memo.get(marginal.digest)
+        entry = self.memo.get(marginal.digest)
         if entry is None:
             ids, keys = marginal.cell_index(self.key_columns(marginal.attributes))
-            entry = self.cell_memo[marginal.digest] = (marginal, _read_only(ids), keys)
+            entry = self.memo[marginal.digest] = (marginal, _read_only(ids), keys)
         return entry[1], entry[2]
 
+    def append(self, columns: dict) -> None:
+        """Append rows, given as one array per attribute, at weight 1. Each
+        memo entry is extended over the appended rows alone into a new memo,
+        so a copy that shares the old one keeps it."""
+        n = len(next(iter(columns.values()), ()))
+        added = Relation(self.schema, columns, np.ones(n))
+        memo = {}
+        for key, entry in self.memo.items():
+            if isinstance(key, str):
+                memo[key] = _category_codes(added.columns[key], *entry)
+            else:
+                marginal, ids, keys = entry
+                new_ids, keys = marginal.cell_index(added.columns, keys)
+                memo[key] = (marginal, _read_only(np.concatenate([ids, new_ids])), keys)
+        self.columns = {name: np.concatenate([col, added.columns[name]])
+                        for name, col in self.columns.items()}
+        self.weights = np.concatenate([self.weights, added.weights])
+        self.__dict__["memo"] = memo
+
     def reweighted(self, weights) -> "Relation":
-        """This relation with other weights; columns and encodings are shared."""
+        """This relation with other weights; columns and memo are shared."""
         relation = replace(self, weights=weights)
-        relation.__dict__["encodings"] = self.encodings
+        relation.__dict__["memo"] = self.memo
         return relation
 
     @classmethod
@@ -500,9 +523,6 @@ class Catalog:
             schema.append(replace(by_name[name], domain=list(by_name[name].domain)))
         return schema
 
-    def has_global(self) -> bool:
-        return any(p.is_global for p in self.populations.values())
-
     def population(self, name: str) -> PopulationDef:
         if name not in self.populations:
             raise UnknownPopulationError(f"unknown population '{name}'")
@@ -527,7 +547,7 @@ class Catalog:
             raise DuplicateNameError(f"name '{defn.name}' already in use")
         _check_schema(defn.schema)
         if defn.is_global:
-            if self.has_global():
+            if any(p.is_global for p in self.populations.values()):
                 raise DuplicateNameError("a global population already exists")
         else:
             gp = self.global_population()
@@ -539,11 +559,9 @@ class Catalog:
             self._check_against_global(defn.schema, defn.predicate)
         self.populations[defn.name] = defn
 
-    def _check_against_global(self, schema: Schema, predicate: Predicate | None,
-                              mechanism: Mechanism | None = None) -> None:
-        """Every attribute is a global one of the same kind, the predicate
-        type-checks against the global schema, and a stratified mechanism
-        names a global attribute."""
+    def _check_against_global(self, schema: Schema, predicate: Predicate | None) -> None:
+        """Every attribute is a global one of the same kind, and the predicate
+        type-checks against the global schema."""
         gp_kinds = schema_kinds(self.global_population().schema)
         for a in schema:
             if gp_kinds.get(a.name) != a.kind:
@@ -551,11 +569,6 @@ class Catalog:
                     f"attribute '{a.name}' not in global population schema")
         if predicate:
             check_types(predicate, gp_kinds)
-        if mechanism is not None and mechanism.kind == "stratified":
-            if mechanism.strat_attribute not in gp_kinds:
-                raise UnknownAttributeError(
-                    f"stratification attribute '{mechanism.strat_attribute}' "
-                    "not in global population schema")
 
     def create_sample(self, name: str, schema: Schema | None = None,
                       predicate: Predicate | None = None,
@@ -565,7 +578,14 @@ class Catalog:
         if schema is None:
             schema = self.global_schema()
         _check_schema(schema)
-        self._check_against_global(schema, predicate, mechanism)
+        self._check_against_global(schema, predicate)
+        # Each row's stratum is read off the sample's own column, which is
+        # then a global attribute too.
+        if (mechanism is not None and mechanism.kind == "stratified"
+                and mechanism.strat_attribute not in schema_kinds(schema)):
+            raise UnknownAttributeError(
+                f"stratification attribute '{mechanism.strat_attribute}' "
+                f"not in schema of sample '{name}'")
         sample = SampleRelation.from_rows(schema, [], name=name, predicate=predicate,
                                           mechanism=mechanism)
         self.samples[name] = sample
@@ -679,18 +699,9 @@ class Catalog:
     def _commit(self, rel: Relation, batches: list[Relation]) -> int:
         """Append the rows of coerced, unit-weight batches, and grow the
         categorical domains they reach: the relation's own and, since sample
-        tuples exist in the global population, the global population's.
-        The memoized cell ids of the old rows are kept, and only the appended
-        rows are indexed."""
-        memo, start = rel.cell_memo, len(rel)
-        rel.columns = {name: np.concatenate([col] + [b.columns[name] for b in batches])
-                       for name, col in rel.columns.items()}
-        rel.weights = np.concatenate([rel.weights] + [b.weights for b in batches])
-        appended = {name: col[start:] for name, col in rel.columns.items()}
-        for digest, (marginal, ids, keys) in memo.items():
-            new_ids, keys = marginal.cell_index(appended, keys)
-            memo[digest] = (marginal, _read_only(np.concatenate([ids, new_ids])), keys)
-        rel.__dict__["cell_memo"] = memo
+        tuples exist in the global population, the global population's."""
+        rel.append({name: np.concatenate([col[:0]] + [b.columns[name] for b in batches])
+                    for name, col in rel.columns.items()})
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
         for attr, batch in itertools.product(reached, batches):
@@ -707,7 +718,7 @@ class Catalog:
                     _, header = next(records)
                 except StopIteration:
                     return 0
-                index = schema_index(rel.schema)
+                index = {a.name: i for i, a in enumerate(rel.schema)}
                 cols = []
                 for name in header:
                     if name not in index:

@@ -49,7 +49,13 @@ def _build_engine(args) -> Engine:
 
 
 def _print_answer(answer, output: str) -> None:
-    sys.stdout.write(answer.to_csv() if output == "csv" else answer.to_text() + "\n")
+    """The answer on stdout; in CSV mode, its warnings on stderr."""
+    if output == "csv":
+        sys.stdout.write(answer.to_csv())
+        for line in answer.warnings():
+            print(line, file=sys.stderr)
+    else:
+        sys.stdout.write(answer.to_text() + "\n")
 
 
 def _run_text(engine: Engine, text: str, output: str,

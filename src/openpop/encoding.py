@@ -123,7 +123,7 @@ class Encoding:
         schema = [AttributeDef(name, self.by_name[name].kind) for name in attr_order]
         relation = Relation(schema, {name: cols[name] for name in attr_order},
                             np.ones(len(matrix)))
-        relation.encodings.update(encodings)  # those of absent columns go unread
+        relation.memo.update(encodings)  # those of absent columns go unread
         return relation
 
     def encode_cells(self, marginal: Marginal) -> np.ndarray:

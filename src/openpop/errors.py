@@ -84,33 +84,25 @@ class DialectSyntaxError(OpenPopError):
 
 # --- ipf -------------------------------------------------------------------
 
-class IpfError(OpenPopError):
+class StructuralZeroError(OpenPopError):
     pass
 
 
-class StructuralZeroError(IpfError):
-    pass
-
-
-class EmptySampleError(IpfError):
+class EmptySampleError(OpenPopError):
     pass
 
 
 # --- generator -------------------------------------------------------------
 
-class GeneratorError(OpenPopError):
+class NoPopulationMarginalsError(OpenPopError):
     pass
 
 
-class NoPopulationMarginalsError(GeneratorError):
+class EmptyDistributionError(OpenPopError):
     pass
 
 
-class EmptyDistributionError(GeneratorError):
-    pass
-
-
-class NonFiniteLossError(GeneratorError):
+class NonFiniteLossError(OpenPopError):
     pass
 
 
@@ -120,15 +112,11 @@ class ConfigError(OpenPopError):
 
 # --- executor --------------------------------------------------------------
 
-class ExecutorError(OpenPopError):
+class NoUsableSampleError(OpenPopError):
     pass
 
 
-class NoUsableSampleError(ExecutorError):
-    pass
-
-
-class NoMetadataError(ExecutorError):
+class NoMetadataError(OpenPopError):
     pass
 
 

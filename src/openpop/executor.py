@@ -35,6 +35,7 @@ from .catalog import (
 from .dialect import Select, Visibility
 from .errors import (
     ConfigError,
+    EmptySampleError,
     NoMetadataError,
     NoUsableSampleError,
     OpenPopError,
@@ -73,7 +74,12 @@ class QueryAnswer:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
         lines.append(f"({len(self.rows)} row{'s' if len(self.rows) != 1 else ''}, "
                      f"{self.provenance})")
+        return "\n".join(lines + self.warnings())
+
+    def warnings(self) -> list[str]:
+        """The `warning:` lines of how this answer's IPF fit fell short."""
         report = self.diagnostics.get("ipf")
+        lines = []
         if report is not None and report.stalled:
             lines.append(f"warning: IPF stopped at round {report.rounds}: the "
                          "marginals cannot all be met on this sample's rows "
@@ -86,7 +92,7 @@ class QueryAnswer:
             lines.append(f"warning: IPF dropped {sum(report.dropped_mass):g} target "
                          f"mass in {len(report.structural_zeros)} structural-zero "
                          "cells")
-        return "\n".join(lines)
+        return lines
 
     def to_csv(self) -> str:
         return csv_text(self.columns, self.rows)
@@ -143,18 +149,25 @@ def plan(query: Select, catalog: Catalog) -> Plan:
     if query.predicate:
         check_types(query.predicate, schema_kinds(pop.schema))
     needed = _query_attributes(query, pop)
+    marginals, metadata_path = applicable_marginals(catalog, pop.name)
+    fitted = {attr for marginal in marginals for attr in marginal.attributes}
     candidates = []
     for position, sample in enumerate(catalog.samples.values()):
         names = {a.name for a in sample.schema}
         if needed <= names:
-            candidates.append((len(sample), -position, sample.name))
+            # Can it answer? A fit or a generator reads every marginal
+            # attribute off the sample; CLOSED and a mechanism read none.
+            fits = (fitted <= names or query.visibility == Visibility.CLOSED
+                    or query.visibility == Visibility.SEMI_OPEN
+                    and sample.mechanism is not None)
+            candidates.append((fits, len(sample), -position, sample.name))
     if not candidates:
         raise NoUsableSampleError(
             f"no sample covers attributes {sorted(needed)} of '{query.source}'")
-    candidates.sort(reverse=True)  # most rows, ties by declaration order
-    sample_name = candidates[0][2]
-
-    _, metadata_path = applicable_marginals(catalog, pop.name)
+    # Samples that can answer first (if none can, `_check_covers` names the
+    # marginal), then most rows, ties by declaration order.
+    candidates.sort(reverse=True)
+    sample_name = candidates[0][3]
     sample = catalog.sample(sample_name)
     if query.visibility == Visibility.OPEN and metadata_path is None:
         raise NoMetadataError(
@@ -300,7 +313,7 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
         if not scope:
             return ipf_fit(sample, marginals, options.ipf)
         # Fit the rows inside the view; the rest weigh 0 and the view drops them.
-        rows = filter_rows(scope, sample)
+        rows = _view_rows(sample, scope, pop.name)
         fitted, report = ipf_fit(sample.take(rows), marginals, options.ipf)
         weights = np.zeros(len(sample))
         weights[rows] = fitted
@@ -342,13 +355,25 @@ def _cached_fit(cache: dict, relation: SampleRelation, marginals, key: str, fit)
     return result, "miss"
 
 
+def _view_rows(sample: SampleRelation, scope: Predicate, population: str) -> np.ndarray:
+    """The indices of the sample's rows that `scope`, the view of
+    `population`, keeps; a user error if it keeps none of a nonempty sample."""
+    rows = filter_rows(scope, sample)
+    if len(sample) and not len(rows):
+        raise EmptySampleError(
+            f"no row of sample '{sample.name}' is in population '{population}'")
+    return rows
+
+
 def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
-                       scope: Predicate | None = None, log=None):
+                       scope: Predicate | None = None, population: str | None = None,
+                       log=None):
     """The generator for (sample, scope, marginals, TrainConfig), trained on
-    the sample rows inside `scope`; the size of each sample it generates,
-    that row count but at least 1; and "hit" or "miss"."""
+    the sample rows inside `scope`, the view of `population`; the size of
+    each sample it generates, that row count but at least 1; and "hit" or
+    "miss"."""
     def fit():
-        rows = sample.take(filter_rows(scope, sample)) if scope else sample
+        rows = sample.take(_view_rows(sample, scope, population)) if scope else sample
         return (train(rows, marginals, options.train_config, log=log),
                 max(1, len(rows)))
 
@@ -368,7 +393,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     marginals, _, scope = _fit_inputs(
         catalog, pop, NoMetadataError(f"OPEN query over '{pop.name}' needs marginals"))
     trained, n_generated, cache = _trained_generator(sample, marginals, options,
-                                                     scope, log=log)
+                                                     scope, pop.name, log=log)
     weight = trained.population_total / n_generated
     aggs = query.aggregates()
     # Plain tuples come from a single generated sample.

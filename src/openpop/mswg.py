@@ -80,7 +80,6 @@ class MarginalTarget:
     points: np.ndarray          # (cells, k)
     weights: np.ndarray | None  # None means uniform (resampled) masses
     projections: np.ndarray     # (p, k) unit rows
-    label: str = ""
 
     def mass(self) -> np.ndarray:
         if self.weights is None:
@@ -122,8 +121,7 @@ def prepare_targets(marginals: list[Marginal], encoding: Encoding,
         points = encoding.encode_cells(marginal)[keep]
         omega = (np.ones((1, 1)) if len(dims) == 1
                  else sample_projections(projections, len(dims), rng))
-        targets.append(MarginalTarget(dims, points, masses, omega,
-                                      label="+".join(marginal.attributes)))
+        targets.append(MarginalTarget(dims, points, masses, omega))
     return targets
 
 

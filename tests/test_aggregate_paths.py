@@ -289,17 +289,19 @@ class TestCodesFollowTheColumns:
         by_carrier = engine.run_script("SELECT CLOSED C, COUNT(*) FROM P GROUP BY C;")
         assert ("NEW", 2.0) in by_carrier[0].rows
 
-    def test_any_field_assignment_drops_the_codes(self):
+    def test_column_assignment_drops_the_codes(self):
         schema = [AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]
         relation = Relation.from_rows(schema, [("b", 1.0), ("a", 2.0), ("b", 3.0)])
         values, codes = relation.key_columns(["c"])["c"]
         assert values == ["a", "b"] and codes.tolist() == [1, 0, 1]
+        encoded = relation.key_columns(["c"])["c"]
+        relation.weights = np.zeros(3)  # the rows did not change
+        assert relation.key_columns(["c"])["c"] is encoded
         relation.columns = {"c": ["z", "b"], "x": [0.0, 1.0]}
+        assert "memo" not in vars(relation)
         relation.weights = np.ones(2)
         values, codes = relation.key_columns(["c"])["c"]
         assert values == ["b", "z"] and codes.tolist() == [1, 0]
-        relation.weights = np.zeros(2)
-        assert "encodings" not in vars(relation)
 
     def test_reweighted_shares_columns_and_codes(self):
         schema = [AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]
@@ -307,10 +309,12 @@ class TestCodesFollowTheColumns:
         encoded = relation.key_columns(["c"])["c"]
         copy = relation.reweighted([0.5, 2.0])
         assert copy.key_columns(["c"])["c"] is encoded
+        assert copy.memo is relation.memo
         assert copy.columns["c"] is relation.columns["c"]
         assert copy.weights.tolist() == [0.5, 2.0] and relation.weights.tolist() == [1, 1]
         relation.columns = {"c": ["q", "b"], "x": [0.0, 1.0]}
         assert copy.key_columns(["c"])["c"] is encoded
+        assert relation.key_columns(["c"])["c"][0] == ["b", "q"]
 
     def test_decoded_codes_match_the_column(self):
         schema = [AttributeDef("x", "numeric"), AttributeDef("c", "categorical")]
@@ -320,7 +324,7 @@ class TestCodesFollowTheColumns:
         rng = np.random.default_rng(0)
         matrix = rng.random((50, encoding.dim))
         decoded = encoding.decode_rows(matrix, ["c", "x"])
-        values, codes = decoded.encodings["c"]
+        values, codes = decoded.memo["c"]
         assert values == sorted(values)
         assert [values[i] for i in codes] == decoded.columns["c"].tolist()
         fresh = Relation(decoded.schema, dict(decoded.columns), decoded.weights)

@@ -100,6 +100,25 @@ class TestSamples:
         with pytest.raises(UnknownAttributeError):
             catalog.create_sample("S", schema=[AttributeDef("age", "numeric")])
 
+    def test_stratification_attribute_must_be_in_the_sample(self, catalog):
+        # A global attribute the sample lacks used to pass, and SEMI-OPEN then
+        # crashed reading each row's stratum.
+        with pytest.raises(UnknownAttributeError,
+                           match="'email' not in schema of sample 'S'"):
+            catalog.create_sample("S", schema=[AttributeDef("country", "categorical")],
+                                  mechanism=Mechanism("stratified", 10.0, "email"))
+        assert "S" not in catalog.samples
+
+    def test_empty_schema_rejected(self, catalog):
+        # A relation needs a column to hold its rows: over none, ingested rows
+        # were counted but not kept, and a saved catalog failed to load.
+        with pytest.raises(CatalogError, match="at least one attribute"):
+            catalog.create_sample("S", schema=[])
+        with pytest.raises(CatalogError, match="at least one attribute"):
+            catalog.create_aux_table("T", [])
+        with pytest.raises(CatalogError, match="at least one attribute"):
+            Catalog().create_population(PopulationDef("P", True, []))
+
     def test_invalid_percent(self):
         with pytest.raises(InvalidPercentError):
             Mechanism("uniform", 0)
@@ -187,12 +206,16 @@ class TestDigest:
 CELL_ROW = st.tuples(st.sampled_from(["a", "b", "c", "d"]),
                      st.integers(0, 3).map(float),
                      st.floats(-3.0, 13.0, allow_nan=False))
+# Batch rows also bring values the first rows lack, some sorting before them.
+BATCH_ROW = st.tuples(st.sampled_from(["", "A", "a", "b", "c", "d", "e", "z"]),
+                      st.integers(0, 3).map(float),
+                      st.floats(-3.0, 13.0, allow_nan=False))
 
 
 class TestCellIds:
-    """A relation's memoized cell ids: each commit extends them and a weight
-    change keeps them, and they always equal the cell rule over the whole
-    columns."""
+    """A relation's memo of categorical codes and cell ids: each commit
+    extends it and a weight change keeps it, and every entry always equals a
+    fresh build over the whole columns."""
 
     MARGINALS = [
         Marginal("P", ("x",), {0: 5.0, 2: 1.0}, {"x": NumericBinning(0.0, 10.0, 4)}),
@@ -203,7 +226,7 @@ class TestCellIds:
 
     @given(initial=st.lists(CELL_ROW, min_size=1, max_size=8),
            steps=st.lists(st.one_of(
-               st.tuples(st.just("ingest"), st.lists(CELL_ROW, max_size=6),
+               st.tuples(st.just("ingest"), st.lists(BATCH_ROW, max_size=6),
                          st.booleans()),
                st.tuples(st.just("weights"), st.floats(0.1, 5.0))), max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -215,22 +238,52 @@ class TestCellIds:
         cat.create_sample("S", mechanism=Mechanism("stratified", 10.0, "c"))
         cat.ingest_rows("S", initial)
         sample = cat.sample("S")
-        for step in [None] + steps:
-            if step is None:
-                pass
-            elif step[0] == "weights":
+        for marginal in self.MARGINALS:
+            sample.cell_ids(marginal)  # memoizes the codes of "c" too
+        entries = {"c"} | {marginal.digest for marginal in self.MARGINALS}
+        for step in steps:
+            memo = sample.memo
+            if step[0] == "weights":
                 cat.set_weights("S", np.full(len(sample), step[1]))
             elif step[2]:  # a bad value commits none of the batch
                 with pytest.raises(CsvParseError):
                     cat.ingest_rows("S", step[1] + [("a", 1.0, "oops")])
             else:
                 cat.ingest_rows("S", step[1])
+            # An append installs a new memo; nothing else replaces it.
+            assert (sample.memo is memo) == (step[0] == "weights" or step[2])
+            assert set(sample.memo) == entries
+            fresh = Relation(sample.schema, dict(sample.columns), sample.weights)
+            column = sample.columns["c"].tolist()
+            values, codes = sample.memo["c"]
+            assert values == sorted(set(column))
+            assert [values[code] for code in codes] == column
+            fresh_values, fresh_codes = fresh.key_columns(["c"])["c"]
+            assert values == fresh_values and np.array_equal(codes, fresh_codes)
             for marginal in self.MARGINALS:
-                assert step is None or marginal.digest in sample.cell_memo
                 ids, keys = sample.cell_ids(marginal)
-                fresh_ids, fresh_keys = marginal.cell_index(sample.columns)
+                fresh_ids, fresh_keys = fresh.cell_ids(marginal)
                 assert np.array_equal(ids, fresh_ids)
                 assert repr(keys) == repr(fresh_keys)
+
+    def test_copy_made_before_an_ingest_keeps_its_memo(self, catalog):
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", "Yahoo"), ("FR", "AOL")])
+        sample = catalog.sample("S")
+        marginal = Marginal("Migrants", ("country",), {"UK": 1.0})
+        sample.cell_ids(marginal)
+        sample.key_columns(["email"])
+        copy = sample.reweighted([2.0, 3.0])
+        assert copy.memo is sample.memo
+        catalog.ingest_rows("S", [("DE", "AOL"), ("UK", "Gmail")])
+        values, codes = copy.key_columns(["email"])["email"]
+        assert values == ["AOL", "Yahoo"] and codes.tolist() == [1, 0]
+        ids, keys = copy.cell_ids(marginal)
+        assert keys == ["UK", "FR"] and ids.tolist() == [0, 1]
+        values, codes = sample.key_columns(["email"])["email"]
+        assert values == ["AOL", "Gmail", "Yahoo"] and codes.tolist() == [2, 0, 0, 1]
+        ids, keys = sample.cell_ids(marginal)
+        assert keys == ["UK", "FR", "DE"] and ids.tolist() == [0, 1, 2, 0]
 
     def test_ingest_batches_reuse_the_key_map(self, catalog, monkeypatch):
         built = []
@@ -263,7 +316,7 @@ class TestCellIds:
         marginal = Marginal("Migrants", ("country",), {"UK": 1.0})
         sample.cell_ids(marginal)
         sample.columns = {name: col[::-1] for name, col in sample.columns.items()}
-        assert not sample.cell_memo
+        assert not sample.memo
         ids, keys = sample.cell_ids(marginal)
         assert keys == ["UK", "FR"] and ids.tolist() == [1, 0]
 

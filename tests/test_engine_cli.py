@@ -317,6 +317,22 @@ class TestCli:
         assert "error: all target mass of marginal over ('email',)" in err
         assert "internal error" not in err
 
+    def test_csv_output_prints_the_warnings_on_stderr(self, tmp_path):
+        # The email marginal's AOL cell holds no row of the Yahoo-only
+        # sample; the CSV used to leave that unsaid.
+        write_fixture_files(tmp_path)
+        text = migrants_script(tmp_path).rsplit("SELECT OPEN", 1)[0]
+        path = self.script_path(tmp_path, text)
+        code, table, warned = self.run_cli(["--script", path, "--quiet"])
+        assert code == 0 and warned == ""
+        code, out, err = self.run_cli(["--script", path, "--quiet", "--output", "csv"])
+        assert code == 0
+        (answer,) = Engine().run_script(text)
+        assert out == answer.to_csv() and "warning" not in out
+        assert err.splitlines() == answer.warnings() == [
+            "warning: IPF dropped 450 target mass in 1 structural-zero cells"]
+        assert table.splitlines()[-1] == answer.warnings()[0]
+
     def non_utf8_ingest(self, tmp_path) -> str:
         (tmp_path / "latin.csv").write_bytes(b"country,email\nUK,Yahoo\n\xff\xfe,Yahoo\n")
         return (migrants_script(tmp_path).rsplit("SELECT SEMI-OPEN", 1)[0]
@@ -686,6 +702,9 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
             {**record["schema"][0], "name": "zzz"}, record["schema"][1]]}),
         ("sample", lambda record: {**record, "mechanism": {
             "kind": "stratified", "percent": 10.0, "strat_attribute": "zzz"}}),
+        ("sample", lambda record: {**record, "schema": record["schema"][1:], "rows": [
+            [30.0]], "mechanism": {"kind": "stratified", "percent": 10.0,
+                                   "strat_attribute": "country"}}),
         ("marginal", lambda record: {**record, "cells": [[0, float("nan")], [1, 2.0]]}),
         ("marginal", lambda record: {**record, "cells": [[0, float("inf")], [1, 2.0]]}),
         ("marginal", lambda record: {**record, "binnings": {"age": [0.0, 100.0, 0]}}),
@@ -702,7 +721,8 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         ("marginal", lambda record: {**record, "cells": []}),
     ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
             "zero_percent", "short_weights", "attribute_not_in_global",
-            "strat_attribute_not_in_global", "nan_count", "inf_count",
+            "strat_attribute_not_in_global", "strat_attribute_not_in_sample",
+            "nan_count", "inf_count",
             "zero_bins", "negative_bins", "fractional_bins", "infinite_hi",
             "hi_below_lo", "pair_one_value_key", "pair_three_value_key",
             "single_tuple_key", "no_cells"])
@@ -727,6 +747,24 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert code == 1
         assert f"error: line {lineno}: malformed catalog record" in err
         assert "Traceback" not in err and "internal error" not in err
+
+    def test_stratified_on_an_attribute_the_sample_lacks_fails_script(self, tmp_path):
+        # The sample used to be created, and SEMI-OPEN then died with
+        # "internal error: 'c'" (exit 2) reading each row's stratum.
+        (tmp_path / "cs.csv").write_text("c,n\nu,3\nv,5\n", encoding="utf-8")
+        path = self.script_path(tmp_path, f"""
+CREATE TABLE CS (c TEXT, n INT);
+INGEST CS FROM '{tmp_path / "cs.csv"}';
+CREATE GLOBAL POPULATION P (x INT, c TEXT);
+CREATE METADATA M AS (SELECT c, n FROM CS);
+CREATE SAMPLE S (x INT) AS
+  (SELECT x FROM P USING MECHANISM STRATIFIED ON c PERCENT 10);
+SELECT SEMI-OPEN COUNT(*) FROM P;
+""")
+        code, out, err = self.run_cli(["--script", path, "--quiet"])
+        assert (code, out) == (1, "")
+        assert "error: stratification attribute 'c' not in schema of sample 'S'" in err
+        assert "internal error" not in err
 
     def test_saved_marginal_key_of_wrong_kind_fails_script(self, tmp_path):
         # A string cell on a numeric attribute used to load, be dropped as a

@@ -126,6 +126,25 @@ class TestPlan:
         chosen = plan(parse_one("SELECT COUNT(*) FROM Migrants"), catalog)
         assert chosen.sample_name == "Yahoo"
 
+    @pytest.mark.parametrize("visibility", ["SEMI-OPEN", "OPEN"])
+    def test_sample_that_can_fit_the_marginals_wins(self, visibility):
+        # Big has more rows but lacks the marginal's attribute; choosing it
+        # used to fail with "sample 'Big' lacks attribute 'c'".
+        catalog = Catalog()
+        catalog.create_population(PopulationDef("P", True, [
+            AttributeDef("x", "numeric"), AttributeDef("c", "categorical")]))
+        catalog.create_metadata("P", ("c",), {"u": 3.0, "v": 5.0}, name="M")
+        catalog.create_sample("Big", schema=[AttributeDef("x", "numeric")])
+        catalog.ingest_rows("Big", [(1.0,), (2.0,), (3.0,), (4.0,)])
+        catalog.create_sample("Small")
+        catalog.ingest_rows("Small", [(1.0, "u"), (2.0, "v")])
+        query = parse_one(f"SELECT {visibility} COUNT(*) FROM P")
+        answer = execute(query, catalog, small_options())
+        assert answer.diagnostics["sample"] == "Small"
+        assert answer.rows[0][0] == pytest.approx(8.0)
+        closed = plan(parse_one("SELECT CLOSED COUNT(*) FROM P"), catalog)
+        assert closed.sample_name == "Big"
+
     def test_no_covering_sample(self):
         catalog = fresh_catalog()
         catalog.create_sample("Narrow", schema=[AttributeDef("age", "numeric")])
@@ -473,6 +492,19 @@ class TestOpen:
         query = parse_one("SELECT OPEN COUNT(*) FROM Migrants")
         with pytest.raises(EmptySampleError):
             execute_open(query, catalog.sample("Empty"), catalog, small_options())
+
+    @pytest.mark.parametrize("visibility", ["SEMI-OPEN", "OPEN"])
+    def test_empty_view_names_the_population(self, visibility):
+        # The view of UKers holds none of the sample's rows; the error used
+        # to say "sample 'S' has no rows", though S has two.
+        catalog = ukers_catalog()
+        catalog.samples.pop("S")
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("FR", "Yahoo"), ("FR", "AOL")])
+        query = parse_one(f"SELECT {visibility} COUNT(*) FROM UKers")
+        with pytest.raises(EmptySampleError,
+                           match="^no row of sample 'S' is in population 'UKers'$"):
+            execute(query, catalog, small_options())
 
     def test_group_missing_from_one_answer_is_excluded(self):
         full = [QueryAnswer(["g", "COUNT(*)"], [(("a",) + (10.0,)),
