@@ -17,13 +17,14 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import (
     CatalogError,
     CatalogIoError,
+    ConfigError,
     CsvParseError,
     DuplicateNameError,
     FormatVersionMismatchError,
@@ -502,6 +503,17 @@ class Catalog:
         self.samples: dict[str, SampleRelation] = {}
         self.marginals: list[Marginal] = []
         self.aux: dict[str, AuxRelation] = {}
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    @seed.setter
+    def seed(self, value: int) -> None:
+        # The one check of every seed: the engine's and a loaded catalog's.
+        if not isinstance(value, Integral) or value < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
+        self._seed = value
 
     # --- lookups ----------------------------------------------------------
 

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 
 from . import dialect
 from .catalog import Catalog
 from .engine import Engine
-from .errors import DialectSyntaxError, OpenPopError
+from .errors import OpenPopError
 from .util import read_kv_pairs
 
 META_HELP = """meta-commands:
@@ -66,13 +65,11 @@ def _run_text(engine: Engine, text: str, output: str,
     column `origin`; the first failing statement stops the rest. 0, else 1
     after its error."""
     try:
-        for stmt in dialect.parse(text):
+        for stmt in dialect.parse(text, *origin):
             answer = engine.execute_statement(stmt)
             if answer is not None:
                 _print_answer(answer, output)
     except OpenPopError as exc:
-        if isinstance(exc, DialectSyntaxError):  # located in `text`
-            exc = exc.at(*_position(text, _offset(text, exc.line, exc.col), origin))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
@@ -123,46 +120,6 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
     return True
 
 
-def _offset(text: str, line: int, col: int) -> int:
-    """The index in `text` of the lexer's (line, col)."""
-    return sum(len(part) + 1 for part in text.split("\n")[:line - 1]) + col - 1
-
-
-def _position(text: str, offset: int, origin: tuple[int, int]) -> tuple[int, int]:
-    """The (line, col) of `text[offset]` in an input where `text` starts at
-    `origin`: the inverse of `_offset`."""
-    line, col = origin
-    newlines = text.count("\n", 0, offset)
-    if newlines:
-        return line + newlines, offset - text.rindex("\n", 0, offset)
-    return line, col + offset
-
-
-def _split_statements(text: str) -> tuple[list[tuple[int, str]], str]:
-    """The statements of `text` that a `;` token ends, each with its offset
-    in `text`, and the text after them if it holds a token or an open string
-    literal: that waits for more input. A character that starts no token is
-    skipped with the rest of its word; the statement that holds it reports
-    it when it runs."""
-    ends, pos, waits = [0], 0, False
-    while True:
-        try:
-            tokens, cut = dialect.tokenize(text[pos:]), None
-        except DialectSyntaxError as exc:
-            cut = pos + _offset(text[pos:], exc.line, exc.col)
-            tokens = dialect.tokenize(text[pos:cut])
-        for tok in tokens[:-1]:  # all but EOF
-            waits = tok.type != ";"
-            if not waits:
-                ends.append(pos + _offset(text[pos:], tok.line, tok.col) + 1)
-        waits = waits or cut is not None
-        if cut is None or text[cut] == "'":
-            break
-        pos = re.compile(r"\w*").match(text, cut + 1).end()
-    statements = [(start, text[start:end]) for start, end in zip(ends, ends[1:])]
-    return statements, text[ends[-1]:] if waits else ""
-
-
 def repl_loop(engine: Engine, args) -> int:
     """Reads statements, each ended by a `;` token, plus backslash
     meta-commands; each statement runs on its own, errors are printed and
@@ -181,18 +138,24 @@ def repl_loop(engine: Engine, args) -> int:
             break
         stripped = line.strip()
         if not buffer and stripped.startswith("\\"):
-            origin = _position(line, len(line), origin)
+            origin = (origin[0] + 1, 1)
             try:
                 if not _handle_meta(engine, stripped, args):
                     break
             except (OpenPopError, ValueError, OSError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
             continue
-        text = buffer + line
-        statements, buffer = _split_statements(text)
-        for start, statement in statements:
-            _run_text(engine, statement, args.output, _position(text, start, origin))
-        origin = _position(text, len(text) - len(buffer), origin)
+        buffer += line
+        tokens, start = dialect.tokenize(buffer, *origin), 0
+        for tok in tokens:
+            if tok.type == ";":
+                _run_text(engine, buffer[start:tok.pos + 1], args.output, origin)
+                start, origin = tok.pos + 1, (tok.line, tok.col + 1)
+        # What follows the last `;` waits for more input if it holds a token.
+        if len(tokens) > 1 and tokens[-2].type != ";":
+            buffer = buffer[start:]
+        else:
+            buffer, origin = "", (tokens[-1].line, tokens[-1].col)
     if buffer:
         _run_text(engine, buffer, args.output, origin)
     return 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DialectSyntaxError
 from .predicate import COMPARISON_OPS, Comparison, InList, Predicate
@@ -33,11 +33,13 @@ TYPE_WORDS = {
     "DOUBLE": "numeric", "NUMERIC": "numeric", "DECIMAL": "numeric",
 }
 
-# One alternative per token class, tried in order at each position. `\w` is
-# str.isalnum() or "_" and `\d` a decimal digit. A word must start with a
-# letter or "_", which `tokenize` checks, since `[^\W\d]` also admits
-# numerals such as "½". SEMI-OPEN is spelled with the letters whose
-# str.upper() spells it ("ſ" is S, "ı" is I), as keywords are.
+# One alternative per token class, tried in order at each position, so every
+# character starts a match. `\w` is str.isalnum() or "_" and `\d` a decimal
+# digit. A word must start with a letter or "_", which `tokenize` checks,
+# since `[^\W\d]` also admits numerals such as "½". SEMI-OPEN is spelled with
+# the letters whose str.upper() spells it ("ſ" is S, "ı" is I), as keywords
+# are. The last two alternatives are errors: a string literal left open, and
+# a character that starts no token, with the rest of its word.
 _TOKEN = re.compile(r"""
     (?P<skip>[ \t\r\n]+|--[^\n]*)
   | (?P<SEMI_OPEN>[sS\u017f][eE][mM][iI\u0131]-[oO][pP][eE][nN]\b)
@@ -45,6 +47,8 @@ _TOKEN = re.compile(r"""
   | (?P<word>[^\W\d]\w*)
   | (?P<STRING>'(?:[^']|'')*'(?!'))
   | (?P<symbol><=|>=|[()\[\],;*=<>-])
+  | (?P<open_string>'[\s\S]*)
+  | (?P<bad>.\w*)
 """, re.VERBOSE)
 
 
@@ -54,48 +58,53 @@ class Visibility(enum.Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class Token:
-    type: str  # keyword name, "IDENT", "NUMBER", "STRING", symbol, "EOF"
-    value: object
+class Token(NamedTuple):  # a tuple: made once per token of every statement
+    type: str  # keyword name, "IDENT", "NUMBER", "STRING", symbol, "ERROR", "EOF"
+    value: object  # an ERROR token's is its DialectSyntaxError
     line: int
     col: int
+    pos: int  # offset in the text tokenized
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, then EOF; DialectSyntaxError at the first
-    character that starts no token."""
+def tokenize(text: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of `text`, then EOF, each at its line and column in an
+    input where `text` starts at (`line`, `col`). What is not a token is an
+    ERROR token whose value is the DialectSyntaxError: a character that
+    starts no token (the rest of its word is skipped), a number with more
+    digits than int() converts, or an unterminated string, which ends the
+    tokens."""
     tokens: list[Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
+    line_start = 1 - col  # the offset of column 1 of `line`
+    for match in _TOKEN.finditer(text):
+        kind, raw, pos = match.lastgroup, match.group(), match.start()
         col = pos - line_start + 1
-        if match is None or (match.lastgroup == "word"
-                             and not (text[pos].isalpha() or text[pos] == "_")):
-            if text[pos] == "'":
-                raise DialectSyntaxError("unterminated string literal", line, col)
-            raise DialectSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind, raw = match.lastgroup, match.group()
+        if kind == "word" and not (raw[0].isalpha() or raw[0] == "_"):
+            kind = "bad"
+        value = raw
         if kind == "word":
             upper = raw.upper()
-            tokens.append(Token(upper if upper in KEYWORDS else "IDENT", raw,
-                                line, col))
+            kind = upper if upper in KEYWORDS else "IDENT"
         elif kind == "NUMBER":
             try:
                 value = int(raw) if raw.isdecimal() else float(raw)
             except ValueError:  # more digits than int() converts
-                raise DialectSyntaxError(f"number with {len(raw)} digits",
-                                         line, col) from None
-            tokens.append(Token(kind, value, line, col))
+                kind, value = "ERROR", f"number with {len(raw)} digits"
         elif kind == "STRING":
-            tokens.append(Token(kind, raw[1:-1].replace("''", "'"), line, col))
-        elif kind != "skip":
-            tokens.append(Token(raw if kind == "symbol" else kind, raw, line, col))
+            value = raw[1:-1].replace("''", "'")
+        elif kind == "open_string":
+            kind, value = "ERROR", "unterminated string literal"
+        elif kind == "bad":
+            kind, value = "ERROR", f"unexpected character {raw[0]!r}"
+        elif kind == "symbol":
+            kind = raw
+        if kind == "ERROR":
+            value = DialectSyntaxError(value, line, col)
+        if kind != "skip":
+            tokens.append(Token(kind, value, line, col, pos))
         if "\n" in raw:
             line += raw.count("\n")
             line_start = pos + raw.rindex("\n") + 1
-        pos = match.end()
-    tokens.append(Token("EOF", None, line, pos - line_start + 1))
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1, len(text)))
     return tokens
 
 
@@ -387,7 +396,7 @@ class _Parser:
         group_by = self.group_by()
         self.expect(")")
         tok = self.peek()
-        if saw_count_star and tuple(attributes) != group_by:
+        if (saw_count_star or group_by) and tuple(attributes) != group_by:
             raise DialectSyntaxError(
                 "GROUP BY must list exactly the projected attributes",
                 tok.line, tok.col)
@@ -481,10 +490,15 @@ class _Parser:
         return float(self.expect("NUMBER").value)
 
 
-def parse(text: str) -> list[Statement]:
-    """Parse a script into statements; raises DialectSyntaxError with the
-    location and expected-token set of the first error."""
-    return _Parser(tokenize(text)).parse_script()
+def parse(text: str, line: int = 1, col: int = 1) -> list[Statement]:
+    """Parse a script that starts at (`line`, `col`) of its input into
+    statements; raises DialectSyntaxError with the location and expected-token
+    set of the first error, a lexical one before any in the grammar."""
+    tokens = tokenize(text, line, col)
+    for tok in tokens:
+        if tok.type == "ERROR":
+            raise tok.value
+    return _Parser(tokens).parse_script()
 
 
 def parse_one(text: str) -> Statement:

@@ -60,8 +60,8 @@ class Engine:
             rng=np.random.default_rng(seed))
 
     def set_seed(self, seed: int) -> None:
+        self.catalog.seed = seed  # checked there, before anything changes
         self.seed = seed
-        self.catalog.seed = seed
         self._set_options(train_config=replace(self.options.train_config, seed=seed))
 
     def set_config(self, key: str, value: str) -> None:

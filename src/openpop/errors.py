@@ -69,17 +69,12 @@ class DialectSyntaxError(OpenPopError):
     """Parse failure with source location and the expected token set."""
 
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        self.message = message
         self.line = line
         self.col = col
         self.expected = expected
         if expected:
             message = f"{message} (expected {' or '.join(expected)})"
         super().__init__(f"{line}:{col}: {message}")
-
-    def at(self, line: int, col: int) -> "DialectSyntaxError":
-        """The same error at another location."""
-        return DialectSyntaxError(self.message, line, col, self.expected)
 
 
 # --- ipf -------------------------------------------------------------------

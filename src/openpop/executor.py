@@ -40,6 +40,7 @@ from .errors import (
     NoUsableSampleError,
     OpenPopError,
     TypeMismatchError,
+    UnknownAttributeError,
     UnknownMechanismNoMetadataError,
 )
 from .ipf import STALL_WINDOW, IpfConfig, ipf_fit
@@ -132,23 +133,29 @@ def applicable_marginals(catalog: Catalog, population: str):
     return [], None
 
 
-def _query_attributes(query: Select, pop: PopulationDef) -> set[str]:
-    needed = set(query.plain_attributes())
-    needed.update(a.arg for a in query.aggregates() if a.arg is not None)
-    if query.predicate is not None:
-        needed.update(query.predicate.attributes())
-    needed.update(query.group_by)
-    if pop.predicate is not None:
-        needed.update(pop.predicate.attributes())
-    return needed
+def _check_aggregates(query: Select, kinds: dict[str, str]) -> None:
+    for agg in query.aggregates():
+        if agg.arg is not None and kinds.get(agg.arg) != NUMERIC:
+            raise TypeMismatchError(f"{agg.label()} requires a numeric attribute")
 
 
 def plan(query: Select, catalog: Catalog) -> Plan:
-    """Pick the sample and metadata route for a query."""
+    """Pick the sample and metadata route for a query, once every attribute
+    it names is checked against its population's schema, before any work."""
     pop = catalog.population(query.source)
+    kinds = schema_kinds(pop.schema)
     if query.predicate:
-        check_types(query.predicate, schema_kinds(pop.schema))
-    needed = _query_attributes(query, pop)
+        check_types(query.predicate, kinds)
+    needed = {a.arg for a in query.aggregates() if a.arg is not None}
+    needed.update(query.plain_attributes(), query.group_by)
+    unknown = sorted(needed - kinds.keys())
+    if unknown:
+        raise UnknownAttributeError(f"unknown attribute '{unknown[0]}'")
+    _check_aggregates(query, kinds)
+    # The view's own predicate reads attributes its schema may not project.
+    for predicate in (query.predicate, pop.predicate):
+        if predicate is not None:
+            needed.update(predicate.attributes())
     marginals, metadata_path = applicable_marginals(catalog, pop.name)
     fitted = {attr for marginal in marginals for attr in marginal.attributes}
     candidates = []
@@ -187,10 +194,7 @@ def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
     """Group/aggregate the weighted rows the WHERE keeps, read by index, each
     group's in ascending order; provenance filled by callers."""
     aggs = query.aggregates()
-    kinds = schema_kinds(relation.schema)
-    for agg in aggs:
-        if agg.arg is not None and kinds.get(agg.arg) != NUMERIC:
-            raise TypeMismatchError(f"{agg.label()} requires a numeric attribute")
+    _check_aggregates(query, schema_kinds(relation.schema))
     rows = (filter_rows(query.predicate, relation) if query.predicate
             else np.arange(len(relation)))
 

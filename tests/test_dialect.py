@@ -104,6 +104,17 @@ class TestScripts:
         with pytest.raises(DialectSyntaxError):
             parse("SELECT country, COUNT(*) FROM P;")  # missing GROUP BY
 
+    def test_metadata_count_column_group_by_must_match(self):
+        # The GROUP BY of the count-column form used to be parsed and ignored.
+        with pytest.raises(DialectSyntaxError,
+                           match="GROUP BY must list exactly the projected"):
+            parse("CREATE METADATA M AS (SELECT country, n FROM T GROUP BY email);")
+        for text in ("CREATE METADATA M AS (SELECT country, n FROM T);",
+                     "CREATE METADATA M FOR D AS (SELECT country, email, n FROM T "
+                     "GROUP BY country, email);"):
+            (stmt,) = parse(text)
+            assert parse(render(stmt)) == [stmt]
+
     def test_ingest_statement(self):
         stmt = parse_one("INGEST Yahoo FROM 'data/rows.csv'")
         assert stmt == Ingest("Yahoo", "data/rows.csv")
@@ -148,6 +159,47 @@ class TestLexer:
             ("-", "-", 2, 24), ("NUMBER", 7, 2, 25), ("IDENT", "SEMI", 2, 27),
             ("-", "-", 2, 31), ("IDENT", "OPENx", 2, 32), ("EOF", None, 2, 37)]
         assert tokens[1].type == "SEMI_OPEN" and (tokens[1].line, tokens[1].col) == (1, 8)
+
+
+    def test_origin_offsets_the_first_line_only(self):
+        tokens = tokenize("a b\n c", 3, 10)
+        assert [(t.type, t.line, t.col) for t in tokens] == [
+            ("IDENT", 3, 10), ("IDENT", 3, 12), ("IDENT", 4, 2), ("EOF", 4, 3)]
+
+    def test_pos_indexes_the_text(self):
+        text = "SELECT x\r\n  FROM 'a\nb' -- c\n;"
+        tokens = tokenize(text, 7, 5)
+        assert [t.pos for t in tokens] == [0, 7, 12, 17, 28, 29]
+        assert [text[t.pos] for t in tokens[:-1]] == ["S", "x", "F", "'", ";"]
+
+    def test_bad_character_is_one_error_token_skipping_its_word(self):
+        tokens = tokenize("x < 1\u00b2abc; y ! z")
+        assert [t.type for t in tokens] == [
+            "IDENT", "<", "NUMBER", "ERROR", ";", "IDENT", "ERROR", "IDENT", "EOF"]
+        error = tokens[3].value
+        assert isinstance(error, DialectSyntaxError)
+        assert str(error) == "1:6: unexpected character '\u00b2'"
+        assert (tokens[3].line, tokens[3].col, tokens[3].pos) == (1, 6, 5)
+        assert str(tokens[6].value) == "1:14: unexpected character '!'"
+
+    def test_unterminated_string_is_the_last_token(self):
+        tokens = tokenize("x = 'it''s;\n y;", 2, 1)
+        assert [t.type for t in tokens] == ["IDENT", "=", "ERROR", "EOF"]
+        assert str(tokens[2].value) == "2:5: unterminated string literal"
+        assert (tokens[-1].line, tokens[-1].col) == (3, 4)
+
+    def test_overlong_number_is_an_error_token(self):
+        tokens = tokenize("x < " + "9" * 5000 + " ;")
+        assert [t.type for t in tokens] == ["IDENT", "<", "ERROR", ";", "EOF"]
+        assert str(tokens[2].value) == "1:5: number with 5000 digits"
+
+    def test_parse_raises_the_first_lexical_error_at_its_input_position(self):
+        text = "SELECT FROM P;\nSELECT x FROM P WHERE x < 1\u00b2 ! 'open"
+        with pytest.raises(DialectSyntaxError) as err:
+            parse(text, 4, 9)
+        assert str(err.value) == "5:28: unexpected character '\u00b2'"
+        with pytest.raises(DialectSyntaxError, match="expected attribute"):
+            parse(text.split("\n")[0], 4, 9)
 
 
 # Characters the lexer treats specially, plus digits and letters outside ASCII

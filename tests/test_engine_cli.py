@@ -1,6 +1,8 @@
 """Engine statement dispatch and the command-line surface."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import openpop.cli
 import openpop.executor
 from openpop.catalog import AttributeDef, Catalog, NumericBinning, PopulationDef
-from openpop.cli import _build_engine, main
+from openpop.cli import _build_engine, _run_text, main, repl_loop
 from openpop.engine import Engine
 from openpop.errors import (
     ConfigError,
@@ -581,6 +585,14 @@ SELECT CLOSED SUM(x) FROM P;
             f"error: {line}:{col}: unexpected character '\u00b2'"
             for line, col in ((2, 73), (4, 30), (4, 74))]
 
+    def test_repl_overlong_number_fails_only_its_statement(self, tmp_path):
+        where = "SELECT CLOSED COUNT(*) FROM P WHERE x < "
+        code, out, err = self.repl(
+            tmp_path, where + "9" * 5000 + "; SELECT CLOSED SUM(x) FROM P;\n")
+        assert code == 0
+        assert err == f"error: 4:{len(where) + 1}: number with 5000 digits\n"
+        assert "SUM(x)" in out and "3.0" in out
+
     def test_repl_continues_after_train_without_metadata(self, tmp_path):
         (tmp_path / "rows.csv").write_text("x\n1\n2\n", encoding="utf-8")
         stdin = f"""
@@ -829,6 +841,46 @@ CREATE METADATA P_age AS (SELECT age, n FROM Ages);
         assert saved_seed(["--seed", "3"]) == 3
         assert saved_seed([]) == 3
 
+    def test_rejected_seed_changes_nothing(self, tmp_path):
+        # `\seed -1` used to set the seed before numpy refused it: every later
+        # \config failed, and \save wrote a catalog that would not load.
+        catalog_path = tmp_path / "c.opc"
+        code, out, err = self.run_cli(
+            ["--quiet", "--seed", "4", "--catalog", str(catalog_path)],
+            stdin="\\seed -1\n\\config k_samples 5\n\\save\n")
+        assert code == 0 and "saved catalog" in out
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert Catalog.load(catalog_path).seed == 4
+
+    def test_negative_seed_is_rejected_before_it_is_set(self, tmp_path):
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ConfigError, match=message):
+            Engine(seed=-1)
+        engine = Engine(seed=2)
+        with pytest.raises(ConfigError, match=message):
+            engine.set_seed(-1)
+        assert (engine.seed, engine.catalog.seed,
+                engine.options.train_config.seed) == (2, 2, 2)
+        config = tmp_path / "seed.conf"
+        config.write_text("seed = -1\n", encoding="utf-8")
+        for args in (["--seed", "-1"], ["--config", str(config)]):
+            code, _, err = self.run_cli(["--quiet", *args], stdin="\\quit\n")
+            assert (code, err) == (1, f"error: {message}\n")
+
+    def test_saved_negative_seed_fails_at_its_line(self, tmp_path):
+        catalog_path = tmp_path / "c.opc"
+        Catalog(seed=5).save(catalog_path)
+        text = catalog_path.read_text(encoding="utf-8")
+        edited = text.replace('{"kind": "state", "seed": 5}',
+                              '{"kind": "state", "seed": -1}')
+        assert edited != text
+        catalog_path.write_text(edited, encoding="utf-8")
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="\\quit\n")
+        assert code == 1
+        assert err == ("error: line 2: malformed catalog record (ConfigError: "
+                       "seed must be a non-negative integer, got -1)\n")
+
     def test_entry_point_runs(self):
         # The child imports the same openpop as this test, PYTHONPATH or not.
         src = os.path.dirname(os.path.dirname(openpop.executor.__file__))
@@ -838,6 +890,57 @@ CREATE METADATA P_age AS (SELECT age, n FROM Ages);
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "--catalog" in result.stdout
+
+
+# Error-free CLOSED statements as tokens; string literals hold `;`, `--`,
+# quotes and line breaks.
+REPL_STATEMENTS = [
+    ["SELECT", "CLOSED", "COUNT(*)", "FROM", "P"],
+    ["SELECT", "CLOSED", "y", ",", "SUM(x)", "FROM", "P", "WHERE", "y", "IN",
+     "('a;',", "'b\n;--')", "GROUP", "BY", "y"],
+    ["SELECT", "y", "FROM", "P", "WHERE", "y", "=", "'it''s'"],
+    ["SELECT", "CLOSED", "AVG(x)", "FROM", "P", "WHERE", "x", ">=", "2"],
+]
+TOKEN_GAPS = st.sampled_from([" ", "\n", "\t", "\r\n  ", " -- a; 'b\n", "\n\n"])
+STATEMENT_GAPS = st.sampled_from(["", " ", "\n", " -- done; 'x\n"])
+
+
+@st.composite
+def closed_scripts(draw):
+    """A script of error-free CLOSED statements, and how many it holds."""
+    parts, indexes = [], draw(st.lists(
+        st.integers(0, len(REPL_STATEMENTS) - 1), min_size=1, max_size=4))
+    for index in indexes:
+        for token in REPL_STATEMENTS[index]:
+            parts += [token, draw(TOKEN_GAPS)]
+        parts += [";", draw(STATEMENT_GAPS)]
+    if draw(st.booleans()):  # the last statement runs at end of input
+        parts = parts[:-2]
+    return "".join(parts), len(indexes)
+
+
+@given(closed_scripts())
+@settings(max_examples=100, deadline=None)
+def test_repl_answers_as_the_whole_text_does(script):
+    # However the statements are split across lines, the REPL prints what
+    # running the whole text at once prints.
+    text, statements = script
+    engine = Engine()
+    engine.run_script("CREATE GLOBAL POPULATION P (x INT, y TEXT);"
+                      "CREATE SAMPLE S AS (SELECT * FROM P);")
+    engine.catalog.ingest_rows("S", [(1, "a;"), (2, "b\n;--"), (3, "it's"), (4, "a;")])
+    whole, errors = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(whole), contextlib.redirect_stderr(errors):
+        assert _run_text(engine, text, "table") == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdin", io.StringIO(text))
+        patch.setattr(sys, "stdout", io.StringIO())
+        patch.setattr(sys, "stderr", errors)
+        assert repl_loop(engine, argparse.Namespace(output="table")) == 0
+        out = sys.stdout.getvalue()
+    assert errors.getvalue() == ""
+    assert out == whole.getvalue()
+    assert out.count("closed)") == statements
 
 
 def cache_script(tmp_path) -> str:

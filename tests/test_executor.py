@@ -32,6 +32,7 @@ from openpop.errors import (
     NoMetadataError,
     NoUsableSampleError,
     TypeMismatchError,
+    UnknownAttributeError,
     UnknownMechanismNoMetadataError,
 )
 from openpop.executor import (
@@ -170,6 +171,47 @@ class TestPlan:
         with pytest.raises(TypeMismatchError):
             execute(parse_one(f"SELECT CLOSED COUNT(*) FROM Migrants WHERE {where}"),
                     catalog)
+
+
+    def test_query_names_only_its_population_attributes(self):
+        # D projects country only; its sample still holds email and age,
+        # which a query over D used to read.
+        engine = Engine()
+        engine.catalog = fresh_catalog()
+        engine.run_script("CREATE POPULATION D AS "
+                          "(SELECT country FROM Migrants WHERE country = 'UK');")
+        (answer,) = engine.run_script(
+            "SELECT CLOSED country, COUNT(*) FROM D GROUP BY country")
+        assert answer.rows == [("UK", 3.0)]
+        for text, attr in (("SELECT CLOSED email, COUNT(*) FROM D GROUP BY email",
+                            "email"),
+                           ("SELECT CLOSED SUM(age) FROM D", "age"),
+                           ("SELECT CLOSED COUNT(*) FROM D WHERE email = 'AOL'",
+                            "email"),
+                           ("SELECT SEMI-OPEN AVG(bogus) FROM Migrants", "bogus")):
+            with pytest.raises(UnknownAttributeError,
+                               match=f"unknown attribute '{attr}'"):
+                plan(parse_one(text), engine.catalog)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_rejected_query_leaves_the_session_as_it_was(self, monkeypatch, cpus):
+        # AVG over a categorical attribute used to pass `plan`, train the
+        # generator and draw the k latent batches before it failed, so the
+        # next OPEN answer depended on it and on the thread count.
+        monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: cpus)
+        query = parse_one("SELECT OPEN country, AVG(age) FROM Migrants "
+                          "GROUP BY country")
+        answers = []
+        for rejected in (True, False):
+            engine = Engine(seed=3, train_config=small_options().train_config)
+            engine.catalog = open_world_catalog()
+            if rejected:
+                with pytest.raises(TypeMismatchError, match="AVG.country. requires"):
+                    engine.execute_statement(
+                        parse_one("SELECT OPEN AVG(country) FROM Migrants"))
+                assert engine.options.generator_cache == {}
+            answers.append(engine.execute_statement(query).to_text())
+        assert answers[0] == answers[1]
 
 
 class TestClosed:
