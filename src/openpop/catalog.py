@@ -157,35 +157,17 @@ def _coerce_column(attr: AttributeDef, column: tuple):
 
 def _csv_records(handle):
     """(line, record) for the header of a CSV file and each non-blank record
-    after it; lines count from 1, blank records included. An error of the
-    reader raises a CsvParseError at the record it stopped in."""
-    lineno = 0
+    after it, where line is the one the record starts on; lines count from
+    1, blank ones included. An error of the reader ends the records with
+    (line, CsvParseError) for the record it stopped in."""
+    reader, line = csv.reader(handle), 1
     try:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if record or lineno == 1:
-                yield lineno, record
+        for record in reader:
+            if record or line == 1:
+                yield line, record
+            line = reader.line_num + 1
     except csv.Error as exc:
-        raise CsvParseError(str(exc), lineno + 1) from exc
-
-
-def _chunks(records):
-    """`records` in lists of up to INGEST_CHUNK. A CsvParseError that
-    `records` raises comes after the list of the records read before it, so
-    a bad record among those is reported first."""
-    records = iter(records)
-    while True:
-        chunk, error = [], None
-        try:
-            for record in itertools.islice(records, INGEST_CHUNK):
-                chunk.append(record)
-        except CsvParseError as exc:
-            error = exc
-        if chunk:
-            yield chunk
-        if error:
-            raise error
-        if len(chunk) < INGEST_CHUNK:
-            return
+        yield line, CsvParseError(str(exc), line)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -690,10 +672,12 @@ class Catalog:
     def _ingest(self, rel: Relation, records, positions) -> int:
         """Coerce every (line, row) record, whose i-th field is the attribute
         at schema position positions[i], then commit them all. The first bad
-        record raises before the relation or a domain changes."""
+        record raises before the relation or a domain changes; a last record
+        (line, CsvParseError) raises after any bad record before it."""
         attrs = [rel.schema[pos] for pos in positions]
         batches = []
-        for chunk in _chunks(records):
+        for chunk in iter(lambda: list(itertools.islice(records, INGEST_CHUNK)), []):
+            error = chunk.pop()[1] if isinstance(chunk[-1][1], CsvParseError) else None
             try:  # strict zips raise ValueError on a record of the wrong length
                 columns = {a.name: _coerce_column(a, c) for a, c in zip(
                     attrs, zip(*(row for _, row in chunk), strict=True), strict=True)}
@@ -705,6 +689,8 @@ class Catalog:
                             f"expected {len(attrs)} fields, got {len(row)}", lineno)
                     for attr, raw in zip(attrs, row):
                         columns[attr.name].append(self._coerce(attr, raw, lineno))
+            if error is not None:
+                raise error
             batches.append(Relation(rel.schema, columns, np.ones(len(chunk))))
         return self._commit(rel, batches)
 
@@ -730,6 +716,8 @@ class Catalog:
                     _, header = next(records)
                 except StopIteration:
                     return 0
+                if isinstance(header, CsvParseError):
+                    raise header
                 index = {a.name: i for i, a in enumerate(rel.schema)}
                 cols = []
                 for name in header:

@@ -14,7 +14,7 @@ from . import dialect
 from .catalog import Catalog
 from .engine import Engine
 from .errors import OpenPopError
-from .util import read_kv_pairs
+from .util import parse_setting, read_kv_pairs
 
 META_HELP = """meta-commands:
   \\load <file>            run a script file
@@ -35,7 +35,8 @@ def _build_engine(args) -> Engine:
     # catalog's, and 0.
     seeds = (args.seed, pairs.pop("seed", None),
              catalog.seed if catalog else None, 0)
-    seed = int(next(s for s in seeds if s is not None))
+    seed = next(s for s in seeds if s is not None)
+    seed = parse_setting("seed", 0, seed) if isinstance(seed, str) else seed
     log = (lambda message: None) if args.quiet else \
         (lambda message: print(message, file=sys.stderr))
     engine = Engine(seed=seed, log=log)
@@ -109,7 +110,7 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
             engine.catalog.save(path)
             print(f"saved catalog to {path}")
     elif command == "seed" and len(parts) == 2:
-        engine.set_seed(int(parts[1]))
+        engine.set_seed(parse_setting("seed", engine.seed, parts[1]))
     elif command == "config" and len(parts) == 3:
         engine.set_config(parts[1], parts[2])
     elif command == "train" and len(parts) == 2:

@@ -41,7 +41,7 @@ from .executor import (
     execute,
 )
 from .mswg import TrainConfig
-from .util import apply_kv
+from .util import apply_kv, parse_setting
 
 
 class Engine:
@@ -73,7 +73,8 @@ class Engine:
         section, _, name = key.partition(".")
         option = {"train": "train_config", "ipf": "ipf"}.get(section)
         if key == "k_samples":
-            self._set_options(k_samples=int(value))
+            self._set_options(
+                k_samples=parse_setting(key, self.options.k_samples, value))
         elif option is not None:
             config = getattr(self.options, option)
             self._set_options(**{option: replace(

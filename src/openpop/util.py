@@ -12,25 +12,32 @@ from .errors import ConfigError
 def read_kv_pairs(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8-sig") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"expected 'key = value', got {line!r}")
+                raise ConfigError(
+                    f"line {lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             out[key] = value
     return out
 
 
-def _coerce_like(current, value: str):
-    """Parse `value` with the type of `current`: int, float, or a tuple of
-    ints separated by commas or spaces."""
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    return tuple(int(v) for v in value.replace(",", " ").split())
+def parse_setting(key: str, current, text: str):
+    """`text` read with the type of `current`: an int, a float, or a tuple
+    of ints separated by commas or spaces. A ConfigError names `key` and
+    `text`."""
+    try:
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+        return tuple(int(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        kind = {int: "an integer", float: "a number"}.get(
+            type(current), "integers separated by commas or spaces")
+        raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
 
 
 def apply_kv(defaults, pairs: dict[str, str]) -> dict:
@@ -40,7 +47,7 @@ def apply_kv(defaults, pairs: dict[str, str]) -> dict:
     for key, value in pairs.items():
         if key not in names:
             raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce_like(getattr(defaults, key), value)
+        out[key] = parse_setting(key, getattr(defaults, key), value)
     return out
 
 

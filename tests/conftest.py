@@ -1,14 +1,15 @@
 import functools
 import os
 
-import pytest
-
-from openpop.catalog import Relation
-
 # Keep BLAS reductions single-threaded so repeated runs are bit-identical.
+# BLAS reads these once, when numpy is first imported, so they come first.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from openpop.catalog import Relation  # noqa: E402
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -440,13 +440,40 @@ class TestAtomicIngest:
                 (["UK,1", huge], 3, "field larger than field limit"),
                 (["UK,1", "FR,x", huge], 3, "non-numeric value 'x'"),
                 (["UK,1"] * 256 + [huge], 258, "field larger than field limit"),
-                (["UK,1"] * 255 + ["FR,x", huge], 257, "non-numeric value 'x'")):
+                (["UK,1"] * 255 + ["FR,x", huge], 257, "non-numeric value 'x'"),
+                ([huge], 2, "field larger than field limit"),
+                (["UK,1"] * 255 + [huge], 257, "field larger than field limit")):
             path.write_text("\n".join(["country,n"] + records) + "\n",
                             encoding="utf-8")
             with pytest.raises(CsvParseError, match=message) as err:
                 cat.ingest_csv("S", path)
             assert err.value.line == line
             assert self.state(cat) == before
+        # The reader can stop in the header too.
+        path.write_text(f"country,{huge}\nUK,1\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match="field larger than field limit") as err:
+            cat.ingest_csv("S", path)
+        assert err.value.line == 1
+        assert self.state(cat) == before
+
+    def test_error_names_the_line_its_record_starts_on(self, tmp_path):
+        # A quoted field over two lines makes the next record start two
+        # lines on, for a bad value and for an error of the reader alike.
+        cat = self.build()
+        before = self.state(cat)
+        path = tmp_path / "multiline.csv"
+        for text, message in (
+                ('country,n\n"U\nK",1\nFR,x\n', "non-numeric value 'x'"),
+                ('country,n\n"U\nK",1\nNL,' + "9" * 200_000 + "\n",
+                 "field larger than field limit")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(CsvParseError, match=message) as err:
+                cat.ingest_csv("S", path)
+            assert err.value.line == 4
+            assert self.state(cat) == before
+        path.write_text('country,n\n"U\nK",1\n\nFR,2\n', encoding="utf-8")
+        assert cat.ingest_csv("S", path) == 2
+        assert self.state(cat)[2][1:] == [("U\nK", 1.0), ("FR", 2.0)]
 
     def test_failed_rows_keep_domains(self):
         cat = self.build()

@@ -204,6 +204,21 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 10);
         engine.set_config("k_samples", "3")
         assert engine.options.k_samples == 3
 
+    def test_set_config_value_errors_name_the_setting(self):
+        # These used to raise Python's bare int() or float() message.
+        engine = fast_engine()
+        before = engine.options
+        for key, value, message in (
+                ("k_samples", "x", "k_samples must be an integer, got 'x'"),
+                ("train.epochs", "x", "epochs must be an integer, got 'x'"),
+                ("train.layers", "8,x",
+                 "layers must be integers separated by commas or spaces, got '8,x'"),
+                ("ipf.max_rounds", "1.5", "max_rounds must be an integer, got '1.5'"),
+                ("ipf.tolerance", "abc", "tolerance must be a number, got 'abc'")):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                engine.set_config(key, value)
+            assert engine.options is before
+
     def test_readme_lists_every_config_key(self):
         # README's table of \config keys names each key set_config takes,
         # with its default.
@@ -692,6 +707,51 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
                                         stdin="\\quit\n")
             assert code == 1
             assert "unknown config key" in err
+
+    def test_repl_value_errors_name_the_setting(self, monkeypatch):
+        engines = []
+        real_build = openpop.cli._build_engine
+        monkeypatch.setattr(openpop.cli, "_build_engine",
+                            lambda args: engines.append(real_build(args)) or engines[-1])
+        stdin = ("\\seed 1.5\n\\config k_samples x\n\\config train.epochs x\n"
+                 "\\config train.layers 8,x\n\\config ipf.max_rounds 1.5\n"
+                 "\\config ipf.tolerance abc\n\\quit\n")
+        code, _, err = self.run_cli(["--quiet", "--seed", "5"], stdin=stdin)
+        assert code == 0
+        assert err.splitlines() == [
+            "error: seed must be an integer, got '1.5'",
+            "error: k_samples must be an integer, got 'x'",
+            "error: epochs must be an integer, got 'x'",
+            "error: layers must be integers separated by commas or spaces, got '8,x'",
+            "error: max_rounds must be an integer, got '1.5'",
+            "error: tolerance must be a number, got 'abc'"]
+        (engine,) = engines
+        assert (engine.seed, engine.options.train_config, engine.options.ipf,
+                engine.options.k_samples) == (
+            5, TrainConfig(seed=5), IpfConfig(), ExecOptions().k_samples)
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = x\n", "error: seed must be an integer, got 'x'\n"),
+        ("train.epochs = x\n", "error: epochs must be an integer, got 'x'\n"),
+        ("# settings\n\nnot a pair\n",
+         "error: line 3: expected 'key = value', got 'not a pair'\n")])
+    def test_config_file_errors_name_the_setting(self, tmp_path, text, message):
+        config = tmp_path / "bad.conf"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = self.run_cli(["--quiet", "--config", str(config)],
+                                      stdin="\\quit\n")
+        assert (code, out, err) == (1, "", message)
+
+    def test_reader_error_in_csv_header_fails_script(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a," + "x" * 200_000 + "\nUK,1\n", encoding="utf-8")
+        script = self.script_path(tmp_path, (
+            "CREATE GLOBAL POPULATION P (a TEXT, n INT);\n"
+            "CREATE SAMPLE S AS (SELECT * FROM P);\n"
+            f"INGEST S FROM '{path}';\n"))
+        code, out, err = self.run_cli(["--script", script, "--quiet"])
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: field larger than field limit (131072)\n"
 
     def test_corrupt_catalog_is_not_overwritten(self, tmp_path):
         catalog_path = tmp_path / "cat.opc"
