@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         description="Population queries over arbitrarily biased samples.")
     parser.add_argument("--catalog", help="catalog file to load/save")
     parser.add_argument("--script", help="run this script instead of a REPL")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", default=None)  # read by parse_setting
     parser.add_argument("--config", help="key-value config file "
                                          "(train.*, ipf.*, k_samples, seed)")
     parser.add_argument("--output", choices=("table", "csv"), default="table")

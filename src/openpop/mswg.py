@@ -163,7 +163,9 @@ def transport_term(target: MarginalTarget, q: np.ndarray):
     proj_batch = q @ omega.T
     if target.weights is None and proj_targets.shape[0] == proj_batch.shape[0]:
         w_cols, grad_proj = aligned_w1_grad(proj_targets, proj_batch)
-        return float(w_cols.sum() / p), (grad_proj / p) @ omega
+        del proj_targets, proj_batch  # freed before the product below
+        grad_proj /= p
+        return float(w_cols.sum() / p), grad_proj @ omega
     total = 0.0
     grad_proj = np.zeros_like(proj_batch)
     for j in range(p):

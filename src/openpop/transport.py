@@ -7,7 +7,10 @@ sorting. Both inputs are normalized to probability measures internally.
 The subgradient with respect to the Q support points holds the sorted
 order fixed: each point owns a quantile span, and its derivative is the
 signed length of the sub-segments where it sits above / below the matched
-P quantile. Ties are broken by a stable sort on value then index.
+P quantile. Ties are broken by a stable sort on value then index: the
+aligned kernel sorts with numpy's default (faster, unstable) sort and
+re-sorts stably only the Q columns whose sorted values are not strictly
+increasing, which gives the same order.
 """
 
 from __future__ import annotations
@@ -82,20 +85,31 @@ def aligned_w1_grad(p_matrix, q_matrix):
     With n equally weighted atoms on both sides the quantile spans align and
     each column's W1 is mean |sorted p - sorted q|; this is the vectorized
     fast path used when marginal targets are resampled to the batch size.
+
+    It allocates three arrays of the inputs' size: sorted P (reused for
+    |diff| and then as the gradient), Q's sort order and the sorted
+    difference. It never writes its inputs. The default sorts give the
+    stable sorts' values up to the sign of zero, which neither |diff| nor
+    sign(diff) keeps; Q's order is made the stable one by re-sorting stably
+    the columns with a tie (or a NaN).
     """
     p = np.asarray(p_matrix, dtype=float)
     q = np.asarray(q_matrix, dtype=float)
     if p.shape != q.shape:
         raise EmptyDistributionError("aligned path requires equal shapes")
     n = p.shape[0]
-    p_sorted = np.sort(p, axis=0, kind="stable")
-    q_order = np.argsort(q, axis=0, kind="stable")
-    q_sorted = np.take_along_axis(q, q_order, axis=0)
-    diff = q_sorted - p_sorted
-    w_per_col = np.abs(diff).mean(axis=0)
-    grad = np.zeros_like(q)
-    np.put_along_axis(grad, q_order, np.sign(diff) / n, axis=0)
-    return w_per_col, grad
+    buf = np.sort(p, axis=0)
+    q_order = np.argsort(q, axis=0)
+    diff = np.take_along_axis(q, q_order, axis=0)
+    tied = np.flatnonzero(~(diff[1:] > diff[:-1]).all(axis=0))
+    q_order[:, tied] = np.argsort(q[:, tied], axis=0, kind="stable")
+    diff -= buf
+    w_per_col = np.abs(diff, out=buf).mean(axis=0)
+    np.sign(diff, out=diff)
+    diff /= n
+    # Each column of q_order is a permutation, so this writes every entry.
+    np.put_along_axis(buf, q_order, diff, axis=0)
+    return w_per_col, buf
 
 
 def sample_projections(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -742,6 +742,13 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
                                       stdin="\\quit\n")
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("seed", ["x", "1.5"])
+    def test_seed_flag_error_names_the_setting(self, seed):
+        # --seed text gets the check and exit code of a config file's seed.
+        code, out, err = self.run_cli(["--quiet", "--seed", seed], stdin="\\quit\n")
+        assert (code, out, err) == (
+            1, "", f"error: seed must be an integer, got '{seed}'\n")
+
     def test_reader_error_in_csv_header_fails_script(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("a," + "x" * 200_000 + "\nUK,1\n", encoding="utf-8")

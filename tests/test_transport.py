@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import openpop.mswg
+from openpop.catalog import AttributeDef, Marginal, SampleRelation
 from openpop.errors import EmptyDistributionError
+from openpop.mswg import MarginalTarget, TrainConfig, train, transport_term
 from openpop.transport import (
     aligned_w1_grad,
     sample_projections,
@@ -41,6 +44,22 @@ def lp_transport_cost(p_values, q_values, p_weights=None, q_weights=None):
                   bounds=(0, None), method="highs")
     assert res.success
     return float(res.fun)
+
+
+def stable_aligned_w1_grad(p_matrix, q_matrix):
+    """The aligned kernel as two stable sorts and a zero-filled gradient
+    (test oracle for the bytes of `aligned_w1_grad`)."""
+    p = np.asarray(p_matrix, dtype=float)
+    q = np.asarray(q_matrix, dtype=float)
+    n = p.shape[0]
+    p_sorted = np.sort(p, axis=0, kind="stable")
+    q_order = np.argsort(q, axis=0, kind="stable")
+    q_sorted = np.take_along_axis(q, q_order, axis=0)
+    diff = q_sorted - p_sorted
+    w_per_col = np.abs(diff).mean(axis=0)
+    grad = np.zeros_like(q)
+    np.put_along_axis(grad, q_order, np.sign(diff) / n, axis=0)
+    return w_per_col, grad
 
 
 def random_instance(rng, max_points=8, weighted=True):
@@ -150,6 +169,84 @@ class TestGradient:
             w, grad = wasserstein_1d_grad(p[:, j], None, q[:, j])
             assert w_cols[j] == pytest.approx(w, abs=1e-12)
             assert np.allclose(grads[:, j], grad)
+
+
+def tied_matrix(rng, rows, cols):
+    """Columns drawn from a few values, ±0 among them, some of them with
+    continuous noise added, and the last column a copy of the first."""
+    values = np.array([-0.0, 0.0, -1.5, 1.5, 2.0, 0.25])
+    out = rng.choice(values, size=(rows, cols))
+    noisy = rng.random(cols) < 0.3
+    out[:, noisy] += rng.normal(size=(rows, int(noisy.sum())))
+    out[:, -1] = out[:, 0]
+    return out
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestAlignedKernelBytes:
+    """aligned_w1_grad sorts with the fast default kind; its outputs must be
+    the bytes of the stable-sort formulation, and its inputs untouched."""
+
+    @pytest.mark.parametrize("rows, cols", [
+        (1, 1), (1, 7), (9, 1), (700, 1), (40, 12), (600, 30)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_stable_sorts(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        dense = [rng.normal(size=(rows, cols)), rng.normal(size=(rows, cols))]
+        for p, q in (dense, [tied_matrix(rng, rows, cols), tied_matrix(rng, rows, cols)],
+                     [dense[0], tied_matrix(rng, rows, cols)]):
+            p_before, q_before = p.copy(), q.copy()
+            w_want, g_want = stable_aligned_w1_grad(p, q)
+            w_got, g_got = aligned_w1_grad(p, q)
+            assert same_bytes(w_got, w_want) and same_bytes(g_got, g_want)
+            assert same_bytes(p, p_before) and same_bytes(q, q_before)
+
+
+def test_transport_term_bytes():
+    # The loss divides the kernel's gradient by p in place, then projects it
+    # back: the bytes of (grad / p) @ omega.
+    rng = np.random.default_rng(4)
+    omega = sample_projections(200, 3, rng)
+    points = rng.choice([0.0, 1.0, 2.5], size=(300, 3))
+    batch = rng.normal(size=(300, 3))
+    loss, grad = transport_term(MarginalTarget(np.arange(3), points, None, omega), batch)
+    w_cols, grad_proj = stable_aligned_w1_grad(points @ omega.T, batch @ omega.T)
+    assert loss == float(w_cols.sum() / 200)
+    assert same_bytes(grad, (grad_proj / 200) @ omega)
+
+
+def flights_shaped_sample(n=120, seed=0):
+    rng = np.random.default_rng(seed)
+    carriers = ["AA", "DL", "UA"]
+    schema = [AttributeDef("C", "categorical", domain=carriers),
+              AttributeDef("O", "numeric"), AttributeDef("E", "numeric")]
+    rows = [(str(c), float(o), float(e)) for c, o, e in zip(
+        rng.choice(carriers, n), rng.integers(1, 9, n), rng.integers(30, 300, n))]
+    return SampleRelation.from_rows(schema, rows, np.ones(n), name="s")
+
+
+def test_training_bytes_match_stable_kernel(monkeypatch):
+    """A few flights-shaped training steps (a categorical x numeric pair, a
+    numeric pair, 200 projections) give the same tensors with the oracle
+    kernel in place of aligned_w1_grad."""
+    rng = np.random.default_rng(1)
+    marginals = [
+        Marginal("p", ("C", "E"), {(c, float(e)): float(rng.integers(1, 20))
+                                   for c in ("AA", "DL", "UA") for e in range(30, 300, 30)}),
+        Marginal("p", ("O", "E"), {(float(o), float(e)): float(rng.integers(1, 20))
+                                   for o in range(1, 9) for e in range(30, 300, 45)})]
+    cfg = TrainConfig(coverage_weight=1e-3, latent_dim=4, projections=200,
+                      batch_size=100, epochs=1, layers=(24, 24), seed=3)
+    sample = flights_shaped_sample()
+    fast = train(sample, marginals, cfg)
+    monkeypatch.setattr(openpop.mswg, "aligned_w1_grad", stable_aligned_w1_grad)
+    oracle = train(sample, marginals, cfg)
+    assert len(fast.diagnostics["history"]) == 1
+    assert [t.tobytes() for t in fast.net.snapshot()] == \
+        [t.tobytes() for t in oracle.net.snapshot()]
 
 
 class TestProjections:
