@@ -414,7 +414,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
         return _answer(query, pop, (rows.reweighted(np.full(len(rows), weight))
                                     for rows in generated), PROVENANCE_OPEN,
                        k=k, generated_rows=n_generated, row_weight=weight,
-                       materialized=not aggs,
+                       materialized=not aggs, workers=workers,
                        generator_params=trained.net.num_params(),
                        generator_cache=cache)
 

@@ -85,6 +85,8 @@ def aligned_w1_grad(p_matrix, q_matrix):
     With n equally weighted atoms on both sides the quantile spans align and
     each column's W1 is mean |sorted p - sorted q|; this is the vectorized
     fast path used when marginal targets are resampled to the batch size.
+    `mswg.transport_term` calls it once per block of projections, and every
+    column's outputs depend on that column alone.
 
     It allocates three arrays of the inputs' size: sorted P (reused for
     |diff| and then as the gradient), Q's sort order and the sorted

@@ -603,6 +603,21 @@ class TestOpenPool:
         assert answer.to_text() == want.to_text()
         assert answer.to_csv() == want.to_csv()
 
+    @pytest.mark.parametrize("case", ["group_by", "materialized"])
+    def test_reports_its_pool_size(self, monkeypatch, case):
+        make_catalog, text = self.CASES[case]
+        catalog, query = make_catalog(), parse_one(text)
+        answers = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: cpus)
+            answers[cpus] = execute(query, catalog,
+                                    small_options(rng=np.random.default_rng(7)))
+        for cpus, answer in answers.items():
+            assert answer.diagnostics["workers"] == min(answer.diagnostics["k"], cpus)
+            assert answer.to_text() == answers[1].to_text()
+            assert answer.to_csv() == answers[1].to_csv()
+        assert answers[3].diagnostics["workers"] == (1 if case == "materialized" else 3)
+
     def test_generates_at_most_workers_ahead_on_pool_threads(self, monkeypatch):
         catalog = open_world_catalog()
         options = small_options()

@@ -6,7 +6,13 @@ import pytest
 import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, Relation, SampleRelation
 from openpop.encoding import Encoding
-from openpop.mswg import coverage_penalty, loss_and_grad, prepare_targets, resample_target
+from openpop.mswg import (
+    TRANSPORT_BLOCK,
+    coverage_penalty,
+    loss_and_grad,
+    prepare_targets,
+    resample_target,
+)
 from openpop.net import Adam, BatchNorm, GeneratorNet, Linear
 from openpop.transport import wasserstein_1d, wasserstein_1d_grad
 
@@ -77,7 +83,7 @@ class TestCoverageGradient:
         assert_close(grad, numeric)
 
 
-def small_problem(rng):
+def small_problem(rng, projections=4):
     schema = [AttributeDef("x", "numeric"),
               AttributeDef("c", "categorical", domain=["u", "v", "w"])]
     rows = [(float(v), c) for v, c in zip(rng.uniform(0, 10, 25),
@@ -90,7 +96,7 @@ def small_problem(rng):
                                    for c in ("u", "v")}),
     ]
     encoding = Encoding.build(schema, sample.columns, marginals)
-    targets = prepare_targets(marginals, encoding, projections=4, rng=rng)
+    targets = prepare_targets(marginals, encoding, projections, rng)
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
                        rng)
     latents = rng.standard_normal((8, 2))
@@ -131,6 +137,24 @@ class TestFullLossGradient:
         loss, _ = loss_and_grad(net, latents, points, targets, lam)
         assert loss > 0
         assert aligned == [len(latents)] * len(targets)
+        analytic = [p.grad.copy() for p in net.params()]
+        for param, grad in zip(net.params(), analytic):
+            numeric = finite_diff(
+                lambda: loss_and_grad(net, latents, points, targets, lam)[0],
+                param.value)
+            assert_close(grad, numeric)
+
+    @pytest.mark.parametrize("seed", [2024, 7])
+    def test_all_parameters_with_projection_blocks(self, seed):
+        # More projections than TRANSPORT_BLOCK: the sliced target's aligned
+        # kernel runs block by block (a full block, then a partial one).
+        rng = np.random.default_rng(seed)
+        net, latents, points, targets = small_problem(rng, TRANSPORT_BLOCK + 37)
+        assert max(len(t.projections) for t in targets) > TRANSPORT_BLOCK
+        targets = [resample_target(t, len(latents), rng) for t in targets]
+        lam = 0.07
+        loss, _ = loss_and_grad(net, latents, points, targets, lam)
+        assert loss > 0
         analytic = [p.grad.copy() for p in net.params()]
         for param, grad in zip(net.params(), analytic):
             numeric = finite_diff(

@@ -1,5 +1,7 @@
 """Exact 1-D transport: oracle agreement, metric properties, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,13 @@ from scipy.optimize import linprog
 import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, SampleRelation
 from openpop.errors import EmptyDistributionError
-from openpop.mswg import MarginalTarget, TrainConfig, train, transport_term
+from openpop.mswg import (
+    TRANSPORT_BLOCK,
+    MarginalTarget,
+    TrainConfig,
+    train,
+    transport_term,
+)
 from openpop.transport import (
     aligned_w1_grad,
     sample_projections,
@@ -216,6 +224,64 @@ def test_transport_term_bytes():
     w_cols, grad_proj = stable_aligned_w1_grad(points @ omega.T, batch @ omega.T)
     assert loss == float(w_cols.sum() / 200)
     assert same_bytes(grad, (grad_proj / 200) @ omega)
+
+
+B = TRANSPORT_BLOCK
+
+
+@pytest.mark.parametrize("p, widths", [
+    (1, [1]), (B - 1, [B - 1]), (B, [B]), (B + 1, [B + 1]),
+    (2 * B + 37, [B, B, 37])])
+@pytest.mark.parametrize("seed", range(3))
+def test_transport_term_blocks_match_whole_matrix(monkeypatch, p, widths, seed):
+    # The batch repeats its first coordinate heavily (with -0.0 and 0.0), so
+    # every projection onto that axis is a tied column: one ends the first
+    # block, one starts the second, and a fifth of the others are tied too.
+    # The targets tie everywhere.
+    rng = np.random.default_rng(seed)
+    n = 300
+    omega = sample_projections(p, 3, rng)
+    tied = (rng.random(p) < 0.2) | np.isin(np.arange(p), [0, B - 1, B, p - 1])
+    omega[tied] = [1.0, 0.0, 0.0]
+    points = rng.choice([-0.0, 0.0, 1.0, 2.5], size=(n, 3))
+    batch = rng.normal(size=(n, 3))
+    batch[:, 0] = rng.choice([-0.0, 0.0, -1.5, 2.0], size=n)
+    calls = []
+    real_aligned = openpop.mswg.aligned_w1_grad
+
+    def recording_aligned(p_block, q_block):
+        calls.append(q_block.shape[1])
+        return real_aligned(p_block, q_block)
+
+    monkeypatch.setattr(openpop.mswg, "aligned_w1_grad", recording_aligned)
+    batch_before = batch.copy()
+    loss, grad = transport_term(MarginalTarget(np.arange(3), points, None, omega), batch)
+    w_cols, grad_proj = stable_aligned_w1_grad(points @ omega.T, batch @ omega.T)
+    assert calls == widths
+    assert loss == float(w_cols.sum() / p)
+    assert same_bytes(grad, (grad_proj / p) @ omega)
+    assert same_bytes(batch, batch_before)
+
+
+def test_transport_term_scratch_is_block_sized():
+    # One flights-sized term (a 500-row batch, 1000 projections of a 15-dim
+    # marginal) may hold the two projected matrices at full size, and only
+    # block-sized arrays besides them.
+    n, p, k = 500, 1000, 15
+    rng = np.random.default_rng(0)
+    target = MarginalTarget(np.arange(k), rng.normal(size=(n, k)), None,
+                            sample_projections(p, k, rng))
+    batch = rng.normal(size=(n, k))
+    transport_term(target, batch)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        transport_term(target, batch)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    full, block = n * p * 8, n * TRANSPORT_BLOCK * 8
+    assert peak <= 2 * full + 6 * block, f"peak {peak / full:.2f} full arrays"
 
 
 def flights_shaped_sample(n=120, seed=0):
