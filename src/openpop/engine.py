@@ -173,8 +173,8 @@ class Engine:
         """Train (or fetch from the cache) the generator that OPEN queries
         over the global population use with this sample."""
         sample = self.catalog.sample(sample_name)
-        marginals, _ = applicable_marginals(
-            self.catalog, self.catalog.global_population().name)
+        marginals, _, _ = applicable_marginals(
+            self.catalog, self.catalog.global_population())
         return _trained_generator(sample, marginals, self.options, log=self.log)[0]
 
 

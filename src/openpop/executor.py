@@ -38,7 +38,6 @@ from .errors import (
     EmptySampleError,
     NoMetadataError,
     NoUsableSampleError,
-    OpenPopError,
     TypeMismatchError,
     UnknownAttributeError,
     UnknownMechanismNoMetadataError,
@@ -118,19 +117,39 @@ class ExecOptions:
 @dataclass
 class Plan:
     sample_name: str
-    metadata_path: str | None   # "direct" | "global" | None
 
 
-def applicable_marginals(catalog: Catalog, population: str):
-    """The one rule for which marginals describe a population: its own
-    ("direct"), else the global population's ("global"), else none."""
-    direct = catalog.marginals_for(population)
+def applicable_marginals(catalog: Catalog, pop: PopulationDef):
+    """The one rule for which marginals describe `pop`, their path, and the
+    view whose rows a fit to them covers: its own marginals ("direct", its
+    predicate), else the global population's ("global", the whole sample),
+    else none."""
+    direct = catalog.marginals_for(pop.name)
     if direct:
-        return direct, "direct"
-    gp = catalog.global_population()
-    if gp.name != population and catalog.marginals_for(gp.name):
-        return catalog.marginals_for(gp.name), "global"
-    return [], None
+        return direct, "direct", pop.predicate
+    marginals = catalog.marginals_for(catalog.global_population().name)
+    if marginals:
+        return marginals, "global", None
+    return [], None, None
+
+
+def _reads_marginals(visibility: Visibility, sample: SampleRelation) -> bool:
+    """Whether the route for `visibility` reads marginals off `sample`:
+    OPEN always, SEMI-OPEN unless the sample declares its mechanism."""
+    return (visibility == Visibility.OPEN
+            or visibility == Visibility.SEMI_OPEN and sample.mechanism is None)
+
+
+def _check_metadata(visibility: Visibility, pop: PopulationDef,
+                    sample: SampleRelation, path: str | None) -> None:
+    """The one error for each route that reads marginals when none apply."""
+    if path is not None or not _reads_marginals(visibility, sample):
+        return
+    if visibility == Visibility.OPEN:
+        raise NoMetadataError(f"OPEN query over '{pop.name}' needs marginal metadata")
+    raise UnknownMechanismNoMetadataError(
+        f"sample '{sample.name}' has no declared mechanism and no marginals "
+        "are registered")
 
 
 def _check_aggregates(query: Select, kinds: dict[str, str]) -> None:
@@ -156,17 +175,15 @@ def plan(query: Select, catalog: Catalog) -> Plan:
     for predicate in (query.predicate, pop.predicate):
         if predicate is not None:
             needed.update(predicate.attributes())
-    marginals, metadata_path = applicable_marginals(catalog, pop.name)
+    marginals, path, _ = applicable_marginals(catalog, pop)
     fitted = {attr for marginal in marginals for attr in marginal.attributes}
     candidates = []
     for position, sample in enumerate(catalog.samples.values()):
         names = {a.name for a in sample.schema}
         if needed <= names:
             # Can it answer? A fit or a generator reads every marginal
-            # attribute off the sample; CLOSED and a mechanism read none.
-            fits = (fitted <= names or query.visibility == Visibility.CLOSED
-                    or query.visibility == Visibility.SEMI_OPEN
-                    and sample.mechanism is not None)
+            # attribute off the sample.
+            fits = fitted <= names or not _reads_marginals(query.visibility, sample)
             candidates.append((fits, len(sample), -position, sample.name))
     if not candidates:
         raise NoUsableSampleError(
@@ -175,16 +192,8 @@ def plan(query: Select, catalog: Catalog) -> Plan:
     # marginal), then most rows, ties by declaration order.
     candidates.sort(reverse=True)
     sample_name = candidates[0][3]
-    sample = catalog.sample(sample_name)
-    if query.visibility == Visibility.OPEN and metadata_path is None:
-        raise NoMetadataError(
-            f"OPEN query over '{pop.name}' needs marginal metadata")
-    if (query.visibility == Visibility.SEMI_OPEN and sample.mechanism is None
-            and metadata_path is None):
-        raise UnknownMechanismNoMetadataError(
-            f"sample '{sample_name}' has no declared mechanism and no "
-            "marginals are registered")
-    return Plan(sample_name, metadata_path)
+    _check_metadata(query.visibility, pop, catalog.sample(sample_name), path)
+    return Plan(sample_name)
 
 
 # --- aggregation over weighted rows -------------------------------------------
@@ -289,17 +298,6 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
     return 1.0 / inclusion
 
 
-def _fit_inputs(catalog: Catalog, pop: PopulationDef, missing: OpenPopError):
-    """The marginals that describe `pop`, their path, and the rows a fit to
-    them covers: the population's predicate if they are its own (they
-    describe its view), else None (the whole sample). Raises `missing` if
-    none apply."""
-    marginals, path = applicable_marginals(catalog, pop.name)
-    if path is None:
-        raise missing
-    return marginals, path, pop.predicate if path == "direct" else None
-
-
 def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
                       options: ExecOptions | None = None) -> QueryAnswer:
     """Reweighted sample: known mechanism inverts the inclusion probability,
@@ -309,9 +307,8 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     if sample.mechanism is not None:
         return _answer(query, pop, [sample.reweighted(
             _mechanism_weights(sample, catalog))], PROVENANCE_MECHANISM)
-    marginals, path, scope = _fit_inputs(
-        catalog, pop, UnknownMechanismNoMetadataError(
-            f"no marginals for '{pop.name}' or the global population"))
+    marginals, path, scope = applicable_marginals(catalog, pop)
+    _check_metadata(Visibility.SEMI_OPEN, pop, sample, path)
 
     def fit():
         if not scope:
@@ -328,7 +325,7 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
                                            key, fit)
     return _answer(query, pop, [sample.reweighted(weights)],
                    PROVENANCE_IPF_DIRECT if path == "direct" else PROVENANCE_IPF_GLOBAL,
-                   ipf=report, ipf_cache=cache)
+                   ipf=report, ipf_cache=cache, metadata_path=path)
 
 
 def _check_covers(sample: SampleRelation, marginals) -> None:
@@ -394,8 +391,8 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     in all k and averages their aggregate values."""
     options = options or ExecOptions()
     pop = catalog.population(query.source)
-    marginals, _, scope = _fit_inputs(
-        catalog, pop, NoMetadataError(f"OPEN query over '{pop.name}' needs marginals"))
+    marginals, path, scope = applicable_marginals(catalog, pop)
+    _check_metadata(Visibility.OPEN, pop, sample, path)
     trained, n_generated, cache = _trained_generator(sample, marginals, options,
                                                      scope, pop.name, log=log)
     weight = trained.population_total / n_generated
@@ -416,7 +413,7 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
                        k=k, generated_rows=n_generated, row_weight=weight,
                        materialized=not aggs, workers=workers,
                        generator_params=trained.net.num_params(),
-                       generator_cache=cache)
+                       generator_cache=cache, metadata_path=path)
 
 
 def usable_cpus() -> int:
@@ -466,6 +463,4 @@ def execute(query: Select, catalog: Catalog,
     else:
         answer = execute_open(query, sample, catalog, options, log=log)
     answer.diagnostics.setdefault("sample", chosen.sample_name)
-    if chosen.metadata_path is not None:
-        answer.diagnostics.setdefault("metadata_path", chosen.metadata_path)
     return answer

@@ -86,11 +86,6 @@ class MarginalTarget:
     weights: np.ndarray | None  # None means uniform (resampled) masses
     projections: np.ndarray     # (p, k) unit rows
 
-    def mass(self) -> np.ndarray:
-        if self.weights is None:
-            return np.full(len(self.points), 1.0 / len(self.points))
-        return self.weights
-
 
 def augment_marginals(pop_marginals: list[Marginal],
                       sample: SampleRelation) -> list[Marginal]:
@@ -132,8 +127,8 @@ def prepare_targets(marginals: list[Marginal], encoding: Encoding,
 
 def resample_target(target: MarginalTarget, size: int,
                     rng: np.random.Generator) -> MarginalTarget:
-    """Batch-sized empirical redraw of the marginal (uniform weights)."""
-    idx = rng.choice(len(target.points), size=size, p=target.mass())
+    """Batch-sized empirical redraw of the marginal by its cell masses."""
+    idx = rng.choice(len(target.points), size=size, p=target.weights)
     return replace(target, points=target.points[idx], weights=None)
 
 

@@ -48,13 +48,14 @@ class BatchNorm:
     """Per-feature normalization: batch statistics while training, running
     averages (momentum 0.9) at generation time."""
 
-    def __init__(self, dim: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum = 0.9
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         self.gamma = Param(np.ones(dim))
         self.beta = Param(np.zeros(dim))
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self._cache = None
 
     def params(self):
@@ -190,13 +191,13 @@ class GeneratorNet:
 
 
 class Adam:
-    def __init__(self, params: list[Param], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: list[Param], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.value) for p in params]
         self.v = [np.zeros_like(p.value) for p in params]
         self.t = 0

@@ -420,6 +420,61 @@ CREATE METADATA P_a AS (SELECT a, n FROM Stats);
         assert code == 1
         assert err == "error: marginal over ('a',) has no cells\n"
 
+    @pytest.mark.parametrize("select, message", [
+        ("SELECT b, n FROM Stats", "attribute 'b' not in table 'Stats'"),
+        ("SELECT a, m FROM Stats", "count column 'm' not in 'Stats'"),
+        ("SELECT a, a FROM Stats", "count column 'a' must be numeric"),
+    ], ids=["attribute", "count_column", "text_count_column"])
+    def test_create_metadata_user_errors_exit_one(self, tmp_path, select, message):
+        (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
+        setup = f"""
+CREATE GLOBAL POPULATION P (a TEXT);
+CREATE TABLE Stats (a TEXT, n INT);
+INGEST Stats FROM '{tmp_path / "stats.csv"}';
+"""
+        stmt = f"CREATE METADATA P_a AS ({select});\n"
+        path = self.script_path(tmp_path, setup + stmt)
+        code, out, err = self.run_cli(["--script", path, "--quiet"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        engine = Engine()
+        engine.run_script(setup)
+        engine.catalog.save(tmp_path / "before.opc")
+        with pytest.raises(OpenPopError, match=re.escape(message)):
+            engine.run_script(stmt)
+        engine.catalog.save(tmp_path / "after.opc")
+        assert ((tmp_path / "after.opc").read_bytes()
+                == (tmp_path / "before.opc").read_bytes())
+
+    def test_in_list_predicates_survive_save_and_load(self, tmp_path):
+        (tmp_path / "xs.csv").write_text("x,n\n1,60\n2,40\n", encoding="utf-8")
+        (tmp_path / "rows.csv").write_text("c,x\na,1\na,2\na,1\n", encoding="utf-8")
+        catalog_path = tmp_path / "cat.opc"
+        setup = f"""
+CREATE TABLE Xs (x INT, n INT);
+INGEST Xs FROM '{tmp_path / "xs.csv"}';
+CREATE GLOBAL POPULATION P (c TEXT, x INT);
+CREATE POPULATION V AS (SELECT * FROM P WHERE c IN ['a', 'b']);
+CREATE METADATA V_x FOR V AS (SELECT x, n FROM Xs);
+CREATE SAMPLE S AS (SELECT * FROM P WHERE c IN ('a'));
+INGEST S FROM '{tmp_path / "rows.csv"}';
+"""
+        query = "SELECT SEMI-OPEN c, x, COUNT(*) FROM V GROUP BY c, x;\n"
+        code, saved, err = self.run_cli(
+            ["--quiet", "--catalog", str(catalog_path)],
+            stdin=setup + query + "\\save\n\\quit\n")
+        assert (code, err) == (0, "")
+        assert "semi_open_ipf_direct" in saved
+        engine = Engine()
+        engine.run_script(setup)
+        loaded = Catalog.load(catalog_path)
+        assert (loaded.population("V").predicate
+                == engine.catalog.population("V").predicate)
+        assert loaded.sample("S").predicate == engine.catalog.sample("S").predicate
+        code, out, err = self.run_cli(["--quiet", "--catalog", str(catalog_path),
+                                       "--script", self.script_path(tmp_path, query)])
+        assert (code, err) == (0, "")
+        assert out == saved.split("saved catalog")[0]
+
     def test_repl_continues_after_loading_non_utf8_script(self, tmp_path):
         write_fixture_files(tmp_path)
         path = tmp_path / "latin.opq"

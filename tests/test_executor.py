@@ -31,6 +31,7 @@ from openpop.errors import (
     EmptySampleError,
     NoMetadataError,
     NoUsableSampleError,
+    OpenPopError,
     TypeMismatchError,
     UnknownAttributeError,
     UnknownMechanismNoMetadataError,
@@ -111,7 +112,6 @@ class TestPlan:
         chosen = plan(parse_one("SELECT country, COUNT(*) FROM Migrants "
                                 "GROUP BY country"), catalog)
         assert chosen.sample_name == "Yahoo"
-        assert chosen.metadata_path == "direct"
 
     def test_largest_covering_sample_wins(self):
         catalog = fresh_catalog()
@@ -163,6 +163,36 @@ class TestPlan:
         catalog = fresh_catalog(marginals=False)
         with pytest.raises(UnknownMechanismNoMetadataError):
             plan(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"), catalog)
+
+    @pytest.mark.parametrize("visibility, route, error, message", [
+        ("OPEN", execute_open, NoMetadataError,
+         "OPEN query over 'Migrants' needs marginal metadata"),
+        ("SEMI-OPEN", execute_semi_open, UnknownMechanismNoMetadataError,
+         "sample 'Yahoo' has no declared mechanism and no marginals are registered"),
+    ], ids=["OPEN", "SEMI-OPEN"])
+    def test_route_called_directly_fails_as_execute_does(self, visibility, route,
+                                                         error, message):
+        # The routes used to word each case their own way ("...needs
+        # marginals", "no marginals for 'Migrants' or the global population").
+        catalog = fresh_catalog(marginals=False)
+        query = parse_one(f"SELECT {visibility} COUNT(*) FROM Migrants")
+        for run in (lambda: execute(query, catalog),
+                    lambda: route(query, catalog.sample("Yahoo"), catalog)):
+            with pytest.raises(OpenPopError) as failure:
+                run()
+            assert (type(failure.value), str(failure.value)) == (error, message)
+
+    @pytest.mark.parametrize("visibility, provenance", [
+        ("CLOSED", "closed"), ("SEMI-OPEN", "semi_open_mechanism")])
+    def test_answers_that_read_no_marginals_report_no_metadata_path(
+            self, visibility, provenance):
+        # A stratified sample with a global marginal: CLOSED and the
+        # mechanism route used to report metadata_path 'direct'.
+        catalog = fresh_catalog(mechanism=Mechanism("stratified", 20.0, "country"))
+        answer = execute(parse_one(f"SELECT {visibility} COUNT(*) FROM Migrants"),
+                         catalog)
+        assert answer.provenance == provenance
+        assert answer.diagnostics == {"sample": "Yahoo"}
 
     @pytest.mark.parametrize("where", ["country < 3", "country = 3",
                                        "age = 'old'", "age IN ('x')"])
@@ -301,6 +331,7 @@ class TestSemiOpenIpf:
         assert got["UK"] == pytest.approx(60.0, rel=1e-6)
         assert got["FR"] == pytest.approx(40.0, rel=1e-6)
         assert "ipf" in answer.diagnostics
+        assert answer.diagnostics["metadata_path"] == "direct"
 
     def test_global_path_for_derived_population(self):
         catalog = fresh_catalog()
@@ -312,6 +343,7 @@ class TestSemiOpenIpf:
             "SELECT SEMI-OPEN COUNT(*) FROM UkMigrants"), catalog)
         assert answer.provenance == "semi_open_ipf_global"
         assert answer.rows[0][0] == pytest.approx(60.0, rel=1e-6)
+        assert answer.diagnostics["metadata_path"] == "global"
 
     def test_no_false_positive_groups(self):
         catalog = fresh_catalog()
@@ -461,6 +493,17 @@ class TestOpen:
             catalog, options)
         assert answer.diagnostics["k"] == 1
         assert answer.rows
+
+    @pytest.mark.parametrize("population, path", [("Migrants", "direct"),
+                                                  ("UkMigrants", "global")])
+    def test_reports_its_metadata_path(self, population, path):
+        catalog = fresh_catalog()
+        catalog.create_population(PopulationDef(
+            "UkMigrants", False, [AttributeDef(a.name, a.kind) for a in SCHEMA],
+            predicate=Predicate((Comparison("country", "=", "UK"),))))
+        answer = execute(parse_one(f"SELECT OPEN COUNT(*) FROM {population}"),
+                         catalog, small_options(k_samples=1))
+        assert answer.diagnostics["metadata_path"] == path
 
     def test_group_must_appear_in_all_k(self):
         catalog = fresh_catalog()
