@@ -203,13 +203,16 @@ class Relation:
 
     @cached_property
     def digest(self) -> bytes:
-        """sha256 of the row count, attribute names, columns and weights."""
+        """sha256 of the row count, attribute names, columns and weights; a
+        categorical column as its memo codes (`key_columns`), which equal a
+        fresh build whatever the ingest history."""
         digest = hashlib.sha256(repr((len(self), [a.name for a in self.schema]))
                                 .encode("utf-8"))
-        for attr in self.schema:
-            col = self.columns[attr.name]
-            digest.update(repr(col.tolist()).encode("utf-8") if col.dtype == object
-                          else col.tobytes())
+        for col in self.key_columns([a.name for a in self.schema]).values():
+            if isinstance(col, tuple):
+                values, col = col
+                digest.update(repr(values).encode("utf-8"))
+            digest.update(col.tobytes())
         digest.update(self.weights.tobytes())
         return digest.digest()
 

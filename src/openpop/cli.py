@@ -24,6 +24,10 @@ META_HELP = """meta-commands:
   \\train <sample>         train the generator (kept in the cache)
   \\help                   this text
   \\quit                   leave"""
+# command -> its META_HELP line, and the fewest and most arguments it names
+USAGE = {words[0][1:]: (line, sum(w[0] == "<" for w in words), len(words) - 1)
+         for line in map(str.strip, META_HELP.splitlines()[1:])
+         for words in [line.partition("  ")[0].split()]}
 
 
 def _build_engine(args) -> Engine:
@@ -97,9 +101,15 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
     command = parts[0] if parts else ""
     if command in ("quit", "q", "exit"):
         return False
-    if command == "help":
+    if command not in USAGE:
+        print("unknown meta-command; try \\help", file=sys.stderr)
+        return True
+    usage, fewest, most = USAGE[command]
+    if not fewest <= len(parts) - 1 <= most:
+        print(f"error: usage: {usage}", file=sys.stderr)
+    elif command == "help":
         print(META_HELP)
-    elif command == "load" and len(parts) == 2:
+    elif command == "load":
         run_script(parts[1], engine, args.output)
     elif command == "save":
         path = parts[1] if len(parts) > 1 else args.catalog
@@ -109,15 +119,13 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
         else:
             engine.catalog.save(path)
             print(f"saved catalog to {path}")
-    elif command == "seed" and len(parts) == 2:
+    elif command == "seed":
         engine.set_seed(parse_setting("seed", engine.seed, parts[1]))
-    elif command == "config" and len(parts) == 3:
+    elif command == "config":
         engine.set_config(parts[1], parts[2])
-    elif command == "train" and len(parts) == 2:
+    elif command == "train":
         trained = engine.force_train(parts[1])
         print(f"trained generator ({trained.net.num_params()} parameters)")
-    else:
-        print(f"unknown meta-command; try \\help", file=sys.stderr)
     return True
 
 

@@ -30,7 +30,10 @@ and report, as it would without it.
 
 Target cells that no sample tuple reaches (structural zeros) are dropped
 and the marginal's other cells rescaled to its declared total; the report
-lists the dropped cells and mass.
+lists the dropped cells and mass. The drop is array work: one gather, one
+scatter of zeros and one `cumsum`, which adds the dropped mass in cell
+order as a loop over the cells would (`sum()` adds pairwise, and its last
+bit can differ).
 
 Row-to-cell ids come from the sample's memo (`Relation.cell_ids`), so a
 refit after INGEST indexes only the appended rows. The rounds visit only
@@ -123,10 +126,9 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
         drop = 0.0
         if len(zero_cells):
             total = targets.sum()
-            for i in zero_cells:
-                drop += targets[i]
-                targets[i] = 0.0
-                structural.append((m_pos, keys[i]))
+            drop = np.cumsum(targets[zero_cells])[-1]  # summed in cell order
+            targets[zero_cells] = 0.0
+            structural.extend((m_pos, keys[i]) for i in zero_cells.tolist())
             remaining = targets.sum()
             if remaining <= 0:
                 raise StructuralZeroError(

@@ -186,6 +186,20 @@ class TestDigest:
         twin = Relation.from_rows(migrant_schema(), rows)
         assert twin is not catalog.sample("S")
         assert self.keys(twin) == self.keys(catalog.sample("S"))
+        # Batches with the keys read between them, so the memo is extended;
+        # "AT" comes last and sorts first, so the country codes are renumbered.
+        batches = [[("UK", "Yahoo")], [("FR", "AOL"), ("UK", "AOL")],
+                   [("AT", "Yahoo"), ("FR", "Yahoo")]]
+        catalog.create_sample("T")
+        sample = catalog.sample("T")
+        for batch in batches:
+            catalog.ingest_rows("T", batch)
+            self.keys(sample)
+        assert sample.memo["country"][0] == ["AT", "FR", "UK"]
+        rows = [row for batch in batches for row in batch]
+        assert self.keys(Relation.from_rows(migrant_schema(), rows)) == self.keys(sample)
+        shuffled = Relation.from_rows(migrant_schema(), rows[1:] + rows[:1])
+        assert shuffled.digest != sample.digest
 
     def test_held_arrays_are_read_only(self, catalog):
         catalog.create_sample("S")

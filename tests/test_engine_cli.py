@@ -705,6 +705,27 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
         assert catalog_path.exists()
         assert "saved catalog" in out
 
+    @pytest.mark.parametrize("command", [
+        "\\train", "\\train S T", "\\seed", "\\seed 1 2", "\\config",
+        "\\config k_samples", "\\config k_samples 3 4", "\\load", "\\load {a} {b}",
+        "\\save {a} {b}", "\\help me"])
+    def test_repl_meta_command_argument_count(self, tmp_path, command):
+        usage = {
+            "train": "\\train <sample>         train the generator (kept in the cache)",
+            "seed": "\\seed <n>               reseed the engine",
+            "config": "\\config <key> <value>   set train.<f>, ipf.<f>, or k_samples",
+            "load": "\\load <file>            run a script file",
+            "save": "\\save [<file>]          save the catalog (default: --catalog path)",
+            "help": "\\help                   this text",
+        }[command[1:].split()[0]]
+        a, b = tmp_path / "a.opq", tmp_path / "b.opq"
+        a.write_text("CREATE GLOBAL POPULATION P (x INT);\n", encoding="utf-8")
+        stdin = command.format(a=a, b=b) + "\n\\quit\n"
+        code, out, err = self.run_cli(["--quiet"], stdin=stdin)
+        assert (code, out, err) == (0, "", f"error: usage: {usage}\n")
+        assert a.read_text(encoding="utf-8") == "CREATE GLOBAL POPULATION P (x INT);\n"
+        assert not b.exists()
+
     def test_repl_unknown_config_key_continues(self):
         stdin = ("\\config train.bogus 1\n\\config ipf.tolerance nan\n"
                  "\\config train.batch_norm false\n\\config ipf.zero_policy error\n"

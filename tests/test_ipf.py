@@ -322,6 +322,10 @@ PAIRS = [Marginal("p", ("a0", "a1"), {("x0", "y0"): 200.0, ("x1", "y1"): 200.0,
 JITTER = [ONE_D[0], ONE_D[1], PAIRS[0]]
 # The total-only marginal is met after every round; a0 is the first unmet.
 MIDDLE_UNMET = [Marginal("p", ("a3",), {"all": 1000.0}), ONE_D[0], ONE_D[1]]
+# Ten unreachable cells of 0.1: added in cell order they drop
+# 0.9999999999999999, where numpy's pairwise sum() gives 1.0.
+TENTHS = [Marginal("p", ("a0",), {**ONE_D[0].cells,
+                                  **{f"u{i}": 0.1 for i in range(10)}}), ONE_D[1]]
 
 
 # Rows an INGEST appends to a fitted sample, by what they reach.
@@ -365,8 +369,10 @@ class TestMatchesReferenceLoop:
         (JITTER, IpfConfig()),
         (MIDDLE_UNMET, IpfConfig()),
         (MIDDLE_UNMET, IpfConfig(max_rounds=2)),
+        (TENTHS, IpfConfig()),
     ], ids=["one_d", "one_d_1", "one_d_2", "one_d_3", "pairs", "pairs_1",
-            "pairs_15", "pairs_20", "jitter", "middle_unmet", "middle_unmet_2"])
+            "pairs_15", "pairs_20", "jitter", "middle_unmet", "middle_unmet_2",
+            "tenths"])
     def test_byte_equal(self, marginals, cfg, unit_weights):
         sample = correlated_sample(unit_weights=unit_weights)
         weights, report = ipf_fit(sample, marginals, cfg)
@@ -388,6 +394,10 @@ class TestMatchesReferenceLoop:
         _, report = ipf_fit(sample, MIDDLE_UNMET, IpfConfig(max_rounds=2))
         first, middle, _ = report.discrepancies
         assert first <= 1e-6 < middle
+        _, report = ipf_fit(sample, TENTHS)
+        assert report.structural_zeros == [(0, f"u{i}") for i in range(10)]
+        assert report.dropped_mass == [0.9999999999999999, 0.0]
+        assert np.full(10, 0.1).sum() == 1.0
 
     @pytest.mark.parametrize("growth", list(GROWTH))
     @pytest.mark.parametrize("marginals", [ONE_D, PAIRS, MIDDLE_UNMET],
