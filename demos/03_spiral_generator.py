@@ -11,7 +11,8 @@ Writes spiral_results.csv to the working directory.
 
 import numpy as np
 
-from openpop.bench import (
+from openpop.mswg import TrainConfig, generate
+from openpop_experiments import (
     SPIRAL_COLUMNS,
     SpiralSpec,
     emit_csv,
@@ -21,7 +22,6 @@ from openpop.bench import (
     train_spiral_generator,
     w1_to_marginal,
 )
-from openpop.mswg import TrainConfig, generate
 
 spec = SpiralSpec(population_size=20_000, sample_size=2_000, seed=0)
 data = gen_spiral(spec)

@@ -11,7 +11,7 @@ Writes flights_results.csv to the working directory.
 
 import numpy as np
 
-from openpop.bench import (
+from openpop_experiments import (
     FLIGHTS_COLUMNS,
     FLIGHTS_QUERIES,
     FlightsLikeSpec,

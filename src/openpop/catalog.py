@@ -608,19 +608,40 @@ class Catalog:
                     f"attribute '{attr}' not in schema of population '{owner}'")
         if name and name in self._all_names():
             raise DuplicateNameError(f"name '{name}' already in use")
-        marginal = Marginal(owner, attributes, dict(cells), dict(binnings or {}), name)
+        cells = dict(cells)
+        for cls in set(map(type, cells.values())):  # few types, many cells
+            if not issubclass(cls, Real) or issubclass(cls, bool):
+                count = next(c for c in cells.values() if type(c) is cls)
+                raise TypeMismatchError(f"cell count {count!r} is not a number")
+        marginal = Marginal(owner, attributes, cells, dict(binnings or {}), name)
         if not marginal.cells:
             raise CatalogError(f"marginal over {attributes} has no cells")
         for attr in attributes:
             values = marginal.parts[attr]
             numeric = kinds[attr] == NUMERIC
-            for cls in set(map(type, values)):  # few types, many cells
+            for cls in set(map(type, values)):
                 if not (issubclass(cls, Real) and not issubclass(cls, bool)
                         if numeric else issubclass(cls, str)):
                     value = next(v for v in values if type(v) is cls)
                     raise TypeMismatchError(
                         f"cell value {value!r} does not fit {kinds[attr]} "
                         f"attribute '{attr}'")
+        # A binned attribute's cell values are its bin ids.
+        for attr, binning in marginal.binnings.items():
+            if attr not in attributes:
+                raise CatalogError(
+                    f"binning on '{attr}', which the marginal over {attributes} "
+                    "does not hold")
+            if kinds[attr] != NUMERIC:
+                raise TypeMismatchError(
+                    f"binning on {kinds[attr]} attribute '{attr}'")
+            ids = np.asarray(marginal.parts[attr], dtype=float)
+            bad = (ids != np.floor(ids)) | (ids < 0) | (ids >= binning.nbins)
+            if bad.any():
+                raise CatalogError(
+                    f"cell value {marginal.parts[attr][bad.argmax()]!r} is not a "
+                    f"bin id of attribute '{attr}' (a whole number in "
+                    f"[0, {binning.nbins}))")
         # Marginal cell keys extend the owner's categorical active domains, so
         # open-world answers can name values never seen in any sample.
         for attr in pop.schema:

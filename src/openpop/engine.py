@@ -53,15 +53,18 @@ class Engine:
     def __init__(self, seed: int = 0, train_config: TrainConfig | None = None,
                  log=None):
         self.catalog = Catalog(seed=seed)
-        self.seed = seed
         self.log = log or (lambda message: None)
         self.options = ExecOptions(
             train_config=replace(train_config or TrainConfig(), seed=seed),
             rng=np.random.default_rng(seed))
 
+    @property
+    def seed(self) -> int:
+        """The catalog's seed, its one copy; `set_seed` changes it."""
+        return self.catalog.seed
+
     def set_seed(self, seed: int) -> None:
         self.catalog.seed = seed  # checked there, before anything changes
-        self.seed = seed
         self._set_options(train_config=replace(self.options.train_config, seed=seed))
 
     def set_config(self, key: str, value: str) -> None:

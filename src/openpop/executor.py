@@ -114,11 +114,6 @@ class ExecOptions:
             raise ConfigError(f"k_samples must be >= 1, got {self.k_samples}")
 
 
-@dataclass
-class Plan:
-    sample_name: str
-
-
 def applicable_marginals(catalog: Catalog, pop: PopulationDef):
     """The one rule for which marginals describe `pop`, their path, and the
     view whose rows a fit to them covers: its own marginals ("direct", its
@@ -158,7 +153,7 @@ def _check_aggregates(query: Select, kinds: dict[str, str]) -> None:
             raise TypeMismatchError(f"{agg.label()} requires a numeric attribute")
 
 
-def plan(query: Select, catalog: Catalog) -> Plan:
+def plan(query: Select, catalog: Catalog) -> SampleRelation:
     """Pick the sample and metadata route for a query, once every attribute
     it names is checked against its population's schema, before any work."""
     pop = catalog.population(query.source)
@@ -184,16 +179,16 @@ def plan(query: Select, catalog: Catalog) -> Plan:
             # Can it answer? A fit or a generator reads every marginal
             # attribute off the sample.
             fits = fitted <= names or not _reads_marginals(query.visibility, sample)
-            candidates.append((fits, len(sample), -position, sample.name))
+            candidates.append((fits, len(sample), -position, sample))
     if not candidates:
         raise NoUsableSampleError(
             f"no sample covers attributes {sorted(needed)} of '{query.source}'")
     # Samples that can answer first (if none can, `_check_covers` names the
     # marginal), then most rows, ties by declaration order.
     candidates.sort(reverse=True)
-    sample_name = candidates[0][3]
-    _check_metadata(query.visibility, pop, catalog.sample(sample_name), path)
-    return Plan(sample_name)
+    sample = candidates[0][3]
+    _check_metadata(query.visibility, pop, sample, path)
+    return sample
 
 
 # --- aggregation over weighted rows -------------------------------------------
@@ -454,13 +449,12 @@ def execute(query: Select, catalog: Catalog,
             options: ExecOptions | None = None, log=None) -> QueryAnswer:
     """Plan and run a query at its declared visibility."""
     options = options or ExecOptions()
-    chosen = plan(query, catalog)
-    sample = catalog.sample(chosen.sample_name)
+    sample = plan(query, catalog)
     if query.visibility == Visibility.CLOSED:
         answer = execute_closed(query, sample, catalog)
     elif query.visibility == Visibility.SEMI_OPEN:
         answer = execute_semi_open(query, sample, catalog, options)
     else:
         answer = execute_open(query, sample, catalog, options, log=log)
-    answer.diagnostics.setdefault("sample", chosen.sample_name)
+    answer.diagnostics.setdefault("sample", sample.name)
     return answer

@@ -1,6 +1,6 @@
-"""Synthetic experiment harness: spiral and flights-style populations,
-biased samples, random range-query workloads, error metrics, and CSV
-output of result rows.
+"""Experiment harness over the openpop runtime: synthetic spiral and
+flights-style populations, biased samples, random range-query workloads,
+error metrics, and CSV output of result rows.
 
 Ground truth for every error metric is brute force over the materialized
 synthetic population.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import (
+from openpop.catalog import (
     AttributeDef,
     Catalog,
     Marginal,
@@ -22,13 +22,13 @@ from .catalog import (
     SampleRelation,
     build_marginal,
 )
-from .dialect import Visibility, parse_one
-from .errors import CatalogIoError, ConfigError
-from .executor import ExecOptions, evaluate_aggregates, execute
-from .ipf import IpfConfig
-from .mswg import TrainConfig, generate, train
-from .transport import wasserstein_1d
-from .util import csv_text
+from openpop.dialect import Visibility, parse_one
+from openpop.errors import CatalogIoError, ConfigError
+from openpop.executor import ExecOptions, evaluate_aggregates, execute
+from openpop.ipf import IpfConfig
+from openpop.mswg import TrainConfig, generate, train
+from openpop.transport import wasserstein_1d
+from openpop.util import csv_text
 
 
 # --- result rows ----------------------------------------------------------------

@@ -10,18 +10,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from openpop.bench import (
-    SPIRAL_COLUMNS,
-    FlightsLikeSpec,
-    SpiralSpec,
-    emit_csv,
-    gen_spiral,
-    run_flightslike_experiment,
-    run_spiral_experiment,
-    spiral_marginals,
-    train_spiral_generator,
-    w1_to_marginal,
-)
 from openpop.catalog import (
     AttributeDef,
     Catalog,
@@ -45,6 +33,18 @@ from openpop.mswg import (
 from openpop.net import GeneratorNet
 from openpop.predicate import Comparison, InList, Predicate, filter_rows
 from openpop.transport import wasserstein_1d, wasserstein_1d_grad
+from openpop_experiments import (
+    SPIRAL_COLUMNS,
+    FlightsLikeSpec,
+    SpiralSpec,
+    emit_csv,
+    gen_spiral,
+    run_flightslike_experiment,
+    run_spiral_experiment,
+    spiral_marginals,
+    train_spiral_generator,
+    w1_to_marginal,
+)
 
 from conftest import record_acceptance
 from test_totals import random_catalog

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from openpop.bench import (
+from openpop.errors import ConfigError
+from openpop.mswg import TrainConfig
+from openpop.util import format_cell
+from openpop_experiments import (
     FLIGHTS_COLUMNS,
     SPIRAL_COLUMNS,
     FlightsLikeSpec,
@@ -22,9 +25,6 @@ from openpop.bench import (
     spiral_marginals,
     w1_to_marginal,
 )
-from openpop.errors import ConfigError
-from openpop.mswg import TrainConfig
-from openpop.util import format_cell
 
 SMALL_SPIRAL = SpiralSpec(population_size=4000, sample_size=400, seed=0)
 

@@ -589,6 +589,55 @@ class TestMarginals:
         with pytest.raises(NegativeCountError):
             catalog.create_metadata("Migrants", ("country",), {"UK": -1.0})
 
+    @pytest.mark.parametrize("count", [True, np.True_, "5", None])
+    def test_count_must_be_a_number(self, catalog, count):
+        # A bool count used to be kept, and saved as `true`.
+        with pytest.raises(TypeMismatchError, match="is not a number"):
+            catalog.create_metadata("Migrants", ("country",),
+                                    {"UK": 2.0, "FR": count})
+        assert not catalog.marginals
+        assert catalog.global_population().schema[0].domain == []
+
+    @pytest.mark.parametrize("attributes, cells, binnings, error, match", [
+        (("age",), {0: 1.0}, {"height": NumericBinning(0.0, 2.0, 4)},
+         CatalogError, "binning on 'height', which the marginal"),
+        (("country", "age"), {("UK", 0): 1.0},
+         {"country": NumericBinning(0.0, 2.0, 4)},
+         TypeMismatchError, "binning on categorical attribute 'country'"),
+        (("age",), {0: 1.0, 7: 2.0}, {"age": NumericBinning(0.0, 2.0, 2)},
+         CatalogError, "cell value 7 is not a bin id"),
+        (("age",), {0: 1.0, 2.5: 2.0}, {"age": NumericBinning(0.0, 2.0, 4)},
+         CatalogError, "cell value 2.5 is not a bin id"),
+        (("age",), {-1: 1.0}, {"age": NumericBinning(0.0, 2.0, 4)},
+         CatalogError, "cell value -1 is not a bin id"),
+        (("country", "age"), {("UK", 1): 1.0, ("FR", float("nan")): 1.0},
+         {"age": NumericBinning(0.0, 2.0, 4)},
+         CatalogError, "cell value nan is not a bin id"),
+    ], ids=["binning_not_held", "binning_on_categorical", "bin_id_past_nbins",
+            "fractional_bin_id", "negative_bin_id", "nan_bin_id"])
+    def test_binnings_must_fit_the_marginal(self, attributes, cells, binnings,
+                                            error, match):
+        # Each used to load: a binning on a categorical attribute then failed
+        # the first SEMI-OPEN query, and a key that is no bin id was kept as
+        # a structural zero, dropping its mass.
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric"),
+                        AttributeDef("height", "numeric")]))
+        with pytest.raises(error, match=match):
+            catalog.create_metadata("P", attributes, cells, binnings)
+        assert not catalog.marginals
+        assert catalog.global_population().schema[0].domain == []
+
+    def test_whole_bin_ids_accepted(self):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef("P", True, [AttributeDef("x", "numeric")]))
+        marginal = catalog.create_metadata(
+            "P", ("x",), {0: 1.0, 3.0: 2.0, np.int64(1): 1.0},
+            {"x": NumericBinning(0.0, 2.0, 4)})
+        assert marginal.positions("x").tolist() == [0.25, 1.75, 0.75]
+
     def test_binning_attached_for_unrounded_data(self):
         schema = [AttributeDef("x", "numeric")]
         rows = [(0.25,), (0.5,), (9.75,)]
@@ -727,12 +776,24 @@ class TestPersistence:
          "TypeMismatchError"),
         ("P_country_email", lambda r: {**r, "cells": [[["UK", 3], 1.0]]},
          "TypeMismatchError"),
+        ("P_country", lambda r: {**r, "cells": [["UK", True], ["FR", 2.0]]},
+         "TypeMismatchError"),
+        ("P_age", lambda r: {**r, "binnings": {"email": [0.0, 1.0, 2]}},
+         "CatalogError"),
+        ("P_country", lambda r: {**r, "binnings": {"country": [0.0, 1.0, 2]}},
+         "TypeMismatchError"),
+        ("P_age", lambda r: {**r, "cells": [[0, 250.0], [64, 300.0]]},
+         "CatalogError"),
+        ("P_age", lambda r: {**r, "cells": [[0, 250.0], [2.5, 300.0]]},
+         "CatalogError"),
     ], ids=["duplicate_sample", "duplicate_aux", "aux_named_like_sample",
             "duplicate_population", "second_global", "duplicate_marginal",
             "marginal_named_like_sample", "marginal_attribute_not_in_owner",
             "missing_marginal_owner", "negative_weight", "nan_weight",
             "infinite_weight", "numeric_key_not_a_number",
-            "categorical_key_not_a_string", "pair_key_not_a_string"])
+            "categorical_key_not_a_string", "pair_key_not_a_string",
+            "bool_count", "binning_not_held", "binning_on_categorical",
+            "bin_id_past_nbins", "fractional_bin_id"])
     def test_load_enforces_the_create_rules(self, tmp_path, name, change, error):
         # Each case edits one record of the golden catalog so that the call
         # which made it would refuse it; the load must fail at that line.

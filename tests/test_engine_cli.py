@@ -874,13 +874,21 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
                                      "cells": [[["UK", 1, 0], 5.0]]}),
         ("marginal", lambda record: {**record, "cells": [[[0], 5.0]]}),
         ("marginal", lambda record: {**record, "cells": []}),
+        ("marginal", lambda record: {**record, "cells": [[0, True], [1, 2.0]]}),
+        ("marginal", lambda record: {**record, "binnings": {
+            **record["binnings"], "country": [0.0, 1.0, 2]}}),
+        ("marginal", lambda record: {**record, "attributes": ["country"], "cells": [
+            ["UK", 1.0]], "binnings": {"country": [0.0, 1.0, 2]}}),
+        ("marginal", lambda record: {**record, "cells": [[0, 1.0], [7, 2.0]]}),
+        ("marginal", lambda record: {**record, "cells": [[0, 1.0], [0.5, 2.0]]}),
     ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
             "zero_percent", "short_weights", "attribute_not_in_global",
             "strat_attribute_not_in_global", "strat_attribute_not_in_sample",
             "nan_count", "inf_count",
             "zero_bins", "negative_bins", "fractional_bins", "infinite_hi",
             "hi_below_lo", "pair_one_value_key", "pair_three_value_key",
-            "single_tuple_key", "no_cells"])
+            "single_tuple_key", "no_cells", "bool_count", "binning_not_held",
+            "binning_on_categorical", "bin_id_past_nbins", "fractional_bin_id"])
     def test_malformed_catalog_record_exit_one(self, tmp_path, kind, corrupt):
         catalog_path = tmp_path / "cat.opc"
         catalog = Catalog()

@@ -9,13 +9,6 @@ import numpy as np
 import pytest
 
 import openpop.executor
-from openpop.bench import (
-    FLIGHTS_QUERIES,
-    FlightsLikeData,
-    FlightsLikeSpec,
-    flights_catalog,
-    gen_flightslike,
-)
 from openpop.catalog import (
     AttributeDef,
     Catalog,
@@ -52,6 +45,13 @@ from openpop.executor import (
 from openpop.ipf import IpfReport
 from openpop.mswg import TrainConfig, generate
 from openpop.predicate import Comparison, Predicate
+from openpop_experiments import (
+    FLIGHTS_QUERIES,
+    FlightsLikeData,
+    FlightsLikeSpec,
+    flights_catalog,
+    gen_flightslike,
+)
 
 SCHEMA = [AttributeDef("country", "categorical"),
           AttributeDef("email", "categorical"),
@@ -111,21 +111,21 @@ class TestPlan:
         catalog = fresh_catalog()
         chosen = plan(parse_one("SELECT country, COUNT(*) FROM Migrants "
                                 "GROUP BY country"), catalog)
-        assert chosen.sample_name == "Yahoo"
+        assert chosen.name == "Yahoo"
 
     def test_largest_covering_sample_wins(self):
         catalog = fresh_catalog()
         catalog.create_sample("Bigger")
         catalog.ingest_rows("Bigger", ROWS + ROWS)
         chosen = plan(parse_one("SELECT COUNT(*) FROM Migrants"), catalog)
-        assert chosen.sample_name == "Bigger"
+        assert chosen.name == "Bigger"
 
     def test_declaration_order_breaks_ties(self):
         catalog = fresh_catalog()
         catalog.create_sample("Second")
         catalog.ingest_rows("Second", ROWS)
         chosen = plan(parse_one("SELECT COUNT(*) FROM Migrants"), catalog)
-        assert chosen.sample_name == "Yahoo"
+        assert chosen.name == "Yahoo"
 
     @pytest.mark.parametrize("visibility", ["SEMI-OPEN", "OPEN"])
     def test_sample_that_can_fit_the_marginals_wins(self, visibility):
@@ -144,7 +144,7 @@ class TestPlan:
         assert answer.diagnostics["sample"] == "Small"
         assert answer.rows[0][0] == pytest.approx(8.0)
         closed = plan(parse_one("SELECT CLOSED COUNT(*) FROM P"), catalog)
-        assert closed.sample_name == "Big"
+        assert closed.name == "Big"
 
     def test_no_covering_sample(self):
         catalog = fresh_catalog()

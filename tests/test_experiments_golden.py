@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from openpop.bench import (
+from openpop.util import csv_text
+from openpop_experiments import (
     FLIGHTS_COLUMNS,
     FLIGHTS_SCHEMA,
     SPIRAL_COLUMNS,
@@ -23,7 +24,6 @@ from openpop.bench import (
     run_flightslike_experiment,
     run_spiral_experiment,
 )
-from openpop.util import csv_text
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "experiments_v1.csv"
 
