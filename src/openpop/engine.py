@@ -52,11 +52,21 @@ class Engine:
 
     def __init__(self, seed: int = 0, train_config: TrainConfig | None = None,
                  log=None):
-        self.catalog = Catalog(seed=seed)
         self.log = log or (lambda message: None)
-        self.options = ExecOptions(
-            train_config=replace(train_config or TrainConfig(), seed=seed),
-            rng=np.random.default_rng(seed))
+        self.options = ExecOptions(train_config=train_config or TrainConfig())
+        self.catalog = Catalog(seed=seed)
+
+    @property
+    def catalog(self) -> Catalog:
+        return self._catalog
+
+    @catalog.setter
+    def catalog(self, catalog: Catalog) -> None:
+        """Take over `catalog` and its seed: the generators' seed and the
+        OPEN rng restart from it, as `set_seed` restarts them."""
+        self._catalog = catalog
+        self._set_options(train_config=replace(self.options.train_config,
+                                               seed=catalog.seed))
 
     @property
     def seed(self) -> int:

@@ -306,9 +306,11 @@ def train(sample: SampleRelation, marginals: list[Marginal],
 
 def generate(trained: TrainedGenerator, latents: np.ndarray) -> Relation:
     """One tuple per row of `latents`, an (n, latent_dim) array the caller
-    draws with `rng.standard_normal`: forward pass in inference mode,
-    categorical blocks hardened by argmax, numeric dimensions inverse-scaled.
-    A pure function of its inputs, so threads may call it at once."""
+    draws with `rng.standard_normal`: one inference forward pass, which runs
+    folded affine layers (each hidden batch norm folded into the Linear
+    before it), categorical blocks hardened by argmax, numeric dimensions
+    inverse-scaled. A pure function of its inputs, so threads may call it
+    at once."""
     out = trained.net.forward(latents, training=False)
     return trained.encoding.decode_rows(out, trained.attr_names)
 

@@ -4,6 +4,11 @@ Fully-connected ReLU stack with batch normalization after each hidden
 layer, a linear output over numeric dimensions, and a softmax head
 per categorical block. Written directly on numpy so gradients are exact,
 inspectable, and bit-reproducible in single-threaded runs.
+
+The layers' `forward` is the training pass. Inference runs folded affine
+layers: running statistics make batch norm a fixed per-feature scale and
+shift, so each Linear -> BatchNorm -> Relu triple is one product, one bias
+add and one ReLU (`BatchNorm.fold`).
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ class Linear:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            self._x = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
         y = x @ self.w.value
         y += self.b.value  # in place: the product is a fresh array
         return y
@@ -61,13 +65,15 @@ class BatchNorm:
     def params(self):
         return [self.gamma, self.beta]
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if not training:  # in place: x is a fresh Linear output
-            x -= self.running_mean
-            x *= 1.0 / np.sqrt(self.running_var + self.eps)
-            x *= self.gamma.value
-            x += self.beta.value
-            return x
+    def fold(self, linear: Linear) -> tuple[np.ndarray, np.ndarray]:
+        """`linear` then this layer at generation time, as one affine map
+        (w, b): s = gamma / sqrt(running_var + eps), w = W * s and
+        b = (b_linear - running_mean) * s + beta."""
+        s = self.gamma.value / np.sqrt(self.running_var + self.eps)
+        return (linear.w.value * s,
+                (linear.b.value - self.running_mean) * s + self.beta.value)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
@@ -93,11 +99,9 @@ class Relu:
     def params(self):
         return []
 
-    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            self._mask = x > 0
-            return x * self._mask
-        return np.maximum(x, 0.0, out=x)  # in place: x is a fresh layer output
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = x > 0
+        return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._mask
@@ -143,13 +147,25 @@ class GeneratorNet:
             p.grad[...] = 0.0
 
     def forward(self, z: np.ndarray, training: bool) -> np.ndarray:
-        # The first layer is a Linear, which leaves `z` alone and hands each
-        # later layer a fresh array that inference may overwrite. Inference
-        # writes no attribute, so threads may run it on one net at once, and
-        # it leaves the caches of a training forward for `backward`.
+        """Outputs for latents `z`, each categorical block through its
+        softmax. Training runs the layers, which keep what `backward` needs.
+        Inference runs each hidden triple as its folded affine map, computed
+        afresh on every call, then the last Linear. It writes no attribute
+        and not `z`, so threads may run it on one net at once, and it leaves
+        a training forward's caches for `backward`."""
         x = np.asarray(z, dtype=float)
-        for layer in self.layers:
-            x = layer.forward(x, training)
+        if training:
+            for layer in self.layers:
+                x = layer.forward(x)
+        else:
+            *hidden, last = self.layers
+            for linear, norm in zip(hidden[::3], hidden[1::3]):
+                w, b = norm.fold(linear)
+                x = x @ w
+                x += b
+                np.maximum(x, 0.0, out=x)
+            x = x @ last.w.value
+            x += last.b.value
         out = x.copy()
         cache = []
         for offset, width in self.categorical_blocks:

@@ -204,9 +204,9 @@ class TestLayersDirectly:
         target = rng.normal(size=(5, 3))
 
         def loss_value():
-            return float(np.sum((layer.forward(x, True) - target) ** 2))
+            return float(np.sum((layer.forward(x) - target) ** 2))
 
-        out = layer.forward(x, True)
+        out = layer.forward(x)
         layer.backward(2 * (out - target))
         for param in layer.params():
             analytic = param.grad.copy()
@@ -221,9 +221,9 @@ class TestLayersDirectly:
         target = rng.normal(size=(6, 3))
 
         def loss_value():
-            return float(np.sum((layer.forward(x, True) - target) ** 2))
+            return float(np.sum((layer.forward(x) - target) ** 2))
 
-        out = layer.forward(x, True)
+        out = layer.forward(x)
         dx = layer.backward(2 * (out - target))
         numeric_x = finite_diff(loss_value, x)
         assert_close(dx, numeric_x)
@@ -236,7 +236,7 @@ class TestLayersDirectly:
         for _ in range(400):
             layer.w.grad[...] = 0.0
             layer.b.grad[...] = 0.0
-            out = layer.forward(x, True)
+            out = layer.forward(x)
             layer.backward(2 * (out - 3.0))
             optimizer.step()
-        assert layer.forward(x, False)[0, 0] == pytest.approx(3.0, abs=1e-3)
+        assert layer.forward(x)[0, 0] == pytest.approx(3.0, abs=1e-3)

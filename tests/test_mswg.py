@@ -1,5 +1,7 @@
 """Generator: encoding, marginal augmentation, training, generation."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -294,8 +296,8 @@ class TestPersistence:
 
 
 def reference_inference(net: GeneratorNet, z: np.ndarray) -> np.ndarray:
-    """The generation-time forward pass in its original, allocating form:
-    the oracle for the in-place layers."""
+    """The generation-time forward pass in batch norm's own formula, in
+    allocating form: the oracle, to rounding, for the folded layers."""
     x = np.asarray(z, dtype=float)
     for layer in net.layers:
         if isinstance(layer, Linear):
@@ -307,29 +309,101 @@ def reference_inference(net: GeneratorNet, z: np.ndarray) -> np.ndarray:
             x = layer.gamma.value * xhat + layer.beta.value
         else:
             x = np.maximum(x, 0.0)
+    return _softmax_heads(net, x)
+
+
+def folded_reference_inference(net: GeneratorNet, z: np.ndarray) -> np.ndarray:
+    """The generation-time forward pass with each Linear -> BatchNorm -> Relu
+    folded into one affine map, in allocating form: the byte oracle for
+    `GeneratorNet.forward(z, False)`."""
+    x = np.asarray(z, dtype=float)
+    *hidden, last = net.layers
+    for linear, norm in zip(hidden[::3], hidden[1::3]):
+        scale = norm.gamma.value / np.sqrt(norm.running_var + norm.eps)
+        w = linear.w.value * scale
+        b = (linear.b.value - norm.running_mean) * scale + norm.beta.value
+        x = np.maximum(x @ w + b, 0.0)
+    return _softmax_heads(net, x @ last.w.value + last.b.value)
+
+
+def _softmax_heads(net: GeneratorNet, x: np.ndarray) -> np.ndarray:
     out = x.copy()
     for offset, width in net.categorical_blocks:
         out[:, offset:offset + width] = _softmax(x[:, offset:offset + width])
     return out
 
 
+def random_net(hidden, blocks, rng) -> GeneratorNet:
+    """A 3 -> hidden -> 6 net with every tensor drawn from `rng`, running
+    variances log-uniform over [1e-3, 1e3]."""
+    net = GeneratorNet(3, hidden, 6, blocks, rng)
+    for layer in net.layers:
+        for param in layer.params():
+            param.value = rng.normal(size=param.value.shape)
+        if isinstance(layer, BatchNorm):
+            layer.running_mean = rng.normal(size=layer.running_mean.shape)
+            layer.running_var = 10.0 ** rng.uniform(-3, 3, layer.running_var.shape)
+    return net
+
+
 class TestInference:
     @pytest.mark.parametrize("blocks", [[], [(1, 3), (4, 2)]])
     def test_matches_reference_bytes_and_keeps_latents(self, blocks):
         rng = np.random.default_rng(11)
-        net = GeneratorNet(3, [16, 8], 6, blocks, rng)
-        for layer in net.layers:
-            for param in layer.params():
-                param.value = rng.normal(size=param.value.shape)
-            if isinstance(layer, BatchNorm):
-                layer.running_mean = rng.normal(size=layer.running_mean.shape)
-                layer.running_var = rng.uniform(0.1, 3.0, layer.running_var.shape)
+        # `TrainConfig(layers=())` builds a net with no hidden layers.
+        for hidden in ([16, 8], []):
+            net = random_net(hidden, blocks, rng)
+            z = rng.normal(size=(200, 3))
+            before = z.copy()
+            want = folded_reference_inference(net, z)
+            got = net.forward(z, False)
+            assert got.tobytes() == want.tobytes()
+            assert z.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_batch_norm_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_net([16, 8], [(1, 3), (4, 2)], rng)
         z = rng.normal(size=(200, 3))
-        before = z.copy()
-        want = reference_inference(net, z)
-        got = net.forward(z, False)
-        assert got.tobytes() == want.tobytes()
-        assert z.tobytes() == before.tobytes()
+        np.testing.assert_allclose(net.forward(z, False), reference_inference(net, z),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_writes_no_tensor(self):
+        rng = np.random.default_rng(12)
+        net = random_net([16, 8], [(4, 2)], rng)
+        z = rng.normal(size=(50, 3))
+        tensors = [t.tobytes() for t in net.snapshot()]
+        latents = z.tobytes()
+        net.forward(z, False)
+        assert [t.tobytes() for t in net.snapshot()] == tensors
+        assert z.tobytes() == latents
+
+    def test_threads_share_one_net(self):
+        # More threads than cores, switching often: a write to any shared
+        # array would show in some thread's bytes.
+        rng = np.random.default_rng(13)
+        net = random_net([64, 64], [(1, 3)], rng)
+        z = rng.normal(size=(2000, 3))
+        want = net.forward(z, False).tobytes()
+        results, start = [], threading.Barrier(4)
+
+        def work():
+            start.wait(timeout=30)
+            for _ in range(10):
+                results.append(net.forward(z, False).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [want] * 40
 
     def test_inference_between_training_forward_and_backward(self):
         # Inference writes no cache, so `backward` still differentiates the
