@@ -118,11 +118,10 @@ def _category_codes(column, values=(), codes=np.empty(0, np.int64)):
         map(position.__getitem__, column), np.int64, len(column))])
 
 
-def group_rows(columns: list, rows=slice(None)):
-    """Group the rows at `rows` (all by default) by their values in `columns`,
-    each an array or an encoding from `Relation.key_columns`: (keys, ids,
-    first), where keys are the sorted distinct value tuples, as plain Python
-    values, the r-th row is in group ids[r], and first[g] is group g's first."""
+def _group_codes(columns: list, rows=slice(None)):
+    """`group_rows` before its keys are built: (parts, ids, first), where
+    parts holds, per column, its distinct values as plain Python values and
+    each group's index into them."""
     ids = 0
     parts = []
     for col in columns:
@@ -138,8 +137,17 @@ def group_rows(columns: list, rows=slice(None)):
             _, ids = np.unique(ids, return_inverse=True)
         parts.append((distinct, codes))
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-    keys = [tuple(distinct[codes[row]] for distinct, codes in parts)
-            for row in first]
+    return [(distinct, codes[first]) for distinct, codes in parts], ids, first
+
+
+def group_rows(columns: list, rows=slice(None)):
+    """Group the rows at `rows` (all by default) by their values in `columns`,
+    each an array or an encoding from `Relation.key_columns`: (keys, ids,
+    first), where keys are the sorted distinct value tuples, as plain Python
+    values, the r-th row is in group ids[r], and first[g] is group g's first."""
+    parts, ids, first = _group_codes(columns, rows)
+    keys = list(zip(*(map(distinct.__getitem__, codes.tolist())
+                      for distinct, codes in parts)))
     return keys, ids, first
 
 
@@ -364,12 +372,23 @@ class Marginal:
         if len(set(self.attributes)) != len(self.attributes):
             raise DuplicateNameError("marginal attributes must be distinct")
         pair = len(self.attributes) == 2
-        for key, count in self.cells.items():
-            if isinstance(key, tuple) != pair or pair and len(key) != 2:
-                raise CatalogError(f"cell key {key!r} does not fit {self.attributes}")
-            if not 0 <= count < math.inf:
-                raise NegativeCountError(
-                    f"cell {key!r} has count {count}; counts must be finite and >= 0")
+        # Keys are tested by their types and lengths, float counts as one
+        # array; if a test fails, or a count is not a float, the loop runs
+        # and names the first bad cell.
+        tuples = {issubclass(cls, tuple) for cls in set(map(type, self.cells))}
+        fits = (tuples <= {pair} and (not pair or set(map(len, self.cells)) <= {2})
+                and all(issubclass(cls, float)
+                        for cls in set(map(type, self.cells.values()))))
+        if fits:
+            counts = np.fromiter(self.cells.values(), float, len(self.cells))
+            fits = ((counts >= 0) & (counts < math.inf)).all()
+        if not fits:
+            for key, count in self.cells.items():
+                if isinstance(key, tuple) != pair or pair and len(key) != 2:
+                    raise CatalogError(f"cell key {key!r} does not fit {self.attributes}")
+                if not 0 <= count < math.inf:
+                    raise NegativeCountError(
+                        f"cell {key!r} has count {count}; counts must be finite and >= 0")
         if self.cells and self.total() <= 0:
             raise NegativeCountError("marginal total count must be positive")
 
@@ -420,25 +439,27 @@ class Marginal:
         falls in cell keys[ids[r]]. The ids continue `keys`, the numbering of
         earlier rows (by default the cells): a cell first reached here takes
         the next id in a copy of `keys`. Numeric attributes are binned when
-        the marginal has a binning; an unbinned whole number keys as an int."""
+        the marginal has a binning; an unbinned whole number keys as an int,
+        made so once per distinct value."""
         cols = [self.binnings[a].cells(columns[a]) if a in self.binnings
                 else columns[a] for a in self.attributes]
-        found, row_groups, first = group_rows(cols)
+        parts, row_groups, first = _group_codes(cols)
+        values = []
+        for distinct, codes in parts:  # each distinct value made plain once
+            plain = [int(v) if isinstance(v, float) and v.is_integer() else v
+                     for v in distinct]
+            values.append(list(map(plain.__getitem__, codes.tolist())))
+        found = values[0] if len(values) == 1 else list(zip(*values))
         keys = list(self.cells) if keys is None else keys
-        known, extra = self.key_ids, {key: i for i, key in enumerate(
-            keys[len(self.cells):], start=len(self.cells))}  # sample-only keys
-        new = []
-        group_ids = np.empty(len(found), dtype=np.int64)
-        for group in np.argsort(first):
-            key = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
-                        for v in found[group])
-            key = key[0] if len(key) == 1 else key
-            i = known.get(key, extra.get(key))
-            if i is None:
-                i = extra[key] = len(keys) + len(new)
-                new.append(key)
-            group_ids[group] = i
-        return group_ids[row_groups], keys + new if new else keys
+        index = (self.key_ids if len(keys) == len(self.cells)  # no sample-only keys yet
+                 else dict(zip(keys, range(len(keys)))))
+        ids = np.fromiter(map(index.get, found, itertools.repeat(-1)), np.int64, len(found))
+        new = np.flatnonzero(ids < 0)
+        new = new[np.argsort(first[new])]  # in the order rows first reach them
+        ids[new] = np.arange(len(keys), len(keys) + len(new))
+        if len(new):
+            keys = keys + [found[i] for i in new.tolist()]
+        return ids[row_groups], keys
 
 
 def content_key(relation: Relation, marginals, *settings) -> str:
@@ -722,13 +743,14 @@ class Catalog:
         """Append the rows of coerced, unit-weight batches, and grow the
         categorical domains they reach: the relation's own and, since sample
         tuples exist in the global population, the global population's."""
-        rel.append({name: np.concatenate([col[:0]] + [b.columns[name] for b in batches])
-                    for name, col in rel.columns.items()})
+        added = {name: np.concatenate([col[:0]] + [b.columns[name] for b in batches])
+                 for name, col in rel.columns.items()}
+        rel.append(added)
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
-        for attr, batch in itertools.product(reached, batches):
-            if attr.kind == CATEGORICAL and attr.name in batch.columns:
-                attr.extend_domain(batch.columns[attr.name])
+        for attr in reached:
+            if attr.kind == CATEGORICAL and attr.name in added:
+                attr.extend_domain(added[attr.name])
         return sum(map(len, batches))
 
     def ingest_csv(self, target: str, path) -> int:

@@ -45,6 +45,7 @@ loop, so the weights are bit-for-bit those it gives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +129,8 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
             total = targets.sum()
             drop = np.cumsum(targets[zero_cells])[-1]  # summed in cell order
             targets[zero_cells] = 0.0
-            structural.extend((m_pos, keys[i]) for i in zero_cells.tolist())
+            structural.extend(zip(itertools.repeat(m_pos),
+                                  map(keys.__getitem__, zero_cells.tolist())))
             remaining = targets.sum()
             if remaining <= 0:
                 raise StructuralZeroError(

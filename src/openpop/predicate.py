@@ -57,9 +57,9 @@ def _atom_mask(atom: Atom, relation) -> np.ndarray:
     if isinstance(atom, Comparison) and (atom.op != "=" or column.dtype != object):
         return _COMPARE[atom.op](column, atom.value)
     literals = set(atom.values if isinstance(atom, InList) else (atom.value,))
-    if column.dtype == object:  # compare codes; a literal it lacks matches no row
-        values, column = relation.key_columns([atom.attr])[atom.attr]
-        literals = {code for code, value in enumerate(values) if value in literals}
+    if column.dtype == object:  # look codes up; a literal it lacks matches no row
+        values, codes = relation.key_columns([atom.attr])[atom.attr]
+        return np.fromiter(map(literals.__contains__, values), bool, len(values))[codes]
     return np.isin(column, list(literals))
 
 

@@ -14,6 +14,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import openpop.executor
 from openpop.catalog import (
@@ -342,6 +344,30 @@ class TestCodesFollowTheColumns:
             pred = Predicate(atoms)
             assert filter_rows(pred, relation).tolist() == \
                 reference_filter(pred, relation).tolist()
+
+    @given(column=st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=40),
+           later=st.lists(st.sampled_from(["", "a", "e", "z"]), max_size=10),
+           literals=st.lists(st.sampled_from(["", "a", "b", "e", "q", "zz"]),
+                             max_size=4),
+           single=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_categorical_mask_matches_isin(self, column, later, literals, single):
+        # `=` and IN look each row's code up in a table over the column's
+        # values; literals the column lacks match no row.
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("c", "categorical")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [(value,) for value in column])
+        sample = catalog.sample("S")
+        sample.key_columns(["c"])  # INGEST then extends the memo's codes
+        catalog.ingest_rows("S", [(value,) for value in later])
+        atom = (Comparison("c", "=", literals[0]) if single and literals
+                else InList("c", tuple(literals)))
+        values = atom.values if isinstance(atom, InList) else (atom.value,)
+        expected = np.flatnonzero(np.isin(sample.columns["c"].astype(str),
+                                          np.asarray(values, dtype=str)))
+        assert filter_rows(Predicate((atom,)), sample).tobytes() == expected.tobytes()
 
 
 # --- column-wise ingest against the per-value loop --------------------------------

@@ -2,9 +2,11 @@
 
 import functools
 import json
+import math
 import os
 import re
 import stat
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openpop.catalog import (
+    INGEST_CHUNK,
     MARGINAL_BINS,
     AttributeDef,
     Catalog,
@@ -335,6 +338,161 @@ class TestCellIds:
         assert keys == ["UK", "FR"] and ids.tolist() == [1, 0]
 
 
+# --- the cell rule against the per-group loop it replaced ------------------------
+
+
+def reference_group_rows(columns):
+    """`group_rows` over all rows, its keys built one group at a time."""
+    ids = 0
+    parts = []
+    for col in columns:
+        if isinstance(col, tuple):
+            distinct, codes = col
+        elif col.dtype == object:
+            distinct = sorted(set(col.tolist()))
+            position = {value: i for i, value in enumerate(distinct)}
+            codes = np.fromiter(map(position.__getitem__, col.tolist()), np.int64,
+                                len(col))
+        else:
+            distinct, codes = np.unique(col, return_inverse=True)
+            distinct = distinct.tolist()
+        ids = ids * len(distinct) + codes
+        if parts:
+            _, ids = np.unique(ids, return_inverse=True)
+        parts.append((distinct, codes))
+    _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
+    keys = [tuple(distinct[codes[row]] for distinct, codes in parts)
+            for row in first]
+    return keys, ids, first
+
+
+def reference_cell_index(marginal, columns, keys=None):
+    """`Marginal.cell_index` as a loop over the groups, each key made plain
+    (a whole float as an int) and looked up on its own."""
+    cols = [marginal.binnings[a].cells(columns[a]) if a in marginal.binnings
+            else columns[a] for a in marginal.attributes]
+    found, row_groups, first = reference_group_rows(cols)
+    keys = list(marginal.cells) if keys is None else keys
+    known, extra = marginal.key_ids, {key: i for i, key in enumerate(
+        keys[len(marginal.cells):], start=len(marginal.cells))}
+    new = []
+    group_ids = np.empty(len(found), dtype=np.int64)
+    for group in np.argsort(first):
+        key = tuple(int(v) if isinstance(v, float) and v.is_integer() else v
+                    for v in found[group])
+        key = key[0] if len(key) == 1 else key
+        i = known.get(key, extra.get(key))
+        if i is None:
+            i = extra[key] = len(keys) + len(new)
+            new.append(key)
+        group_ids[group] = i
+    return group_ids[row_groups], keys + new if new else keys
+
+
+# Whole floats, -0.0 beside 0.0, and fractions.
+CELL_FLOATS = st.one_of(st.integers(-3, 3).map(float),
+                        st.sampled_from([-0.0, 0.0, 0.5, -1.5, 2.25, 1e20]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+CELL_STRS = st.sampled_from(["", "A", "a", "b", "c", "z"])
+# A column kind -> (values it holds, values its marginal keys take).
+CELL_KINDS = {
+    "float": (CELL_FLOATS, st.one_of(CELL_FLOATS, st.integers(-3, 3))),
+    "binned": (CELL_FLOATS, None),
+    "object": (CELL_STRS, CELL_STRS),
+    "object_numbers": (st.one_of(CELL_FLOATS, st.integers(-3, 3)),
+                       st.one_of(CELL_FLOATS, st.integers(-3, 3))),
+    "memo": (CELL_STRS, CELL_STRS),
+}
+
+
+@st.composite
+def cell_index_cases(draw):
+    """(marginal, first batch of columns, second batch): the first batch's
+    categorical columns may be memo (values, codes) encodings, as
+    `Relation.key_columns` gives them; a later batch is raw, as in `append`."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=2))
+    names = ("u", "v")[:len(kinds)]
+    sizes = draw(st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    batches = ({}, {})
+    binnings, key_parts = {}, []
+    for name, kind in zip(names, kinds):
+        values, key_values = CELL_KINDS[kind]
+        for batch, size in zip(batches, sizes):
+            column = draw(st.lists(values, min_size=size, max_size=size))
+            batch[name] = np.asarray(column, dtype=float if kind in ("float", "binned")
+                                     else object)
+        if kind == "binned":
+            lo = draw(st.floats(-5.0, 0.0))
+            width = draw(st.one_of(st.just(0.0), st.floats(0.5, 5.0)))
+            binnings[name] = NumericBinning(lo, lo + width, draw(st.integers(1, 6)))
+            key_values = st.integers(0, binnings[name].nbins - 1)
+        if kind == "memo":
+            batches[0][name] = Relation([AttributeDef(name, "categorical")],
+                                        {name: batches[0][name]},
+                                        np.ones(sizes[0])).key_columns([name])[name]
+        key_parts.append(key_values)
+    key = key_parts[0] if len(names) == 1 else st.tuples(*key_parts)
+    cells = draw(st.dictionaries(key, st.floats(0.5, 10.0), max_size=6))
+    return Marginal("P", names, cells, binnings), *batches
+
+
+class TestCellIndexMatchesPerGroupLoop:
+    """`Marginal.cell_index` keys and numbers cells with array work; its ids
+    and keys must be exactly those of the per-group loop."""
+
+    @given(case=cell_index_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_ids_and_keys(self, case):
+        marginal, first, later = case
+        ids, keys = marginal.cell_index(first)
+        expected_ids, expected_keys = reference_cell_index(marginal, first)
+        assert ids.dtype == expected_ids.dtype
+        assert ids.tobytes() == expected_ids.tobytes()
+        assert repr(keys) == repr(expected_keys)
+        # Later rows continue the numbering, as INGEST does.
+        ids, more = marginal.cell_index(later, keys)
+        expected_ids, expected_more = reference_cell_index(marginal, later, expected_keys)
+        assert ids.tobytes() == expected_ids.tobytes()
+        assert repr(more) == repr(expected_more)
+        assert (more is keys) == (expected_more is expected_keys)
+
+    def test_negative_zero_keys_as_the_cell_zero(self):
+        marginal = Marginal("P", ("x", "c"), {(0, "a"): 1.0, (1.5, "b"): 2.0})
+        columns = {"x": np.asarray([-0.0, 1.5, 0.0, 2.0]),
+                   "c": np.asarray(["a", "b", "a", "a"], dtype=object)}
+        ids, keys = marginal.cell_index(columns)
+        assert ids.tolist() == [0, 1, 0, 2]
+        assert repr(keys) == "[(0, 'a'), (1.5, 'b'), (2, 'a')]"
+
+    @pytest.mark.parametrize("attributes, cells, error, message", [
+        (("u", "v"), {("a", 1): 1.0, "b": 2.0, ("c", 2): -1.0},
+         CatalogError, "cell key 'b' does not fit ('u', 'v')"),
+        (("u", "v"), {("a", 1): 1.0, ("b", 2, 3): 2.0}, CatalogError,
+         "cell key ('b', 2, 3) does not fit ('u', 'v')"),
+        (("u",), {"a": 1.0, ("b",): 2.0}, CatalogError,
+         "cell key ('b',) does not fit ('u',)"),
+        (("u", "v"), {("a", 1): 1.0, ("b", 2): -1.0, "c": 2.0}, NegativeCountError,
+         "cell ('b', 2) has count -1.0; counts must be finite and >= 0"),
+        (("u",), {"a": 1.0, "b": math.inf, "c": -1.0}, NegativeCountError,
+         "cell 'b' has count inf; counts must be finite and >= 0"),
+        (("u",), {"a": 1.0, "b": math.nan}, NegativeCountError,
+         "cell 'b' has count nan; counts must be finite and >= 0"),
+        (("u",), {"a": 1, "b": Fraction(-1, 10 ** 400)}, NegativeCountError,
+         "cell 'b' has count -1/1"),
+        (("u",), {"a": 1.0, "b": -(10 ** 400)}, NegativeCountError,
+         "cell 'b' has count -1000"),
+    ], ids=["pair_bare_key_first", "pair_three", "single_tuple", "negative_first",
+            "inf", "nan", "tiny_negative_fraction", "negative_past_float_range"])
+    def test_first_bad_cell_named(self, attributes, cells, error, message):
+        with pytest.raises(error) as err:
+            Marginal("P", attributes, cells)
+        assert str(err.value).startswith(message)
+
+    def test_counts_of_other_number_types_are_accepted(self):
+        marginal = Marginal("P", ("u",), {"a": np.int64(3), "b": 2, "c": np.float32(0.5)})
+        assert marginal.counts.tolist() == [3.0, 2.0, 0.5]
+
+
 class TestIngestCsv:
     def test_csv_round(self, catalog, tmp_path):
         path = tmp_path / "rows.csv"
@@ -505,6 +663,37 @@ class TestAtomicIngest:
         assert sample_domains[0] == global_domains[0] == ["UK", "NL", "FR"]
         assert rows[1:] == [("NL", 2.0), ("FR", 3.0), ("NL", 4.0)]
         assert weights == [1.0] * 4
+
+    def test_domains_grow_once_per_commit_as_batch_by_batch(self, tmp_path, monkeypatch):
+        # Records are coerced INGEST_CHUNK at a time; each domain is extended
+        # once over the whole committed column, in the order a batch-by-batch
+        # build gives. New values first appear in later batches, some sorting
+        # before the earlier ones.
+        cat = self.build()
+        rng = np.random.default_rng(5)
+        pool = ["UK", "NL", "FR", "AT", "ZA", "BE", "DE"]
+        countries = [pool[min(int(v), i // 150 + 1)] for i, v in
+                     enumerate(rng.integers(0, len(pool), 3 * INGEST_CHUNK + 40))]
+        path = tmp_path / "batches.csv"
+        path.write_text("country,n\n" + "".join(f"{c},{i}\n" for i, c in
+                                                 enumerate(countries)),
+                        encoding="utf-8")
+        expected = AttributeDef("country", "categorical", ["UK"])
+        for start in range(0, len(countries), INGEST_CHUNK):
+            expected.extend_domain(countries[start:start + INGEST_CHUNK])
+        calls = []
+        extend = AttributeDef.extend_domain
+
+        def counting_extend(attr, values):
+            calls.append(attr.name)
+            extend(attr, values)
+
+        monkeypatch.setattr(AttributeDef, "extend_domain", counting_extend)
+        assert cat.ingest_csv("S", path) == len(countries)
+        sample_domains, global_domains, _, _ = self.state(cat)
+        assert sample_domains[0] == global_domains[0] == expected.domain
+        assert len(expected.domain) > 4
+        assert calls == ["country", "country"]  # the sample's and the global one
 
 
 class TestMarginals:
