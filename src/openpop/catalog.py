@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from numbers import Integral, Real
@@ -183,6 +184,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _fits_float(number, lo=-sys.float_info.max) -> bool:
+    """lo <= number <= the largest float, exactly: an int past it fails like inf,
+    and a numpy scalar compares as its Python number, not cast to its width."""
+    number = number.item() if isinstance(number, np.generic) else number
+    return lo <= number <= sys.float_info.max
+
+
+def _floats(values) -> np.ndarray:
+    """`values` as float64; a number past the float range becomes inf."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.array([v if _fits_float(v) else math.inf for v in values])
+
+
 @dataclass(eq=False)
 class Relation:
     """Rows stored as one array per attribute (float64 for numeric, an object
@@ -335,7 +351,7 @@ class NumericBinning:
     def __post_init__(self):
         if type(self.nbins) is not int or self.nbins < 1:
             raise CatalogError(f"binning nbins must be a positive int, got {self.nbins!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+        if not (_fits_float(self.lo) and _fits_float(self.hi) and self.lo <= self.hi):
             raise CatalogError(f"binning needs finite lo <= hi, got [{self.lo}, {self.hi}]")
 
     def cells(self, values) -> np.ndarray:
@@ -372,25 +388,26 @@ class Marginal:
         if len(set(self.attributes)) != len(self.attributes):
             raise DuplicateNameError("marginal attributes must be distinct")
         pair = len(self.attributes) == 2
-        # Keys are tested by their types and lengths, float counts as one
-        # array; if a test fails, or a count is not a float, the loop runs
-        # and names the first bad cell.
+        # The one check of cell keys and counts. Keys are tested by their
+        # types and lengths, float counts as one array; if a test fails, or
+        # a count is not a float, the loop runs and names the first bad cell.
         tuples = {issubclass(cls, tuple) for cls in set(map(type, self.cells))}
         fits = (tuples <= {pair} and (not pair or set(map(len, self.cells)) <= {2})
                 and all(issubclass(cls, float)
-                        for cls in set(map(type, self.cells.values()))))
-        if fits:
-            counts = np.fromiter(self.cells.values(), float, len(self.cells))
-            fits = ((counts >= 0) & (counts < math.inf)).all()
+                        for cls in set(map(type, self.cells.values())))
+                and ((self.counts >= 0) & (self.counts < math.inf)).all())
         if not fits:
             for key, count in self.cells.items():
                 if isinstance(key, tuple) != pair or pair and len(key) != 2:
                     raise CatalogError(f"cell key {key!r} does not fit {self.attributes}")
-                if not 0 <= count < math.inf:
+                if not isinstance(count, Real) or isinstance(count, bool):
+                    raise TypeMismatchError(f"cell count {count!r} is not a number")
+                if not _fits_float(count, 0):
                     raise NegativeCountError(
                         f"cell {key!r} has count {count}; counts must be finite and >= 0")
-        if self.cells and self.total() <= 0:
-            raise NegativeCountError("marginal total count must be positive")
+        total = sum(self.cells.values())  # ints summed exactly, so past the float range
+        if self.cells and not (total > 0 and _fits_float(total)):
+            raise NegativeCountError("marginal total count must be positive and finite")
 
     def total(self) -> float:
         return float(sum(self.cells.values()))
@@ -517,7 +534,7 @@ class Catalog:
     @seed.setter
     def seed(self, value: int) -> None:
         # The one check of every seed: the engine's and a loaded catalog's.
-        if not isinstance(value, Integral) or value < 0:
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
         self._seed = value
 
@@ -554,15 +571,15 @@ class Catalog:
     def marginals_for(self, owner: str) -> list[Marginal]:
         return [m for m in self.marginals if m.owner == owner]
 
-    def _all_names(self) -> set[str]:
-        return (set(self.populations) | set(self.samples) | set(self.aux)
-                | {m.name for m in self.marginals if m.name})
+    def _check_new_name(self, name: str) -> None:
+        if name in {*self.populations, *self.samples, *self.aux,
+                    *(m.name for m in self.marginals)}:
+            raise DuplicateNameError(f"name '{name}' already in use")
 
     # --- mutations ----------------------------------------------------------
 
     def create_population(self, defn: PopulationDef) -> None:
-        if defn.name in self._all_names():
-            raise DuplicateNameError(f"name '{defn.name}' already in use")
+        self._check_new_name(defn.name)
         _check_schema(defn.schema)
         if defn.is_global:
             if any(p.is_global for p in self.populations.values()):
@@ -591,8 +608,7 @@ class Catalog:
     def create_sample(self, name: str, schema: Schema | None = None,
                       predicate: Predicate | None = None,
                       mechanism: Mechanism | None = None) -> SampleRelation:
-        if name in self._all_names():
-            raise DuplicateNameError(f"name '{name}' already in use")
+        self._check_new_name(name)
         if schema is None:
             schema = self.global_schema()
         _check_schema(schema)
@@ -610,8 +626,7 @@ class Catalog:
         return sample
 
     def create_aux_table(self, name: str, schema: Schema) -> AuxRelation:
-        if name in self._all_names():
-            raise DuplicateNameError(f"name '{name}' already in use")
+        self._check_new_name(name)
         _check_schema(schema)
         rel = AuxRelation.from_rows(schema, [], name=name)
         self.aux[name] = rel
@@ -627,14 +642,9 @@ class Catalog:
             if attr not in kinds:
                 raise UnknownAttributeError(
                     f"attribute '{attr}' not in schema of population '{owner}'")
-        if name and name in self._all_names():
-            raise DuplicateNameError(f"name '{name}' already in use")
-        cells = dict(cells)
-        for cls in set(map(type, cells.values())):  # few types, many cells
-            if not issubclass(cls, Real) or issubclass(cls, bool):
-                count = next(c for c in cells.values() if type(c) is cls)
-                raise TypeMismatchError(f"cell count {count!r} is not a number")
-        marginal = Marginal(owner, attributes, cells, dict(binnings or {}), name)
+        if name:
+            self._check_new_name(name)
+        marginal = Marginal(owner, attributes, dict(cells), dict(binnings or {}), name)
         if not marginal.cells:
             raise CatalogError(f"marginal over {attributes} has no cells")
         for attr in attributes:
@@ -647,6 +657,11 @@ class Catalog:
                     raise TypeMismatchError(
                         f"cell value {value!r} does not fit {kinds[attr]} "
                         f"attribute '{attr}'")
+            if numeric and attr not in marginal.binnings:  # bin ids are checked below
+                finite = np.isfinite(_floats(values))
+                if not finite.all():
+                    raise TypeMismatchError(f"cell value {values[finite.argmin()]!r} does "
+                                            f"not fit numeric attribute '{attr}'")
         # A binned attribute's cell values are its bin ids.
         for attr, binning in marginal.binnings.items():
             if attr not in attributes:
@@ -656,7 +671,7 @@ class Catalog:
             if kinds[attr] != NUMERIC:
                 raise TypeMismatchError(
                     f"binning on {kinds[attr]} attribute '{attr}'")
-            ids = np.asarray(marginal.parts[attr], dtype=float)
+            ids = _floats(marginal.parts[attr])
             bad = (ids != np.floor(ids)) | (ids < 0) | (ids >= binning.nbins)
             if bad.any():
                 raise CatalogError(
@@ -674,7 +689,7 @@ class Catalog:
     def set_weights(self, sample_name: str, weights) -> None:
         """Replace a sample's initial tuple weights (all-ones by default)."""
         sample = self.sample(sample_name)
-        weights = np.asarray(weights, dtype=float)
+        weights = _floats(weights)
         if weights.shape != (len(sample),):
             raise TypeMismatchError(
                 f"expected {len(sample)} weights, got {weights.shape}")
@@ -695,9 +710,8 @@ class Catalog:
 
     def _coerce(self, attr: AttributeDef, raw, line: int):
         if attr.kind == NUMERIC:
-            try:
-                value = float(raw if isinstance(raw, (int, float))
-                              and not isinstance(raw, bool) else str(raw))
+            try:  # an int as its digits, so one past the float range reads inf
+                value = float(raw if isinstance(raw, float) else str(raw))
             except ValueError:
                 raise CsvParseError(
                     f"non-numeric value {raw!r} in numeric column '{attr.name}'", line)
@@ -796,7 +810,7 @@ class Catalog:
             records.append({
                 "kind": "sample", "name": sample.name,
                 "schema": [asdict(a) for a in sample.schema],
-                "rows": [list(r) for r in sample.to_rows()],
+                "rows": sample.to_rows(),
                 "weights": sample.weights.tolist(),
                 "predicate": _pred_json(sample.predicate),
                 "mechanism": (None if sample.mechanism is None
@@ -805,8 +819,8 @@ class Catalog:
         for marginal in self.marginals:
             records.append({
                 "kind": "marginal", "owner": marginal.owner, "name": marginal.name,
-                "attributes": list(marginal.attributes),
-                "cells": [[_key_json(k), v] for k, v in marginal.cells.items()],
+                "attributes": marginal.attributes,
+                "cells": list(marginal.cells.items()),
                 "binnings": {a: [b.lo, b.hi, b.nbins]
                              for a, b in marginal.binnings.items()},
             })
@@ -814,7 +828,7 @@ class Catalog:
             records.append({
                 "kind": "aux", "name": rel.name,
                 "schema": [asdict(a) for a in rel.schema],
-                "rows": [list(r) for r in rel.to_rows()],
+                "rows": rel.to_rows(),
             })
         return records
 
@@ -895,15 +909,9 @@ class Catalog:
 
 
 def _pred_json(pred: Predicate | None):
-    if pred is None:
-        return None
-    out = []
-    for atom in pred.atoms:
-        if isinstance(atom, InList):
-            out.append({"attr": atom.attr, "in": list(atom.values)})
-        else:
-            out.append({"attr": atom.attr, "op": atom.op, "value": atom.value})
-    return out
+    return None if pred is None else [
+        {"attr": atom.attr, "in": atom.values} if isinstance(atom, InList)
+        else {"attr": atom.attr, "op": atom.op, "value": atom.value} for atom in pred.atoms]
 
 
 def _pred_load(data) -> Predicate | None:
@@ -916,10 +924,6 @@ def _pred_load(data) -> Predicate | None:
         else:
             atoms.append(Comparison(item["attr"], item["op"], item["value"]))
     return Predicate(tuple(atoms))
-
-
-def _key_json(key):
-    return list(key) if isinstance(key, tuple) else key
 
 
 def _key_load(key):

@@ -114,12 +114,14 @@ class Encoding:
                 cols[enc.name] = enc.lo + matrix[:, enc.offset] * span \
                     if span > 0 else np.full(len(matrix), enc.lo)
             else:
-                # The argmax indices, renumbered in sorted order, are codes.
-                values = sorted(enc.values)
-                codes = np.argsort(np.argsort(np.array(enc.values, dtype=object)))[
+                # The codes a fresh build gives: sorted ranks over the values that occur.
+                ranks = np.argsort(np.argsort(np.array(enc.values, dtype=object)))[
                     np.argmax(matrix[:, enc.offset:enc.offset + enc.width], axis=1)]
-                cols[enc.name] = np.asarray(values, dtype=object)[codes]
-                encodings[enc.name] = (values, codes)
+                used = np.bincount(ranks, minlength=enc.width) > 0
+                values = np.array(sorted(enc.values), dtype=object)[used]
+                codes = (np.cumsum(used) - 1)[ranks]
+                cols[enc.name] = values[codes]
+                encodings[enc.name] = (values.tolist(), codes)
         schema = [AttributeDef(name, self.by_name[name].kind) for name in attr_order]
         relation = Relation(schema, {name: cols[name] for name in attr_order},
                             np.ones(len(matrix)))

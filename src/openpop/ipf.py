@@ -69,6 +69,8 @@ class IpfConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if self.tolerance == np.inf:  # every fit would stop, "converged", after round 1
+            raise ConfigError("tolerance must be finite, got inf")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
 

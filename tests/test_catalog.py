@@ -30,6 +30,7 @@ from openpop.catalog import (
 from openpop.errors import (
     CatalogError,
     CatalogIoError,
+    ConfigError,
     CsvParseError,
     DuplicateNameError,
     FormatVersionMismatchError,
@@ -40,7 +41,7 @@ from openpop.errors import (
     TypeMismatchError,
     UnknownAttributeError,
 )
-from openpop.predicate import Comparison, Predicate
+from openpop.predicate import Comparison, InList, Predicate
 
 
 GOLDEN = Path(__file__).parent / "data" / "catalog_v1.opc"
@@ -1039,3 +1040,164 @@ class TestPersistence:
         cat.save(path)
         assert Catalog.load(path).to_jsonable() == cat.to_jsonable()
 
+
+
+class TestOneCountRule:
+    """`Marginal` alone checks cell counts; `create_metadata` and `load`
+    reach that check."""
+
+    def test_count_not_a_number_named(self):
+        with pytest.raises(TypeMismatchError, match="^cell count 'x' is not a number$"):
+            Marginal("P", ("u",), {"a": 1.0, "b": "x"})
+
+    def test_count_past_float_range_fails_like_inf(self):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("u", "categorical")]))
+        with pytest.raises(NegativeCountError, match="^cell 'a' has count 1000"):
+            catalog.create_metadata("P", ("u",), {"a": 10 ** 400})
+        assert catalog.marginals == []
+
+    def test_total_past_float_range(self):
+        # Each count fits a float; their sum, an exact int, did not, and
+        # total() raised OverflowError.
+        with pytest.raises(NegativeCountError, match=(
+                "^marginal total count must be positive and finite$")):
+            Marginal("P", ("u",), {"a": 10 ** 308, "b": 10 ** 308})
+
+    def test_numpy_counts_compare_without_a_cast_warning(self, recwarn):
+        marginal = Marginal("P", ("u",), {"a": np.float32(2.5), "b": np.float16(1.0),
+                                          "c": 3, "d": np.int64(4)})
+        assert marginal.counts.tolist() == [2.5, 1.0, 3.0, 4.0]
+        with pytest.raises(NegativeCountError, match="^cell 'b' has count inf"):
+            Marginal("P", ("u",), {"a": 1, "b": np.float32(math.inf)})
+        assert not recwarn.list
+
+
+def edited_golden(tmp_path, name, change):
+    """The golden catalog with the record named `name` changed: (path, its
+    line number)."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if f'"name": "{name}"' in line)
+    lines[lineno - 1] = json.dumps(change(json.loads(lines[lineno - 1])))
+    path = tmp_path / "edited.opc"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, lineno
+
+
+HUGE = 10 ** 400  # an int past the float range
+
+
+class TestNumbersPastTheFloatRange:
+    """Every entry of catalog input that takes a number raises a catalog
+    error for an int past the float range, never a bare OverflowError."""
+
+    @pytest.fixture
+    def numeric_catalog(self):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef("P", True, [
+            AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]))
+        catalog.create_sample("S")
+        return catalog
+
+    def test_ingested_value(self, numeric_catalog):
+        with pytest.raises(CsvParseError, match=(
+                "^line 2: non-finite value 1000.* in numeric column 'x'$")):
+            numeric_catalog.ingest_rows("S", [("a", 1), ("b", HUGE)])
+        assert len(numeric_catalog.sample("S")) == 0
+        # An int within the range reads as the float of its digits.
+        numeric_catalog.ingest_rows("S", [("a", 2 ** 60 + 1)])
+        assert numeric_catalog.sample("S").to_rows() == [("a", float(2 ** 60 + 1))]
+
+    def test_binning_bound(self):
+        with pytest.raises(CatalogError, match="^binning needs finite lo <= hi"):
+            NumericBinning(0, HUGE, 4)
+        with pytest.raises(CatalogError, match="^binning needs finite lo <= hi"):
+            NumericBinning(-HUGE, 1.0, 4)
+
+    def test_weight(self, numeric_catalog):
+        numeric_catalog.ingest_rows("S", [("a", 1.0), ("b", 2.0)])
+        for weights in ([1.0, HUGE], [-HUGE, 1]):
+            with pytest.raises(TypeMismatchError, match="^weights must be finite$"):
+                numeric_catalog.set_weights("S", weights)
+        assert numeric_catalog.sample("S").weights.tolist() == [1.0, 1.0]
+
+    def test_binned_cell_value(self, numeric_catalog):
+        with pytest.raises(CatalogError, match="^cell value 1000.* is not a bin id"):
+            numeric_catalog.create_metadata("P", ("x",), {0: 1.0, HUGE: 2.0},
+                                            {"x": NumericBinning(0.0, 1.0, 4)})
+
+    def test_unbinned_cell_value(self, numeric_catalog):
+        # Once accepted: the next OPEN query raised OverflowError.
+        for value in (HUGE, -HUGE, math.inf, math.nan):
+            with pytest.raises(TypeMismatchError, match=(
+                    "^cell value .* does not fit numeric attribute 'x'$")):
+                numeric_catalog.create_metadata("P", ("c", "x"),
+                                                {("a", 1): 1.0, ("b", value): 2.0})
+        assert numeric_catalog.marginals == []
+
+    @pytest.mark.parametrize("name, change, error", [
+        ("P_country", lambda r: {**r, "cells": [["UK", 500.0], ["FR", HUGE]]},
+         "NegativeCountError: cell 'FR' has count 1000"),
+        ("Survey", lambda r: {**r, "rows": [r["rows"][0][:2] + [HUGE]] + r["rows"][1:]},
+         "CsvParseError: line 1: non-finite value 1000"),
+        ("Survey", first_weight(HUGE), "TypeMismatchError: weights must be finite"),
+        ("AgeStats", lambda r: {**r, "rows": [[21.5, -HUGE]]},
+         "CsvParseError: line 1: non-finite value -1000"),
+        ("P_age", lambda r: {**r, "binnings": {"age": [21.5, HUGE, 64]}},
+         "CatalogError: binning needs finite lo <= hi"),
+        ("P_age", lambda r: {**r, "cells": [[0, 250.0], [HUGE, 300.0]]},
+         "CatalogError: cell value 1000"),
+    ], ids=["count", "sample_value", "weight", "aux_value", "binning_hi", "bin_id"])
+    def test_load_fails_at_the_record(self, tmp_path, name, change, error):
+        path, lineno = edited_golden(tmp_path, name, change)
+        assert len(str(HUGE)) == 401 and str(HUGE) in path.read_text(encoding="utf-8")
+        with pytest.raises(CsvParseError, match=(
+                f"^line {lineno}: malformed catalog record \\({re.escape(error)}")):
+            Catalog.load(path)
+
+
+class TestSeedKind:
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ConfigError, match=(
+                "^seed must be a non-negative integer, got True$")):
+            Catalog(seed=True)
+        catalog = Catalog(seed=3)
+        with pytest.raises(ConfigError):
+            catalog.seed = False
+        assert catalog.seed == 3
+
+    def test_saved_bool_seed_fails_at_its_line(self, tmp_path):
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == '{"kind": "state", "seed": 11}'
+        lines[1] = '{"kind": "state", "seed": true}'
+        path = tmp_path / "edited.opc"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvParseError, match=(
+                "^line 2: malformed catalog record \\(ConfigError: seed must be a "
+                "non-negative integer, got True\\)$")):
+            Catalog.load(path)
+
+
+class TestSaveWritesTuplesAsArrays:
+    def test_saved_bytes_and_round_trip(self, tmp_path):
+        catalog = Catalog(seed=1)
+        catalog.create_population(PopulationDef("P", True, [
+            AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]))
+        catalog.create_population(PopulationDef(
+            "Q", False, catalog.global_schema(),
+            predicate=Predicate((InList("c", ("a", "b")),))))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("a", 1.0), ("b", 2.5)])
+        catalog.create_metadata("P", ("c", "x"), {("a", 1): 2.0, ("b", 3): 1.0})
+        path = tmp_path / "c.opc"
+        catalog.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert '"predicate": [{"attr": "c", "in": ["a", "b"]}]' in lines[3]
+        assert '"rows": [["a", 1.0], ["b", 2.5]]' in lines[4]
+        assert '"attributes": ["c", "x"], "cells": [[["a", 1], 2.0], [["b", 3], 1.0]]' \
+            in lines[5]
+        restored = Catalog.load(path)
+        assert restored.to_jsonable() == catalog.to_jsonable()
+        assert restored.marginals[0].cells == {("a", 1): 2.0, ("b", 3): 1.0}
+        assert restored.population("Q").predicate == catalog.population("Q").predicate

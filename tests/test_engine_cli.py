@@ -1002,6 +1002,39 @@ CREATE METADATA P_age AS (SELECT age, n FROM Ages);
         assert saved_seed(["--seed", "3"]) == 3
         assert saved_seed([]) == 3
 
+    def test_infinite_tolerance_is_a_config_error(self):
+        code, _, err = self.run_cli(["--quiet"], stdin=(
+            "\\config ipf.tolerance 1e-3\n\\config ipf.tolerance inf\n"
+            "\\config ipf.tolerance 1e400\n\\quit\n"))
+        assert (code, err) == (0, "error: tolerance must be finite, got inf\n" * 2)
+        engine = Engine()
+        with pytest.raises(ConfigError, match="^tolerance must be finite, got inf$"):
+            engine.set_config("ipf.tolerance", "inf")
+        assert engine.options.ipf == IpfConfig()
+
+    def test_saved_value_past_float_range_fails_at_its_line(self, tmp_path):
+        # The value's float() raised OverflowError, and the CLI printed a
+        # traceback.
+        catalog_path = tmp_path / "c.opc"
+        catalog = Catalog()
+        catalog.create_population(PopulationDef(
+            "P", True, [AttributeDef("country", "categorical"),
+                        AttributeDef("age", "numeric")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("UK", 30.0), ("FR", 41.0)])
+        catalog.save(catalog_path)
+        text = catalog_path.read_text(encoding="utf-8")
+        edited = text.replace('["FR", 41.0]', f'["FR", {10 ** 400}]')
+        assert edited != text
+        catalog_path.write_text(edited, encoding="utf-8")
+        code, _, err = self.run_cli(["--quiet", "--catalog", str(catalog_path)],
+                                    stdin="\\quit\n")
+        assert code == 1
+        assert err.startswith("error: line 4: malformed catalog record (CsvParseError: "
+                              "line 2: non-finite value 1000")
+        assert err.endswith(" in numeric column 'age')\n")
+        assert "Traceback" not in err and "internal error" not in err
+
     def test_rejected_seed_changes_nothing(self, tmp_path):
         # `\seed -1` used to set the seed before numpy refused it: every later
         # \config failed, and \save wrote a catalog that would not load.

@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             IpfConfig(max_rounds=0)
 
+    def test_infinite_tolerance_rejected(self):
+        # It was accepted, and every fit then stopped after round 1,
+        # reported as converged.
+        with pytest.raises(ConfigError, match="^tolerance must be finite, got inf$"):
+            IpfConfig(tolerance=float("inf"))
+
 
 class TestCellOf:
     def test_categorical(self):
