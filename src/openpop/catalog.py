@@ -78,6 +78,15 @@ def _check_schema(schema: Schema) -> None:
     for a in schema:
         if a.kind not in (NUMERIC, CATEGORICAL):
             raise TypeMismatchError(f"unknown attribute kind '{a.kind}'")
+        bounds = [b for b in (a.lo, a.hi) if b is not None]
+        if bounds and a.kind == CATEGORICAL:
+            raise TypeMismatchError(f"categorical attribute '{a.name}' takes no lo or hi")
+        if not all(isinstance(b, Real) and not isinstance(b, bool) and _fits_float(b)
+                   for b in bounds) or len(bounds) == 2 and a.lo > a.hi:
+            raise CatalogError(f"attribute '{a.name}' needs finite lo <= hi, got "
+                               f"[{_shown(a.lo)}, {_shown(a.hi)}]")
+        if not all(isinstance(v, str) for v in a.domain):
+            raise TypeMismatchError(f"domain of '{a.name}' holds a value that is not a string")
 
 
 @dataclass
@@ -189,6 +198,15 @@ def _fits_float(number, lo=-sys.float_info.max) -> bool:
     and a numpy scalar compares as its Python number, not cast to its width."""
     number = number.item() if isinstance(number, np.generic) else number
     return lo <= number <= sys.float_info.max
+
+
+def _shown(value, show=repr) -> str:
+    """show(value) for a message; a number whose digits pass Python's
+    int_max_str_digits is named by that limit instead of raising."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"<{type(value).__name__} of over {sys.get_int_max_str_digits()} digits>"
 
 
 def _floats(values) -> np.ndarray:
@@ -350,9 +368,11 @@ class NumericBinning:
 
     def __post_init__(self):
         if type(self.nbins) is not int or self.nbins < 1:
-            raise CatalogError(f"binning nbins must be a positive int, got {self.nbins!r}")
+            raise CatalogError(
+                f"binning nbins must be a positive int, got {_shown(self.nbins)}")
         if not (_fits_float(self.lo) and _fits_float(self.hi) and self.lo <= self.hi):
-            raise CatalogError(f"binning needs finite lo <= hi, got [{self.lo}, {self.hi}]")
+            raise CatalogError(f"binning needs finite lo <= hi, got "
+                               f"[{_shown(self.lo, str)}, {_shown(self.hi, str)}]")
 
     def cells(self, values) -> np.ndarray:
         """Bin ids of `values`; values outside [lo, hi] clamp to the boundary
@@ -399,12 +419,14 @@ class Marginal:
         if not fits:
             for key, count in self.cells.items():
                 if isinstance(key, tuple) != pair or pair and len(key) != 2:
-                    raise CatalogError(f"cell key {key!r} does not fit {self.attributes}")
+                    raise CatalogError(
+                        f"cell key {_shown(key)} does not fit {self.attributes}")
                 if not isinstance(count, Real) or isinstance(count, bool):
-                    raise TypeMismatchError(f"cell count {count!r} is not a number")
+                    raise TypeMismatchError(f"cell count {_shown(count)} is not a number")
                 if not _fits_float(count, 0):
-                    raise NegativeCountError(
-                        f"cell {key!r} has count {count}; counts must be finite and >= 0")
+                    raise NegativeCountError(f"cell {_shown(key)} has count "
+                                             f"{_shown(count, str)}; counts must be "
+                                             "finite and >= 0")
         total = sum(self.cells.values())  # ints summed exactly, so past the float range
         if self.cells and not (total > 0 and _fits_float(total)):
             raise NegativeCountError("marginal total count must be positive and finite")
@@ -535,7 +557,7 @@ class Catalog:
     def seed(self, value: int) -> None:
         # The one check of every seed: the engine's and a loaded catalog's.
         if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {value!r}")
+            raise ConfigError(f"seed must be a non-negative integer, got {_shown(value)}")
         self._seed = value
 
     # --- lookups ----------------------------------------------------------
@@ -655,13 +677,13 @@ class Catalog:
                         if numeric else issubclass(cls, str)):
                     value = next(v for v in values if type(v) is cls)
                     raise TypeMismatchError(
-                        f"cell value {value!r} does not fit {kinds[attr]} "
+                        f"cell value {_shown(value)} does not fit {kinds[attr]} "
                         f"attribute '{attr}'")
             if numeric and attr not in marginal.binnings:  # bin ids are checked below
                 finite = np.isfinite(_floats(values))
                 if not finite.all():
-                    raise TypeMismatchError(f"cell value {values[finite.argmin()]!r} does "
-                                            f"not fit numeric attribute '{attr}'")
+                    raise TypeMismatchError(f"cell value {_shown(values[finite.argmin()])} "
+                                            f"does not fit numeric attribute '{attr}'")
         # A binned attribute's cell values are its bin ids.
         for attr, binning in marginal.binnings.items():
             if attr not in attributes:
@@ -675,7 +697,7 @@ class Catalog:
             bad = (ids != np.floor(ids)) | (ids < 0) | (ids >= binning.nbins)
             if bad.any():
                 raise CatalogError(
-                    f"cell value {marginal.parts[attr][bad.argmax()]!r} is not a "
+                    f"cell value {_shown(marginal.parts[attr][bad.argmax()])} is not a "
                     f"bin id of attribute '{attr}' (a whole number in "
                     f"[0, {binning.nbins}))")
         # Marginal cell keys extend the owner's categorical active domains, so
@@ -710,18 +732,21 @@ class Catalog:
 
     def _coerce(self, attr: AttributeDef, raw, line: int):
         if attr.kind == NUMERIC:
-            try:  # an int as its digits, so one past the float range reads inf
-                value = float(raw if isinstance(raw, float) else str(raw))
+            try:  # a bool reads as its name, so it is not a number
+                value = float(raw if isinstance(raw, float) or type(raw) is int
+                              else str(raw))
+            except OverflowError:  # an int past the float range
+                value = math.inf
             except ValueError:
-                raise CsvParseError(
-                    f"non-numeric value {raw!r} in numeric column '{attr.name}'", line)
+                raise CsvParseError(f"non-numeric value {_shown(raw)} in numeric "
+                                    f"column '{attr.name}'", line)
             if not math.isfinite(value):
-                raise CsvParseError(
-                    f"non-finite value {raw!r} in numeric column '{attr.name}'", line)
+                raise CsvParseError(f"non-finite value {_shown(raw)} in numeric "
+                                    f"column '{attr.name}'", line)
             return value
         if not isinstance(raw, str):
             raise TypeMismatchError(
-                f"expected string for categorical column '{attr.name}', got {raw!r}")
+                f"expected string for categorical column '{attr.name}', got {_shown(raw)}")
         return raw
 
     def ingest_rows(self, target: str, rows) -> int:

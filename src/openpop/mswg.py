@@ -28,7 +28,7 @@ from .errors import (
     NoPopulationMarginalsError,
 )
 from .net import Adam, GeneratorNet
-from .transport import aligned_w1_grad, sample_projections, wasserstein_1d_grad
+from .transport import aligned_w1_grad, sample_projections
 
 # Learning-rate decay on a plateau of the epoch loss (see `train`).
 PLATEAU_FACTOR = 0.1
@@ -83,7 +83,7 @@ class MarginalTarget:
 
     dims: np.ndarray
     points: np.ndarray          # (cells, k)
-    weights: np.ndarray | None  # None means uniform (resampled) masses
+    weights: np.ndarray | None  # None marks a batch-size resample_target draw
     projections: np.ndarray     # (p, k) unit rows
 
 
@@ -158,36 +158,30 @@ def coverage_penalty(batch: np.ndarray, refs: np.ndarray):
 def transport_term(target: MarginalTarget, q: np.ndarray):
     """(loss, dloss/dq) of one marginal's transport term against batch slice q.
 
-    A batch-sized uniform target (every training step's) runs the aligned
-    kernel on blocks of TRANSPORT_BLOCK projections. Each block's gradient
-    is written back into the projected targets P, which this call owns, so
-    P and the projected batch Q are the only full-size arrays and the
-    kernel's buffers are block-sized. The kernel sorts, gathers and
-    scatters each column on its own, so the outputs are the bytes of one
-    whole-matrix call."""
+    The target must be a `resample_target` draw of q's size, as every
+    training step's is. The aligned kernel runs on blocks of
+    TRANSPORT_BLOCK projections. Each block's gradient is written back into
+    the projected targets P, which this call owns, so P and the projected
+    batch Q are the only full-size arrays and the kernel's buffers are
+    block-sized. The kernel sorts, gathers and scatters each column on its
+    own, so the outputs are the bytes of one whole-matrix call."""
+    if target.weights is not None or len(target.points) != len(q):
+        raise EmptyDistributionError(f"transport term needs a target that "
+                                     f"resample_target drew at batch size {len(q)}")
     omega = target.projections
     p = len(omega)
     proj_targets = target.points @ omega.T
     proj_batch = q @ omega.T
-    if target.weights is None and proj_targets.shape[0] == proj_batch.shape[0]:
-        w_cols = np.empty(p)
-        # numpy averages a lone column pairwise but wider blocks row by row,
-        # so a last block of one column joins the one before (same bytes).
-        edges = [*range(0, max(p - 1, 1), TRANSPORT_BLOCK), p]
-        for b in map(slice, edges, edges[1:]):
-            w_cols[b], proj_targets[:, b] = aligned_w1_grad(proj_targets[:, b],
-                                                            proj_batch[:, b])
-        del proj_batch  # freed before the product below
-        proj_targets /= p
-        return float(w_cols.sum() / p), proj_targets @ omega
-    total = 0.0
-    grad_proj = np.zeros_like(proj_batch)
-    for j in range(p):
-        w, g = wasserstein_1d_grad(proj_targets[:, j], target.weights,
-                                   proj_batch[:, j])
-        total += w / p
-        grad_proj[:, j] = g / p
-    return total, grad_proj @ omega
+    w_cols = np.empty(p)
+    # numpy averages a lone column pairwise but wider blocks row by row,
+    # so a last block of one column joins the one before (same bytes).
+    edges = [*range(0, max(p - 1, 1), TRANSPORT_BLOCK), p]
+    for b in map(slice, edges, edges[1:]):
+        w_cols[b], proj_targets[:, b] = aligned_w1_grad(proj_targets[:, b],
+                                                        proj_batch[:, b])
+    del proj_batch  # freed before the product below
+    proj_targets /= p
+    return float(w_cols.sum() / p), proj_targets @ omega
 
 
 def loss_and_grad(net: GeneratorNet, latents: np.ndarray,

@@ -7,6 +7,7 @@ population views, sample definitions, and query WHERE clauses alike.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -48,6 +49,7 @@ class Predicate:
         return bool(self.atoms)
 
 
+_FLOAT_MAX = sys.float_info.max
 _COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
             "<=": operator.le, ">=": operator.ge}
 
@@ -55,7 +57,10 @@ _COMPARE = {"=": operator.eq, "<": operator.lt, ">": operator.gt,
 def _atom_mask(atom: Atom, relation) -> np.ndarray:
     column = relation.columns[atom.attr]
     if isinstance(atom, Comparison) and (atom.op != "=" or column.dtype != object):
-        return _COMPARE[atom.op](column, atom.value)
+        value = atom.value
+        if type(value) is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            value = np.inf if value > 0 else -np.inf  # exact against finite values
+        return _COMPARE[atom.op](column, value)
     literals = set(atom.values if isinstance(atom, InList) else (atom.value,))
     if column.dtype == object:  # look codes up; a literal it lacks matches no row
         values, codes = relation.key_columns([atom.attr])[atom.attr]

@@ -62,7 +62,8 @@ def wasserstein_1d(p_values, q_values, p_weights=None, q_weights=None) -> float:
 
 
 def wasserstein_1d_grad(p_values, p_weights, q_values):
-    """(W1, dW1/dq) for a fixed weighted P against equally weighted Q points.
+    """(W1, dW1/dq) for a fixed weighted P against equally weighted Q points:
+    the oracle that `aligned_w1_grad` is tested against.
 
     The gradient is the sort-fixed subgradient; at exact value ties it picks
     one side, which finite differencing confirms everywhere away from ties.
@@ -83,10 +84,10 @@ def aligned_w1_grad(p_matrix, q_matrix):
     """Columnwise (sum of W1, dW1/dQ) for equal-size unit-weight columns.
 
     With n equally weighted atoms on both sides the quantile spans align and
-    each column's W1 is mean |sorted p - sorted q|; this is the vectorized
-    fast path used when marginal targets are resampled to the batch size.
-    `mswg.transport_term` calls it once per block of projections, and every
-    column's outputs depend on that column alone.
+    each column's W1 is mean |sorted p - sorted q|. This is the one kernel
+    training runs: every step resamples each marginal target to the batch
+    size, and `mswg.transport_term` calls it once per block of projections.
+    Every column's outputs depend on that column alone.
 
     It allocates three arrays of the inputs' size: sorted P (reused for
     |diff| and then as the gradient), Q's sort order and the sorted

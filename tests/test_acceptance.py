@@ -29,6 +29,7 @@ from openpop.mswg import (
     generate,
     loss_and_grad,
     prepare_targets,
+    resample_target,
 )
 from openpop.net import GeneratorNet
 from openpop.predicate import Comparison, InList, Predicate, filter_rows
@@ -144,6 +145,8 @@ def test_criterion_2_gradient_suite():
     net = GeneratorNet(2, [6, 5], encoding.dim, encoding.categorical_blocks(),
                        rng)
     latents = rng.standard_normal((8, 2))
+    # Training compares each batch with a batch-size draw of every marginal.
+    targets = [resample_target(t, len(latents), rng) for t in targets]
     points = encoding.encode_rows(sample.columns)
     lam = 0.07
     loss_and_grad(net, latents, points, targets, lam)

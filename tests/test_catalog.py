@@ -52,6 +52,12 @@ def first_weight(value):
     return lambda record: {**record, "weights": [value] + record["weights"][1:]}
 
 
+def schema_attribute(index, **changes):
+    """A change to a saved record's schema: attribute `index` takes `changes`."""
+    return lambda record: {**record, "schema": [
+        {**a, **changes} if i == index else a for i, a in enumerate(record["schema"])]}
+
+
 def migrant_schema():
     return [AttributeDef("country", "categorical"),
             AttributeDef("email", "categorical")]
@@ -482,8 +488,11 @@ class TestCellIndexMatchesPerGroupLoop:
          "cell 'b' has count -1/1"),
         (("u",), {"a": 1.0, "b": -(10 ** 400)}, NegativeCountError,
          "cell 'b' has count -1000"),
+        (("u",), {"a": 10 ** 5000}, NegativeCountError,
+         "cell 'a' has count <int of over 4300 digits>;"),
     ], ids=["pair_bare_key_first", "pair_three", "single_tuple", "negative_first",
-            "inf", "nan", "tiny_negative_fraction", "negative_past_float_range"])
+            "inf", "nan", "tiny_negative_fraction", "negative_past_float_range",
+            "past_the_digit_limit"])
     def test_first_bad_cell_named(self, attributes, cells, error, message):
         with pytest.raises(error) as err:
             Marginal("P", attributes, cells)
@@ -976,6 +985,12 @@ class TestPersistence:
          "CatalogError"),
         ("P_age", lambda r: {**r, "cells": [[0, 250.0], [2.5, 300.0]]},
          "CatalogError"),
+        ("P", schema_attribute(2, lo="x"), "CatalogError"),
+        ("P", schema_attribute(2, hi=1e400), "CatalogError"),
+        ("Survey", schema_attribute(2, lo=True), "CatalogError"),
+        ("Survey", schema_attribute(2, lo=80.0, hi=20.0), "CatalogError"),
+        ("CountryStats", schema_attribute(0, lo=0.0), "TypeMismatchError"),
+        ("Survey", schema_attribute(0, domain=["UK", 7]), "TypeMismatchError"),
     ], ids=["duplicate_sample", "duplicate_aux", "aux_named_like_sample",
             "duplicate_population", "second_global", "duplicate_marginal",
             "marginal_named_like_sample", "marginal_attribute_not_in_owner",
@@ -983,7 +998,9 @@ class TestPersistence:
             "infinite_weight", "numeric_key_not_a_number",
             "categorical_key_not_a_string", "pair_key_not_a_string",
             "bool_count", "binning_not_held", "binning_on_categorical",
-            "bin_id_past_nbins", "fractional_bin_id"])
+            "bin_id_past_nbins", "fractional_bin_id", "lo_not_a_number",
+            "infinite_hi", "bool_lo", "lo_above_hi", "bound_on_categorical",
+            "domain_value_not_a_string"])
     def test_load_enforces_the_create_rules(self, tmp_path, name, change, error):
         # Each case edits one record of the golden catalog so that the call
         # which made it would refuse it; the load must fail at that line.
@@ -1104,6 +1121,10 @@ class TestNumbersPastTheFloatRange:
         with pytest.raises(CsvParseError, match=(
                 "^line 2: non-finite value 1000.* in numeric column 'x'$")):
             numeric_catalog.ingest_rows("S", [("a", 1), ("b", HUGE)])
+        # One past str()'s digit limit raised a bare ValueError in the message.
+        with pytest.raises(CsvParseError, match=(
+                r"^line 1: non-finite value <int of over \d+ digits> in numeric column 'x'$")):
+            numeric_catalog.ingest_rows("S", [("a", 10 ** 5000)])
         assert len(numeric_catalog.sample("S")) == 0
         # An int within the range reads as the float of its digits.
         numeric_catalog.ingest_rows("S", [("a", 2 ** 60 + 1)])

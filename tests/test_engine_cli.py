@@ -547,6 +547,23 @@ INGEST S FROM '{tmp_path / "rows.csv"}';
         assert code == 1
         assert "error:" in err and "internal error" not in err
 
+    def test_where_literal_past_float_range_exit_zero(self, tmp_path):
+        # The script used to exit 2 with "internal error: int too large to
+        # convert to float".
+        (tmp_path / "rows.csv").write_text("x\n1\n2\n3\n", encoding="utf-8")
+        huge = "1" + "0" * 400
+        path = self.script_path(tmp_path, f"""
+CREATE GLOBAL POPULATION P (x INT);
+CREATE SAMPLE S AS (SELECT * FROM P);
+INGEST S FROM '{tmp_path / "rows.csv"}';
+SELECT CLOSED COUNT(*) FROM P WHERE x < {huge};
+SELECT CLOSED COUNT(*) FROM P WHERE x = {huge};
+SELECT CLOSED COUNT(*) FROM P WHERE x > -{huge};
+""")
+        code, out, err = self.run_cli(["--script", path, "--quiet", "--output", "csv"])
+        assert (code, err) == (0, "")
+        assert out.split() == ["COUNT(*)", "3.0", "COUNT(*)", "COUNT(*)", "3.0"]
+
     @pytest.mark.parametrize("stmt", [
         "CREATE SAMPLE S AS (SELECT * FROM Bogus);",
         "CREATE SAMPLE S (country TEXT) AS (SELECT * FROM Bogus);",
@@ -891,6 +908,16 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
             ["UK", 1.0]], "binnings": {"country": [0.0, 1.0, 2]}}),
         ("marginal", lambda record: {**record, "cells": [[0, 1.0], [7, 2.0]]}),
         ("marginal", lambda record: {**record, "cells": [[0, 1.0], [0.5, 2.0]]}),
+        ("sample", lambda record: {**record, "schema": [
+            record["schema"][0], {**record["schema"][1], "lo": "x"}]}),
+        ("sample", lambda record: {**record, "schema": [
+            record["schema"][0], {**record["schema"][1], "hi": 1e400}]}),
+        ("sample", lambda record: {**record, "schema": [
+            record["schema"][0], {**record["schema"][1], "lo": 50.0, "hi": 10.0}]}),
+        ("sample", lambda record: {**record, "schema": [
+            {**record["schema"][0], "hi": 1.0}, record["schema"][1]]}),
+        ("sample", lambda record: {**record, "schema": [
+            {**record["schema"][0], "domain": ["UK", 7]}, record["schema"][1]]}),
     ], ids=["short_row", "long_row", "missing_fields", "not_an_object",
             "zero_percent", "short_weights", "attribute_not_in_global",
             "strat_attribute_not_in_global", "strat_attribute_not_in_sample",
@@ -898,7 +925,9 @@ CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM UNIFORM PERCENT 50);
             "zero_bins", "negative_bins", "fractional_bins", "infinite_hi",
             "hi_below_lo", "pair_one_value_key", "pair_three_value_key",
             "single_tuple_key", "no_cells", "bool_count", "binning_not_held",
-            "binning_on_categorical", "bin_id_past_nbins", "fractional_bin_id"])
+            "binning_on_categorical", "bin_id_past_nbins", "fractional_bin_id",
+            "lo_not_a_number", "infinite_hi_bound", "lo_above_hi",
+            "bound_on_categorical", "domain_value_not_a_string"])
     def test_malformed_catalog_record_exit_one(self, tmp_path, kind, corrupt):
         catalog_path = tmp_path / "cat.opc"
         catalog = Catalog()

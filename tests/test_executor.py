@@ -283,6 +283,18 @@ class TestClosed:
         with pytest.raises(TypeMismatchError):
             execute(parse_one("SELECT AVG(country) FROM Migrants"), catalog)
 
+    @pytest.mark.parametrize("where, rows", [
+        ("age < 1{zeros}", [(5.0,)]), ("age <= 1{zeros}", [(5.0,)]),
+        ("age = 1{zeros}", []), ("age > 1{zeros}", []),
+        ("age > -1{zeros}", [(5.0,)]), ("age < -1{zeros}", []),
+        ("age >= 30 AND age < 1{zeros}", [(3.0,)]),
+    ], ids=["lt", "le", "eq", "gt", "gt_negative", "lt_negative", "conjunction"])
+    def test_literal_past_float_range(self, where, rows):
+        # numpy converted the 401-digit int to float and raised OverflowError;
+        # compared as +-inf it matches every finite value or none.
+        query = f"SELECT COUNT(*) FROM Migrants WHERE {where.format(zeros='0' * 400)}"
+        assert execute(parse_one(query), fresh_catalog()).rows == rows
+
 
 class TestSemiOpenMechanism:
     def test_uniform_inverse_probability(self):
@@ -411,6 +423,31 @@ class TestRefitAfterIngest:
             everything = np.arange(first, batch[-1] + 1)
             want = engine().run_script(ingest(everything, f"upto_{k}.csv") + queries)
             assert rendered(got) == rendered(want)
+
+
+class TestSemiOpenStorage:
+    """SEMI-OPEN answers depend on the sample's rows, not on how they are
+    stored: permuting them or repeating every row changes no group and no
+    value beyond rounding."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flights_answers_ignore_row_order_and_duplicates(self, seed):
+        spec = FlightsLikeSpec(population_size=20_000, seed=seed)
+        data = gen_flightslike(spec)
+        rows = np.arange(len(data.sample))
+
+        def answers(indices):
+            catalog = flights_catalog(
+                FlightsLikeData(data.population, data.sample.take(indices)), spec)
+            return [execute(parse_one(text), catalog).rows for _, text in FLIGHTS_QUERIES]
+
+        expected = answers(rows)
+        permuted = np.random.default_rng(seed).permutation(rows)
+        for variant in (answers(permuted), answers(np.repeat(rows, 2))):
+            for (name, _), want, got in zip(FLIGHTS_QUERIES, expected, variant):
+                assert [r[:-1] for r in got] == [r[:-1] for r in want], name
+                np.testing.assert_allclose([r[-1] for r in got], [r[-1] for r in want],
+                                           rtol=1e-12, atol=0, err_msg=name)
 
 
 class TestAggregateRewriting:

@@ -1,5 +1,7 @@
 """Finite-difference validation of every analytic gradient in the trainer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,19 +107,6 @@ def small_problem(rng, projections=4):
 
 
 class TestFullLossGradient:
-    def test_all_parameters(self):
-        rng = np.random.default_rng(2024)
-        net, latents, points, targets = small_problem(rng)
-        lam = 0.07
-        loss, _ = loss_and_grad(net, latents, points, targets, lam)
-        assert loss > 0
-        analytic = [p.grad.copy() for p in net.params()]
-        for param, grad in zip(net.params(), analytic):
-            numeric = finite_diff(
-                lambda: loss_and_grad(net, latents, points, targets, lam)[0],
-                param.value)
-            assert_close(grad, numeric)
-
     @pytest.mark.parametrize("seed", [2024, 7, 11])
     def test_all_parameters_with_batch_sized_targets(self, seed, monkeypatch):
         # Training resamples each target to the batch size, so transport_term
@@ -170,7 +159,9 @@ class TestFullLossGradient:
         marginal = Marginal("p", ("x",), {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
         encoding = Encoding.build(schema, Relation.from_rows(schema, rows).columns,
                                   [marginal])
-        targets = prepare_targets([marginal], encoding, 1, rng)
+        # The four equal cells are already a uniform batch-size target.
+        (target,) = prepare_targets([marginal], encoding, 1, rng)
+        targets = [replace(target, weights=None)]
 
         class Frozen:
             latent_dim = 1
@@ -191,6 +182,7 @@ class TestFullLossGradient:
     def test_loss_invariant_to_marginal_order(self):
         rng = np.random.default_rng(9)
         net, latents, points, targets = small_problem(rng)
+        targets = [resample_target(t, len(latents), rng) for t in targets]
         loss_fwd, _ = loss_and_grad(net, latents, points, targets, 0.05)
         loss_rev, _ = loss_and_grad(net, latents, points, targets[::-1], 0.05)
         assert loss_fwd == pytest.approx(loss_rev, abs=1e-12)

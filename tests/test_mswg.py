@@ -257,7 +257,8 @@ class TestTraining:
         trained.net.params()[0].value[...] = np.inf
         rng = np.random.default_rng(0)
         encoding = trained.encoding
-        targets = prepare_targets(self.marginals(), encoding, 2, rng)
+        targets = [resample_target(t, 8, rng)
+                   for t in prepare_targets(self.marginals(), encoding, 2, rng)]
         from openpop.mswg import loss_and_grad
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError):
             loss_and_grad(trained.net, rng.standard_normal((8, 2)), None,

@@ -10,11 +10,14 @@ from scipy.optimize import linprog
 
 import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, SampleRelation
+from openpop.encoding import Encoding
 from openpop.errors import EmptyDistributionError
 from openpop.mswg import (
     TRANSPORT_BLOCK,
     MarginalTarget,
     TrainConfig,
+    prepare_targets,
+    resample_target,
     train,
     transport_term,
 )
@@ -224,6 +227,25 @@ def test_transport_term_bytes():
     w_cols, grad_proj = stable_aligned_w1_grad(points @ omega.T, batch @ omega.T)
     assert loss == float(w_cols.sum() / 200)
     assert same_bytes(grad, (grad_proj / 200) @ omega)
+
+
+def test_transport_term_takes_only_batch_size_draws():
+    # prepare_targets gives weighted cells; training hands transport_term
+    # their resample_target draw at the batch size, and nothing else.
+    schema = [AttributeDef("x", "numeric")]
+    sample = SampleRelation.from_rows(schema, [(float(i),) for i in range(8)],
+                                      np.ones(8), name="s")
+    marginal = Marginal("p", ("x",), {i: 1.0 + i for i in range(8)})
+    encoding = Encoding.build(schema, sample.columns, [marginal])
+    rng = np.random.default_rng(0)
+    (cells,) = prepare_targets([marginal], encoding, 1, rng)
+    batch = rng.normal(size=(8, 1))
+    for target in (cells, resample_target(cells, 7, rng)):
+        with pytest.raises(EmptyDistributionError,
+                           match="resample_target drew at batch size 8"):
+            transport_term(target, batch)
+    loss, grad = transport_term(resample_target(cells, 8, rng), batch)
+    assert loss > 0 and grad.shape == batch.shape
 
 
 B = TRANSPORT_BLOCK
