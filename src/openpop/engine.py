@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from . import dialect
 from .catalog import (
     AttributeDef,
@@ -48,7 +46,7 @@ class Engine:
     """A catalog plus execution options, driven by dialect statements. The
     settings (TrainConfig, IpfConfig, k_samples) live in `options` only;
     `set_config` changes them. The one seed drives the catalog, the
-    generators and the OPEN rng."""
+    generators and the samples each generator keeps."""
 
     def __init__(self, seed: int = 0, train_config: TrainConfig | None = None,
                  log=None):
@@ -62,11 +60,9 @@ class Engine:
 
     @catalog.setter
     def catalog(self, catalog: Catalog) -> None:
-        """Take over `catalog` and its seed: the generators' seed and the
-        OPEN rng restart from it, as `set_seed` restarts them."""
+        """Take over `catalog` and its seed, as `set_seed` does."""
         self._catalog = catalog
-        self._set_options(train_config=replace(self.options.train_config,
-                                               seed=catalog.seed))
+        self.set_seed(catalog.seed)
 
     @property
     def seed(self) -> int:
@@ -74,8 +70,10 @@ class Engine:
         return self.catalog.seed
 
     def set_seed(self, seed: int) -> None:
+        """Set the catalog's seed; the generators' seed follows it."""
         self.catalog.seed = seed  # checked there, before anything changes
-        self._set_options(train_config=replace(self.options.train_config, seed=seed))
+        self.options = replace(self.options, train_config=replace(
+            self.options.train_config, seed=seed))
 
     def set_config(self, key: str, value: str) -> None:
         """Dotted config keys: train.<field>, ipf.<field>, k_samples. The
@@ -86,20 +84,14 @@ class Engine:
         section, _, name = key.partition(".")
         option = {"train": "train_config", "ipf": "ipf"}.get(section)
         if key == "k_samples":
-            self._set_options(
-                k_samples=parse_setting(key, self.options.k_samples, value))
+            self.options = replace(self.options, k_samples=parse_setting(
+                key, self.options.k_samples, value))
         elif option is not None:
             config = getattr(self.options, option)
-            self._set_options(**{option: replace(
+            self.options = replace(self.options, **{option: replace(
                 config, **apply_kv(config, {name: value}))})
         else:
             raise ConfigError(f"unknown config key {key!r}")
-
-    def _set_options(self, **changes) -> None:
-        """New options with `changes`, the same caches, and the OPEN rng
-        restarted from the seed."""
-        self.options = replace(self.options, rng=np.random.default_rng(self.seed),
-                               **changes)
 
     # --- statement execution ---------------------------------------------
 

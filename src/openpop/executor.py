@@ -2,8 +2,9 @@
 
 CLOSED answers straight off the chosen sample; SEMI-OPEN reweights it
 (inverse inclusion probability when the mechanism is declared, IPF against
-marginals otherwise); OPEN additionally synthesizes tuples with a trained
-generator and intersects the groups of several generated samples.
+marginals otherwise); OPEN answers over samples a trained generator
+synthesized, kept with it in the generator cache, and intersects the groups
+of several of them.
 
 Every path flows through the same currency, a relation with row weights:
 COUNT(*) becomes sum of weights, SUM(a) the weighted sum, AVG(a) their
@@ -13,12 +14,8 @@ ratio.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -77,9 +74,15 @@ class QueryAnswer:
         return "\n".join(lines + self.warnings())
 
     def warnings(self) -> list[str]:
-        """The `warning:` lines of how this answer's IPF fit fell short."""
+        """The `warning:` lines of how this answer's IPF fit fell short, or
+        of the groups an OPEN answer dropped."""
         report = self.diagnostics.get("ipf")
         lines = []
+        dropped = self.diagnostics.get("dropped_groups")
+        if dropped:
+            lines.append(f"warning: OPEN dropped {dropped} group"
+                         f"{'s' if dropped != 1 else ''} that only some of the "
+                         f"{self.diagnostics['k']} generated samples held")
         if report is not None and report.stalled:
             lines.append(f"warning: IPF stopped at round {report.rounds}: the "
                          "marginals cannot all be met on this sample's rows "
@@ -103,8 +106,8 @@ class ExecOptions:
     ipf: IpfConfig = field(default_factory=IpfConfig)
     k_samples: int = 10
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    # (sample name, marginal owner) -> (content key, TrainedGenerator, n rows)
+    # (sample name, marginal owner) -> (content key, TrainedGenerator,
+    # rows per generated sample, the samples generated so far)
     generator_cache: dict = field(default_factory=dict)
     # (sample name, marginal owner) -> (content key, weights, IpfReport)
     ipf_cache: dict = field(default_factory=dict)
@@ -243,15 +246,18 @@ def _answer(query: Select, pop: PopulationDef, weighted: Iterable[Relation],
     the population's view (its predicate ANDed in front of the WHERE, one
     filter pass), labelled with its provenance and diagnostics. OPEN
     aggregates over several generated samples keep the groups all of them
-    show and average their values."""
+    show and average their values; `dropped_groups` counts the groups only
+    some of them show."""
     if pop.predicate:
         where = query.predicate.atoms if query.predicate else ()
         query = replace(query, predicate=Predicate(pop.predicate.atoms + where))
     answers = [evaluate_aggregates(relation, query) for relation in weighted]
     answer = answers[0]
     if provenance == PROVENANCE_OPEN and query.aggregates():
-        answer = QueryAnswer(answer.columns,
-                             intersect_group_answers(answers, len(query.group_by)), "")
+        n_group = len(query.group_by)
+        answer = QueryAnswer(answer.columns, intersect_group_answers(answers, n_group), "")
+        held = set().union(*(each.group_keys(n_group) for each in answers))
+        diagnostics["dropped_groups"] = len(held) - len(answer.rows)
     answer.provenance = provenance
     answer.diagnostics.update(diagnostics)
     return answer
@@ -362,73 +368,57 @@ def _view_rows(sample: SampleRelation, scope: Predicate, population: str) -> np.
 
 
 def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
-                       scope: Predicate | None = None, population: str | None = None,
-                       log=None):
+                       k: int = 0, scope: Predicate | None = None,
+                       population: str | None = None, log=None):
     """The generator for (sample, scope, marginals, TrainConfig), trained on
-    the sample rows inside `scope`, the view of `population`; the size of
-    each sample it generates, that row count but at least 1; and "hit" or
-    "miss"."""
+    the sample rows inside `scope`, the view of `population`; its first `k`
+    generated samples; and "hit" or "miss". The samples are kept in the
+    generator's cache slot and grow in place when a query needs more. Sample
+    i is generated from the i-th latent batch of an rng seeded by the
+    generator's key, one row per trained row (at least 1), each weighted to
+    the population total, so the first k samples are the same for any k and
+    any history of queries."""
+    key = fingerprint(sample, marginals, options.train_config, scope)
+
     def fit():
         rows = sample.take(_view_rows(sample, scope, population)) if scope else sample
-        return (train(rows, marginals, options.train_config, log=log),
-                max(1, len(rows)))
+        return train(rows, marginals, options.train_config, log=log), max(1, len(rows)), []
 
-    (trained, n_generated), cache = _cached_fit(
-        options.generator_cache, sample, marginals,
-        fingerprint(sample, marginals, options.train_config, scope), fit)
-    return trained, n_generated, cache
+    (trained, n_generated, kept), cache = _cached_fit(
+        options.generator_cache, sample, marginals, key, fit)
+    if len(kept) < k:
+        rng = np.random.default_rng(int(key, 16))
+        weight = trained.population_total / n_generated
+        for i in range(k):
+            # Batches of samples already kept are drawn only to advance the rng.
+            latents = rng.standard_normal((n_generated, trained.net.latent_dim))
+            if i >= len(kept):
+                rows = generate(trained, latents)
+                kept.append(rows.reweighted(np.full(len(rows), weight)))
+    return trained, kept[:k], cache
 
 
 def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
                  options: ExecOptions | None = None, log=None) -> QueryAnswer:
-    """Generator-backed answering: k generated samples, each uniformly
-    weighted to the population total; the answer keeps the groups present
-    in all k and averages their aggregate values."""
+    """Generator-backed answering over the samples kept with the trained
+    generator, each weighted to the population total: the first k_samples
+    for aggregates, whose answer keeps the groups present in all k and
+    averages their values; sample 0 for plain tuples."""
     options = options or ExecOptions()
     pop = catalog.population(query.source)
     marginals, path, scope = applicable_marginals(catalog, pop)
     _check_metadata(Visibility.OPEN, pop, sample, path)
-    trained, n_generated, cache = _trained_generator(sample, marginals, options,
-                                                     scope, pop.name, log=log)
-    weight = trained.population_total / n_generated
     aggs = query.aggregates()
-    # Plain tuples come from a single generated sample.
     k = options.k_samples if aggs else 1
-    # The k latent batches are drawn here, in order, so the rng stream and
-    # every answer are the same for any thread count. The forward passes run
-    # on up to min(k, usable CPUs) threads, and the tail aggregates each
-    # sample as it arrives, in order.
-    shape = (n_generated, trained.net.latent_dim)
-    latents = (options.rng.standard_normal(shape) for _ in range(k))
-    workers = min(k, usable_cpus())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        generated = _in_order(pool, lambda z: generate(trained, z), latents, workers)
-        return _answer(query, pop, (rows.reweighted(np.full(len(rows), weight))
-                                    for rows in generated), PROVENANCE_OPEN,
-                       k=k, generated_rows=n_generated, row_weight=weight,
-                       materialized=not aggs, workers=workers,
-                       generator_params=trained.net.num_params(),
-                       generator_cache=cache, metadata_path=path)
-
-
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_order(pool: ThreadPoolExecutor, fn, args: Iterator, ahead: int) -> Iterator:
-    """`fn(arg)` for each of `args`, run on `pool` and yielded in order.
-    `args` is read on the calling thread, one item per call submitted, and
-    at most `ahead` calls are submitted beyond the one being yielded, so at
-    most that many results wait in memory."""
-    pending = deque(pool.submit(fn, arg) for arg in islice(args, ahead))
-    while pending:
-        future = pending.popleft()
-        pending.extend(pool.submit(fn, arg) for arg in islice(args, 1))
-        yield future.result()
+    trained, generated, cache = _trained_generator(sample, marginals, options, k,
+                                                   scope, pop.name, log=log)
+    n_generated = len(generated[0])
+    return _answer(query, pop, generated, PROVENANCE_OPEN,
+                   k=k, generated_rows=n_generated,
+                   row_weight=trained.population_total / n_generated,
+                   materialized=not aggs,
+                   generator_params=trained.net.num_params(),
+                   generator_cache=cache, metadata_path=path)
 
 
 def intersect_group_answers(answers: list[QueryAnswer], n_group: int) -> list[tuple]:

@@ -342,8 +342,7 @@ def run_flightslike_experiment(spec: FlightsLikeSpec,
         ipf=IpfConfig(max_rounds=200), k_samples=10,
         train_config=TrainConfig(coverage_weight=1e-7, latent_dim=18,
                                  projections=1000, batch_size=500, epochs=3,
-                                 layers=(50, 50, 50, 50, 50), seed=spec.seed),
-        rng=np.random.default_rng(spec.seed + 3))
+                                 layers=(50, 50, 50, 50, 50), seed=spec.seed))
 
     rows = []
     for label, text in FLIGHTS_QUERIES:

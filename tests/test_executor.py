@@ -1,13 +1,11 @@
 """Executor: planning, visibility semantics, aggregate rewriting."""
 
-import sys
-import threading
-import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import openpop.cli
 import openpop.executor
 from openpop.catalog import (
     AttributeDef,
@@ -34,6 +32,7 @@ from openpop.executor import (
     ExecOptions,
     QueryAnswer,
     _answer,
+    applicable_marginals,
     evaluate_aggregates,
     execute,
     execute_closed,
@@ -43,7 +42,7 @@ from openpop.executor import (
     plan,
 )
 from openpop.ipf import IpfReport
-from openpop.mswg import TrainConfig, generate
+from openpop.mswg import TrainConfig, fingerprint, generate
 from openpop.predicate import Comparison, Predicate
 from openpop_experiments import (
     FLIGHTS_QUERIES,
@@ -80,8 +79,7 @@ def small_options(**overrides):
     defaults = dict(
         train_config=TrainConfig(coverage_weight=0.01, latent_dim=2,
                                  projections=8, batch_size=16, epochs=25,
-                                 layers=(24, 24), seed=2),
-        rng=np.random.default_rng(0))
+                                 layers=(24, 24), seed=2))
     defaults.update(overrides)
     return ExecOptions(**defaults)
 
@@ -223,18 +221,17 @@ class TestPlan:
                                match=f"unknown attribute '{attr}'"):
                 plan(parse_one(text), engine.catalog)
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_rejected_query_leaves_the_session_as_it_was(self, monkeypatch, cpus):
-        # AVG over a categorical attribute used to pass `plan`, train the
-        # generator and draw the k latent batches before it failed, so the
-        # next OPEN answer depended on it and on the thread count.
-        monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_rejected_query_leaves_the_session_as_it_was(self, k):
+        # AVG over a categorical attribute used to pass `plan` and train the
+        # generator before it failed.
         query = parse_one("SELECT OPEN country, AVG(age) FROM Migrants "
                           "GROUP BY country")
         answers = []
         for rejected in (True, False):
             engine = Engine(seed=3, train_config=small_options().train_config)
             engine.catalog = open_world_catalog()
+            engine.set_config("k_samples", str(k))
             if rejected:
                 with pytest.raises(TypeMismatchError, match="AVG.country. requires"):
                     engine.execute_statement(
@@ -637,22 +634,28 @@ class TestOpen:
         assert rows == [("a", 12.0)]  # 'b' generated in only 9 of 10
 
 
-def serial_open(query, catalog, options, seed):
-    """The oracle for the pooled OPEN route: its trained generator's k
-    latent batches drawn in order from a fresh rng seeded `seed`, generated
-    one at a time on this thread, and aggregated by the answer tail."""
-    ((_, trained, n),) = options.generator_cache.values()
+def serial_open(query, catalog, options):
+    """The oracle for the OPEN route: the k latent batches of its trained
+    generator drawn in order from a fresh rng seeded by the generator's
+    fingerprint key, generated one at a time, and aggregated by the answer
+    tail."""
+    pop = catalog.population(query.source)
+    marginals, _, scope = applicable_marginals(catalog, pop)
+    key = fingerprint(plan(query, catalog), marginals, options.train_config, scope)
+    ((slot_key, trained, n, _),) = options.generator_cache.values()
+    assert slot_key == key
     k = options.k_samples if query.aggregates() else 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(key, 16))
     generated = [generate(trained, rng.standard_normal((n, trained.net.latent_dim)))
                  for _ in range(k)]
     weight = trained.population_total / n
-    return _answer(query, catalog.population(query.source),
-                   [replace(rows, weights=np.full(len(rows), weight))
-                    for rows in generated], PROVENANCE_OPEN)
+    return _answer(query, pop, [replace(rows, weights=np.full(len(rows), weight))
+                                for rows in generated], PROVENANCE_OPEN)
 
 
 class TestOpenPool:
+    """OPEN answers read the pool of samples kept with the trained generator."""
+
     CASES = {
         "group_by": (open_world_catalog, "SELECT OPEN country, email, COUNT(*), "
                      "AVG(age) FROM Migrants GROUP BY country, email"),
@@ -663,67 +666,110 @@ class TestOpenPool:
                     "GROUP BY email"),
     }
 
-    @pytest.mark.parametrize("workers", ["one", "k"])
+    @pytest.mark.parametrize("k_samples", ["one", "k"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_serial_oracle_bytes(self, monkeypatch, case, workers):
+    def test_matches_serial_oracle_bytes(self, case, k_samples):
         make_catalog, text = self.CASES[case]
         catalog, query = make_catalog(), parse_one(text)
-        options = small_options(rng=np.random.default_rng(7))
-        k = options.k_samples if query.aggregates() else 1
-        monkeypatch.setattr(openpop.executor, "usable_cpus",
-                            lambda: 1 if workers == "one" else k)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often while they generate
-        try:
-            answer = execute(query, catalog, options)
-        finally:
-            sys.setswitchinterval(interval)
-        want = serial_open(query, catalog, options, 7)
-        assert answer.rows and answer.diagnostics["k"] == k
+        options = small_options(k_samples=1 if k_samples == "one" else 10)
+        answer = execute(query, catalog, options)
+        want = serial_open(query, catalog, options)
+        assert answer.rows
+        assert answer.diagnostics["k"] == (options.k_samples if query.aggregates() else 1)
         assert answer.to_text() == want.to_text()
         assert answer.to_csv() == want.to_csv()
 
     @pytest.mark.parametrize("case", ["group_by", "materialized"])
     def test_reports_its_pool_size(self, monkeypatch, case):
+        # A query generates only the samples it reads: k for aggregates,
+        # one for plain tuples.
         make_catalog, text = self.CASES[case]
         catalog, query = make_catalog(), parse_one(text)
-        answers = {}
-        for cpus in (1, 3):
-            monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: cpus)
-            answers[cpus] = execute(query, catalog,
-                                    small_options(rng=np.random.default_rng(7)))
-        for cpus, answer in answers.items():
-            assert answer.diagnostics["workers"] == min(answer.diagnostics["k"], cpus)
-            assert answer.to_text() == answers[1].to_text()
-            assert answer.to_csv() == answers[1].to_csv()
-        assert answers[3].diagnostics["workers"] == (1 if case == "materialized" else 3)
-
-    def test_generates_at_most_workers_ahead_on_pool_threads(self, monkeypatch):
-        catalog = open_world_catalog()
-        options = small_options()
-        query = parse_one("SELECT OPEN country, COUNT(*) FROM Migrants "
-                          "GROUP BY country")
-        execute(query, catalog, options)  # trains; later runs hit the cache
+        options = small_options(k_samples=3)
         real_generate = openpop.executor.generate
-        real_evaluate = openpop.executor.evaluate_aggregates
-        threads, ahead = [], []
+        calls = []
 
         def counting_generate(trained, latents):
-            threads.append(threading.get_ident())
+            calls.append(len(latents))
             return real_generate(trained, latents)
 
-        def slow_evaluate(relation, q):
-            time.sleep(0.01)  # room for a pool that ran ahead to show it
-            ahead.append(len(threads) - len(ahead) - 1)
-            return real_evaluate(relation, q)
-
-        monkeypatch.setattr(openpop.executor, "usable_cpus", lambda: 3)
         monkeypatch.setattr(openpop.executor, "generate", counting_generate)
-        monkeypatch.setattr(openpop.executor, "evaluate_aggregates", slow_evaluate)
-        execute(query, catalog, options)
-        assert len(ahead) == len(threads) == 10
-        assert max(ahead) <= 3
-        assert threading.get_ident() not in threads
+        answers = [execute(query, catalog, options) for _ in range(2)]
+        ((_, _, n, kept),) = options.generator_cache.values()
+        k = 1 if case == "materialized" else 3
+        assert [a.diagnostics["k"] for a in answers] == [k, k]
+        assert calls == [n] * k and len(kept) == k
+        assert answers[0].to_csv() == answers[1].to_csv()
+
+
+class TestKeptSamples:
+    QUERY = "SELECT OPEN country, email, COUNT(*) FROM Migrants GROUP BY country, email"
+
+    def engine(self, catalog) -> Engine:
+        engine = Engine(seed=2, train_config=small_options().train_config)
+        engine.catalog = catalog
+        return engine
+
+    def test_answer_does_not_depend_on_query_history(self):
+        # Each OPEN answer used to draw fresh latent batches from a session
+        # rng, so it depended on how many OPEN queries ran before it.
+        catalog = open_world_catalog()
+        engine = self.engine(catalog)
+        query = parse_one(self.QUERY)
+        first = engine.execute_statement(query)
+        again = engine.execute_statement(query)
+        engine.execute_statement(parse_one(
+            "SELECT OPEN country, AVG(age) FROM Migrants GROUP BY country"))
+        after_other = engine.execute_statement(query)
+        fresh = self.engine(catalog).execute_statement(query)
+        assert first.diagnostics["generator_cache"] == "miss"
+        assert fresh.diagnostics["generator_cache"] == "miss"
+        for answer in (again, after_other, fresh):
+            assert answer.to_text() == first.to_text()
+            assert answer.to_csv() == first.to_csv()
+
+    def test_raising_k_extends_the_kept_samples_without_training(self, monkeypatch):
+        catalog = open_world_catalog()
+        engine = self.engine(catalog)
+        query = parse_one(self.QUERY)
+        engine.set_config("k_samples", "3")
+        three = engine.execute_statement(query)
+        trained = []
+        real_train = openpop.executor.train
+        monkeypatch.setattr(openpop.executor, "train",
+                            lambda *a, **kw: trained.append(1) or real_train(*a, **kw))
+        engine.set_config("k_samples", "10")
+        ten = engine.execute_statement(query)
+        assert ten.diagnostics["generator_cache"] == "hit"
+        assert (ten.diagnostics["k"], trained) == (10, [])
+        ((_, _, _, kept),) = engine.options.generator_cache.values()
+        assert len(kept) == 10
+        want = _answer(query, catalog.population("Migrants"), kept[:3],
+                       PROVENANCE_OPEN)
+        assert three.to_csv() == want.to_csv()
+        engine.set_config("k_samples", "3")
+        assert engine.execute_statement(query).to_text() == three.to_text()
+
+    def test_warns_of_groups_only_some_samples_held(self, capsys):
+        # 'b' is generated in 9 of the 10 samples.
+        schema = [AttributeDef("g", "categorical")]
+        full = Relation.from_rows(schema, [("a",), ("b",), ("b",)])
+        partial = Relation.from_rows(schema, [("a",), ("a",), ("a",)])
+        pop = PopulationDef("P", True, schema)
+        query = parse_one("SELECT OPEN g, COUNT(*) FROM P GROUP BY g")
+        answer = _answer(query, pop, [full] * 9 + [partial], PROVENANCE_OPEN, k=10)
+        warning = ("warning: OPEN dropped 1 group that only some of the 10 "
+                   "generated samples held")
+        assert answer.rows == [("a", 1.2)]
+        assert answer.warnings() == [warning]
+        assert answer.to_text().endswith("(1 row, open)\n" + warning)
+        openpop.cli._print_answer(answer, "csv")
+        out, err = capsys.readouterr()
+        assert (out, err) == ("g,COUNT(*)\na,1.2\n", warning + "\n")
+        kept = _answer(query, pop, [full] * 10, PROVENANCE_OPEN, k=10)
+        assert kept.diagnostics["dropped_groups"] == 0
+        assert kept.warnings() == []
+        assert kept.to_text().endswith("(2 rows, open)")
 
 
 class TestAnswerRendering:
