@@ -103,30 +103,22 @@ class Encoding:
                 out[np.arange(n), enc.offset + picks] = 1.0
         return out
 
-    def decode_rows(self, matrix: np.ndarray, attr_order: list[str]) -> Relation:
+    def decode_rows(self, matrix: np.ndarray) -> Relation:
         """Harden categorical blocks by argmax and invert the numeric maps;
-        the rows come back as a unit-weight relation over `attr_order`."""
+        the rows come back as a unit-weight relation over the encoded
+        attributes, in their order."""
         matrix = np.asarray(matrix, dtype=float)
-        cols, encodings = {}, {}
+        cols = {}
         for enc in self.attrs:
             if enc.kind == NUMERIC:
                 span = enc.hi - enc.lo
                 cols[enc.name] = enc.lo + matrix[:, enc.offset] * span \
                     if span > 0 else np.full(len(matrix), enc.lo)
             else:
-                # The codes a fresh build gives: sorted ranks over the values that occur.
-                ranks = np.argsort(np.argsort(np.array(enc.values, dtype=object)))[
+                cols[enc.name] = np.array(enc.values, dtype=object)[
                     np.argmax(matrix[:, enc.offset:enc.offset + enc.width], axis=1)]
-                used = np.bincount(ranks, minlength=enc.width) > 0
-                values = np.array(sorted(enc.values), dtype=object)[used]
-                codes = (np.cumsum(used) - 1)[ranks]
-                cols[enc.name] = values[codes]
-                encodings[enc.name] = (values.tolist(), codes)
-        schema = [AttributeDef(name, self.by_name[name].kind) for name in attr_order]
-        relation = Relation(schema, {name: cols[name] for name in attr_order},
-                            np.ones(len(matrix)))
-        relation.memo.update(encodings)  # those of absent columns go unread
-        return relation
+        schema = [AttributeDef(enc.name, enc.kind) for enc in self.attrs]
+        return Relation(schema, cols, np.ones(len(matrix)))
 
     def encode_cells(self, marginal: Marginal) -> np.ndarray:
         """A marginal's cells, in order, as points in the encoded subspace of

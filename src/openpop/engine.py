@@ -3,7 +3,7 @@ query answers. This is the embeddable surface the CLI wraps."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import dialect
 from .catalog import (
@@ -39,7 +39,7 @@ from .executor import (
     execute,
 )
 from .mswg import TrainConfig
-from .util import apply_kv, parse_setting
+from .util import parse_setting
 
 
 class Engine:
@@ -88,8 +88,10 @@ class Engine:
                 key, self.options.k_samples, value))
         elif option is not None:
             config = getattr(self.options, option)
+            if name not in {f.name for f in fields(config)}:
+                raise ConfigError(f"unknown config key {name!r}")
             self.options = replace(self.options, **{option: replace(
-                config, **apply_kv(config, {name: value}))})
+                config, **{name: parse_setting(name, getattr(config, name), value)})})
         else:
             raise ConfigError(f"unknown config key {key!r}")
 

@@ -375,14 +375,14 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
     generated samples; and "hit" or "miss". The samples are kept in the
     generator's cache slot and grow in place when a query needs more. Sample
     i is generated from the i-th latent batch of an rng seeded by the
-    generator's key, one row per trained row (at least 1), each weighted to
-    the population total, so the first k samples are the same for any k and
-    any history of queries."""
+    generator's key, one row per trained row, each weighted to the
+    population total, so the first k samples are the same for any k and any
+    history of queries."""
     key = fingerprint(sample, marginals, options.train_config, scope)
 
     def fit():
         rows = sample.take(_view_rows(sample, scope, population)) if scope else sample
-        return train(rows, marginals, options.train_config, log=log), max(1, len(rows)), []
+        return train(rows, marginals, options.train_config, log=log), len(rows), []
 
     (trained, n_generated, kept), cache = _cached_fit(
         options.generator_cache, sample, marginals, key, fit)

@@ -220,7 +220,6 @@ def loss_and_grad(net: GeneratorNet, latents: np.ndarray,
 class TrainedGenerator:
     net: GeneratorNet
     encoding: Encoding
-    attr_names: list[str]
     config: TrainConfig
     population_total: float
     diagnostics: dict = field(default_factory=dict)
@@ -288,7 +287,7 @@ def train(sample: SampleRelation, marginals: list[Marginal],
                 stall = 0
     net.restore(best_snapshot)
     return TrainedGenerator(
-        net, encoding, [a.name for a in sample.schema], cfg, population_total,
+        net, encoding, cfg, population_total,
         diagnostics={
             "epochs": cfg.epochs,
             "steps_per_epoch": steps_per_epoch,
@@ -303,10 +302,8 @@ def generate(trained: TrainedGenerator, latents: np.ndarray) -> Relation:
     draws with `rng.standard_normal`: one inference forward pass, which runs
     folded affine layers (each hidden batch norm folded into the Linear
     before it), categorical blocks hardened by argmax, numeric dimensions
-    inverse-scaled. A pure function of its inputs, so threads may call it
-    at once."""
-    out = trained.net.forward(latents, training=False)
-    return trained.encoding.decode_rows(out, trained.attr_names)
+    inverse-scaled."""
+    return trained.encoding.decode_rows(trained.net.forward(latents, training=False))
 
 
 def fingerprint(sample: SampleRelation, marginals: list[Marginal],

@@ -151,8 +151,7 @@ class GeneratorNet:
         softmax. Training runs the layers, which keep what `backward` needs.
         Inference runs each hidden triple as its folded affine map, computed
         afresh on every call, then the last Linear. It writes no attribute
-        and not `z`, so threads may run it on one net at once, and it leaves
-        a training forward's caches for `backward`."""
+        and not `z`, so it leaves a training forward's caches for `backward`."""
         x = np.asarray(z, dtype=float)
         if training:
             for layer in self.layers:

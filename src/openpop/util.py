@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -38,17 +37,6 @@ def parse_setting(key: str, current, text: str):
         kind = {int: "an integer", float: "a number"}.get(
             type(current), "integers separated by commas or spaces")
         raise ConfigError(f"{key} must be {kind}, got {text!r}") from None
-
-
-def apply_kv(defaults, pairs: dict[str, str]) -> dict:
-    """Coerce a kv dict against a defaults dataclass instance's field types."""
-    names = {f.name for f in fields(defaults)}
-    out = {}
-    for key, value in pairs.items():
-        if key not in names:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = parse_setting(key, getattr(defaults, key), value)
-    return out
 
 
 def format_cell(value) -> str:

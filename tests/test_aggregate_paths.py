@@ -326,23 +326,24 @@ class TestCodesFollowTheColumns:
         encoding = Encoding.build(schema, columns)
         rng = np.random.default_rng(0)
         matrix = rng.random((50, encoding.dim))
-        decoded = encoding.decode_rows(matrix, ["c", "x"])
-        values, codes = decoded.memo["c"]
+        decoded = encoding.decode_rows(matrix)
+        values, codes = decoded.key_columns(["c"])["c"]
         assert values == sorted(values)
         assert [values[i] for i in codes] == decoded.columns["c"].tolist()
         fresh = Relation(decoded.schema, dict(decoded.columns), decoded.weights)
         assert fresh.key_columns(["c"])["c"][1].tolist() == codes.tolist()
+        assert decoded.digest == fresh.digest
 
     def test_decoded_memo_equals_a_fresh_build(self):
-        # Rows a, z, a over the categories a, b, z: the memo used to hold b
-        # too, with z coded 2, so the digest differed from a fresh build's.
+        # Rows a, z, a over the categories a, b, z: codes that held b too,
+        # with z coded 2, would give a digest unlike a fresh build's.
         schema = [AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]
         encoding = Encoding.build(schema, {"c": np.array(["z", "b", "a"], dtype=object),
                                            "x": np.array([0.0, 1.0, 2.0])})
         rows = [("a", 0.0), ("z", 1.0), ("a", 2.0)]
         decoded = encoding.decode_rows(encoding.encode_rows(
-            Relation.from_rows(schema, rows).columns), ["c", "x"])
-        values, codes = decoded.memo["c"]
+            Relation.from_rows(schema, rows).columns))
+        values, codes = decoded.key_columns(["c"])["c"]
         fresh_values, fresh_codes = _category_codes(decoded.columns["c"])
         assert (values, codes.dtype, codes.tolist()) == (["a", "z"], np.int64, [0, 1, 0])
         assert (values, codes.tobytes()) == (fresh_values, fresh_codes.tobytes())

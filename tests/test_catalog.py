@@ -598,6 +598,20 @@ class TestAtomicIngest:
         assert err.value.line == 3
         assert self.state(cat) == before
 
+    @pytest.mark.parametrize("text, message", [
+        ("country,n,zip\nNL,2,1\n", "unknown column 'zip' in header"),
+        ("country\nNL\n", "header must name all of ['country', 'n']"),
+    ])
+    def test_bad_header_keeps_domains(self, tmp_path, text, message):
+        cat = self.build()
+        before = self.state(cat)
+        path = tmp_path / "header.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CsvParseError, match=re.escape(f"line 1: {message}")) as err:
+            cat.ingest_csv("S", path)
+        assert err.value.line == 1
+        assert self.state(cat) == before
+
     def test_non_utf8_csv_is_an_io_error(self, tmp_path):
         # The bad bytes come first and after chunks of good records.
         cat = self.build()
@@ -911,6 +925,31 @@ class TestPersistence:
         with pytest.raises(CatalogIoError):
             self.build_catalog().save(target)
         assert [p.name for p in tmp_path.iterdir()] == ["taken.opc"]
+
+    @pytest.mark.parametrize("fail", ["second record", "rename"])
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, fail):
+        path = tmp_path / "catalog.opc"
+        cat = self.build_catalog()
+        cat.save(path)
+        old = path.read_bytes()
+        cat.ingest_rows("Yahoo", [("DE", "AOL")])
+        if fail == "rename":
+            def failing(*args):
+                raise OSError("rename failed")
+            monkeypatch.setattr(os, "replace", failing)
+        else:
+            real_dumps, records = json.dumps, []
+
+            def failing(record):
+                records.append(record)
+                if len(records) == 2:
+                    raise OSError("disk full")
+                return real_dumps(record)
+            monkeypatch.setattr(json, "dumps", failing)
+        with pytest.raises(CatalogIoError, match=re.escape(f"cannot write '{path}'")):
+            cat.save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.opc"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_save_leaves_special_file_alone(self, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, NumericBinning, SampleRelation
 from openpop.encoding import Encoding
+from openpop.engine import Engine
 from openpop.errors import ConfigError, NonFiniteLossError, NoPopulationMarginalsError
 from openpop.mswg import (
     TrainConfig,
@@ -22,7 +23,7 @@ from openpop.mswg import (
 )
 from openpop.net import BatchNorm, GeneratorNet, Linear, _softmax
 from openpop.predicate import Comparison, Predicate
-from openpop.util import apply_kv, read_kv_pairs
+from openpop.util import read_kv_pairs
 
 
 def mixed_sample(n=60, seed=0):
@@ -59,7 +60,10 @@ class TestTrainConfig:
         path = tmp_path / "train.conf"
         path.write_text("epochs = 3\nlayers = 8 8\ncoverage_weight = 0.5\n"
                         "# comment\nlearning_rate = 0.02\n", encoding="utf-8")
-        cfg = TrainConfig(**apply_kv(TrainConfig(), read_kv_pairs(path)))
+        engine = Engine()
+        for key, value in read_kv_pairs(path).items():
+            engine.set_config(f"train.{key}", value)
+        cfg = engine.options.train_config
         assert cfg.epochs == 3 and cfg.layers == (8, 8)
         assert cfg.coverage_weight == 0.5 and cfg.learning_rate == 0.02
 
@@ -70,10 +74,20 @@ class TestEncoding:
         encoding = Encoding.build(sample.schema, sample.columns)
         matrix = encoding.encode_rows(sample.columns)
         assert matrix.shape == (len(sample), 3)
-        decoded = encoding.decode_rows(matrix, ["x", "c"])
+        decoded = encoding.decode_rows(matrix)
         for got, want in zip(decoded.to_rows(), sample.to_rows()):
             assert got[0] == pytest.approx(want[0], abs=1e-9)
             assert got[1] == want[1]
+
+    def test_declared_bounds_widen_the_range(self):
+        sample = mixed_sample()
+        schema = [AttributeDef("x", "numeric", lo=-10.0, hi=50.0), sample.schema[1]]
+        encoding = Encoding.build(schema, sample.columns)
+        x = encoding.by_name["x"]
+        assert (x.lo, x.hi) == (-10.0, 50.0)
+        matrix = np.zeros((2, encoding.dim))
+        matrix[:, x.offset] = [0.0, 1.0]
+        assert encoding.decode_rows(matrix).columns["x"].tolist() == [-10.0, 50.0]
 
     def test_one_hot_blocks_sum_to_one(self):
         sample = mixed_sample()
