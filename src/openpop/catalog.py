@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from numbers import Integral, Real
@@ -42,7 +43,11 @@ from .errors import (
 from .predicate import Comparison, InList, Predicate, check_types
 
 FORMAT_TAG = "openpop-catalog v1"
-INGEST_CHUNK = 256  # records coerced at once; bounds the raw text held
+INGEST_CHUNK = 256  # records coerced, or lines parsed, at once; bounds the raw text held
+# A CSV body holding one of these is not plain: csv's quote; NUL, which csv
+# rejects before Python 3.11; and \x1c-\x1f, which np.loadtxt strips around
+# a number but float() does not.
+_NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -186,6 +191,39 @@ def _csv_records(handle):
             line = reader.line_num + 1
     except csv.Error as exc:
         yield line, CsvParseError(str(exc), line)
+
+
+def _plain_csv_batch(handle, schema: Schema, positions: list[int]):
+    """The rest of `handle`, whose i-th field is the attribute at schema
+    position positions[i], parsed in one np.loadtxt pass as a unit-weight
+    batch; None, after reading some of it, unless that gives what the csv
+    record loop gives. So the body must hold a record, the right number of
+    fields on every line, only finite numbers loadtxt parses (float() parses
+    more), no line over csv's field limit, and no character of _NOT_PLAIN.
+    Lines are read and checked INGEST_CHUNK at a time."""
+    attrs = [schema[pos] for pos in positions]
+    limit = csv.field_size_limit()
+
+    def chunks():
+        for chunk in iter(lambda: list(itertools.islice(handle, INGEST_CHUNK)), []):
+            text = "".join(chunk)
+            if (len(text) > limit and max(map(len, chunk)) > limit
+                    or any(char in text for char in _NOT_PLAIN)):
+                raise ValueError("not a plain CSV body")
+            yield chunk
+
+    dtype = np.dtype([("", object if a.kind == CATEGORICAL else float) for a in attrs])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(itertools.chain.from_iterable(chunks()), dtype=dtype,
+                               delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+    columns = {a.name: table[field] for a, field in zip(attrs, dtype.names)}
+    if not all(np.isfinite(columns[a.name]).all() for a in attrs if a.kind == NUMERIC):
+        return None
+    return Relation(schema, columns, np.ones(len(table)))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -785,11 +823,13 @@ class Catalog:
         added = {name: np.concatenate([col[:0]] + [b.columns[name] for b in batches])
                  for name, col in rel.columns.items()}
         rel.append(added)
+        first_seen = {a.name: dict.fromkeys(added[a.name].tolist())
+                      for a in rel.schema if a.kind == CATEGORICAL}
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
         for attr in reached:
-            if attr.kind == CATEGORICAL and attr.name in added:
-                attr.extend_domain(added[attr.name])
+            if attr.kind == CATEGORICAL and attr.name in first_seen:
+                attr.extend_domain(first_seen[attr.name])
         return sum(map(len, batches))
 
     def ingest_csv(self, target: str, path) -> int:
@@ -814,6 +854,13 @@ class Catalog:
                 if len(cols) != len(rel.schema):
                     raise CsvParseError(
                         f"header must name all of {[a.name for a in rel.schema]}", 1)
+                if handle.seekable():
+                    batch = _plain_csv_batch(handle, rel.schema, cols)
+                    if batch is not None:
+                        return self._commit(rel, [batch])
+                    handle.seek(0)  # the record loop reads the file from the start
+                    records = _csv_records(handle)
+                    next(records)
                 return self._ingest(rel, records, cols)
         except OSError as exc:
             raise CatalogIoError(f"cannot read '{path}': {exc}") from exc

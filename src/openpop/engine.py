@@ -116,7 +116,7 @@ class Engine:
             self.catalog.create_aux_table(stmt.name, _declared(stmt.attrs))
         elif isinstance(stmt, Ingest):
             count = self.catalog.ingest_csv(stmt.target, stmt.path)
-            self.log(f"ingested {count} rows into {stmt.target}")
+            self.log(f"ingested {count} row{'s' if count != 1 else ''} into {stmt.target}")
         elif isinstance(stmt, Select):
             return execute(stmt, self.catalog, self.options, log=self.log)
         else:

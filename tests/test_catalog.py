@@ -1,17 +1,20 @@
 """Catalog: declarations, ingestion, marginals, persistence round-trips."""
 
+import contextlib
 import functools
 import json
 import math
 import os
 import re
 import stat
+import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openpop.catalog import (
@@ -518,10 +521,15 @@ class TestIngestCsv:
         assert catalog.sample("S").to_rows() == [("UK", "Yahoo")]
 
     def test_empty_file(self, catalog, tmp_path):
+        # A body of no records ingests nothing, and gives no warning.
         path = tmp_path / "empty.csv"
-        path.write_text("", encoding="utf-8")
         catalog.create_sample("S")
-        assert catalog.ingest_csv("S", path) == 0
+        for text in ("", "country,email\n", "country,email\n\n\r\n"):
+            path.write_text(text, encoding="utf-8")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert catalog.ingest_csv("S", path) == 0
+            assert caught == []
 
     def test_duplicate_header_column_rejected(self, catalog, tmp_path):
         catalog.create_sample("S")
@@ -638,7 +646,10 @@ class TestAtomicIngest:
                 (["UK,1"] * 256 + [huge], 258, "field larger than field limit"),
                 (["UK,1"] * 255 + ["FR,x", huge], 257, "non-numeric value 'x'"),
                 ([huge], 2, "field larger than field limit"),
-                (["UK,1"] * 255 + [huge], 257, "field larger than field limit")):
+                (["UK,1"] * 255 + [huge], 257, "field larger than field limit"),
+                (["UK,1", "X" * 200_000 + ",1"], 3, "field larger than field limit"),
+                (["UK,1", "NL,0." + "0" * 200_000 + "1"], 3,
+                 "field larger than field limit")):
             path.write_text("\n".join(["country,n"] + records) + "\n",
                             encoding="utf-8")
             with pytest.raises(CsvParseError, match=message) as err:
@@ -718,6 +729,71 @@ class TestAtomicIngest:
         assert sample_domains[0] == global_domains[0] == expected.domain
         assert len(expected.domain) > 4
         assert calls == ["country", "country"]  # the sample's and the global one
+
+
+# Pieces of CSV bodies: csv's quoting and line ends, the whitespace and
+# control characters csv and np.loadtxt might split or strip differently,
+# and the number spellings float() takes but loadtxt does not.
+CSV_PIECES = ['"', ",", "\n", "\r\n", "\r", " ", "\t", "\x00", "\x0c", "\x1c", "\x1f",
+              "\u2028", "\x85", "\u0661", *"0123456789", ".", "e", "_", "nan", "inf",
+              "a", "b", "x"]
+
+
+class TestOnePassMatchesRecordLoop:
+    """A plain CSV body is parsed in one np.loadtxt pass; every file must
+    give what the csv record loop gives: the same rows, weights and
+    domains, or the same error at the same line over an unchanged catalog."""
+
+    def outcome(self, path, header: str, one_pass: bool):
+        cat = Catalog()
+        cat.create_population(PopulationDef("P", True, [
+            AttributeDef("t", "categorical"), AttributeDef("n", "numeric")]))
+        schema = cat.global_schema(sorted(header.split(","), reverse=True))
+        cat.create_sample("S", schema)
+        cat.ingest_rows("S", [tuple({"t": "b", "n": 1.0}[a.name] for a in schema)])
+
+        def state():
+            sample = cat.sample("S")
+            return ([repr(row) for row in sample.to_rows()], sample.weights.tolist(),
+                    [list(a.domain) for a in sample.schema],
+                    [list(a.domain) for a in cat.global_population().schema])
+
+        before = state()
+        step_aside = mock.patch("openpop.catalog._plain_csv_batch", return_value=None)
+        with contextlib.nullcontext() if one_pass else step_aside:
+            try:
+                cat.ingest_csv("S", path)
+            except CsvParseError as exc:
+                assert state() == before
+                return type(exc).__name__, str(exc), exc.line
+        return state()
+
+    @given(header=st.sampled_from(["t", "n", "t,n", "n,t"]),
+           end=st.sampled_from(["\n", "\r\n", "\r"]),
+           body=st.lists(st.sampled_from(CSV_PIECES), max_size=40).map("".join),
+           bom=st.booleans())
+    @example(header="t", end="\n", body="a\n \nb\n", bom=False)
+    @example(header="t,n", end="\n", body="a,1\n \nb,2\n", bom=False)
+    @example(header="t,n", end="\n", body='"a""b",1\n', bom=False)
+    @example(header="t,n", end="\n", body='"a,b",1\n', bom=False)
+    @example(header="t,n", end="\r\n", body="a,1\r\nb,2\r\n", bom=True)
+    @example(header="t,n", end="\r", body="a,1\rb,2", bom=False)
+    @example(header="t,n", end="\n", body="a,1_000\n", bom=False)
+    @example(header="n", end="\n", body="1\x1c\n", bom=False)
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome(self, tmp_path_factory, header, end, body, bom):
+        path = tmp_path_factory.mktemp("one_pass") / "body.csv"
+        path.write_bytes((("\ufeff" if bom else "") + header + end + body).encode("utf-8"))
+        assert (self.outcome(path, header, one_pass=True)
+                == self.outcome(path, header, one_pass=False))
+
+    def test_plain_file_takes_one_pass(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("n,country\n1.5,UK\n-2,FR\n\n3e2,UK\n", encoding="utf-8")
+        cat = TestAtomicIngest().build()
+        with mock.patch.object(Catalog, "_ingest", side_effect=AssertionError):
+            assert cat.ingest_csv("S", path) == 3
+        assert cat.sample("S").to_rows()[1:] == [("UK", 1.5), ("FR", -2.0), ("UK", 300.0)]
 
 
 class TestMarginals:

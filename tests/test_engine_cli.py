@@ -323,6 +323,16 @@ class TestCli:
         code, out, _ = self.run_cli(["--script", path, "--quiet"])
         assert code == 0 and out == ""
 
+    def test_ingest_logs_its_row_count(self, tmp_path):
+        for name, text in (("one.csv", "a\nx\n"), ("two.csv", "a\nx\ny\n")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        path = self.script_path(tmp_path, "CREATE TABLE T (a TEXT);\n"
+                                f"INGEST T FROM '{tmp_path / 'one.csv'}';\n"
+                                f"INGEST T FROM '{tmp_path / 'two.csv'}';\n")
+        code, _, err = self.run_cli(["--script", path])
+        assert code == 0
+        assert err.splitlines() == ["ingested 1 row into T", "ingested 2 rows into T"]
+
     def test_error_script_nonzero_exit(self, tmp_path):
         path = self.script_path(tmp_path, "SELECT FROM;")
         code, _, err = self.run_cli(["--script", path, "--quiet"])
