@@ -82,6 +82,10 @@ class Encoding:
                 offset += len(values)
         return cls(attrs)
 
+    def schema(self) -> Schema:
+        """The attributes `decode_rows` returns, in order."""
+        return [AttributeDef(enc.name, enc.kind) for enc in self.attrs]
+
     def categorical_blocks(self) -> list[tuple[int, int]]:
         return [(a.offset, a.width) for a in self.attrs if a.kind == CATEGORICAL]
 
@@ -117,8 +121,7 @@ class Encoding:
             else:
                 cols[enc.name] = np.array(enc.values, dtype=object)[
                     np.argmax(matrix[:, enc.offset:enc.offset + enc.width], axis=1)]
-        schema = [AttributeDef(enc.name, enc.kind) for enc in self.attrs]
-        return Relation(schema, cols, np.ones(len(matrix)))
+        return Relation(self.schema(), cols, np.ones(len(matrix)))
 
     def encode_cells(self, marginal: Marginal) -> np.ndarray:
         """A marginal's cells, in order, as points in the encoded subspace of

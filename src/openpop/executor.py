@@ -2,19 +2,19 @@
 
 CLOSED answers straight off the chosen sample; SEMI-OPEN reweights it
 (inverse inclusion probability when the mechanism is declared, IPF against
-marginals otherwise); OPEN answers over samples a trained generator
-synthesized, kept with it in the generator cache, and intersects the groups
-of several of them.
+marginals otherwise); OPEN answers over k samples a trained generator
+synthesized, kept with it in the generator cache as one stacked relation,
+and keeps the groups all k hold.
 
 Every path flows through the same currency, a relation with row weights:
 COUNT(*) becomes sum of weights, SUM(a) the weighted sum, AVG(a) their
-ratio.
+ratio. One `evaluate_aggregates` pass answers each query, over all k
+samples at once on OPEN.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,7 +107,8 @@ class ExecOptions:
     k_samples: int = 10
     train_config: TrainConfig = field(default_factory=TrainConfig)
     # (sample name, marginal owner) -> (content key, TrainedGenerator,
-    # rows per generated sample, the samples generated so far)
+    # rows per generated sample, the samples generated so far stacked in one
+    # relation, sample i at rows [i*n, (i+1)*n))
     generator_cache: dict = field(default_factory=dict)
     # (sample name, marginal owner) -> (content key, weights, IpfReport)
     ipf_cache: dict = field(default_factory=dict)
@@ -197,9 +198,15 @@ def plan(query: Select, catalog: Catalog) -> SampleRelation:
 # --- aggregation over weighted rows -------------------------------------------
 
 
-def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
+def evaluate_aggregates(relation: Relation, query: Select, k: int = 1) -> QueryAnswer:
     """Group/aggregate the weighted rows the WHERE keeps, read by index, each
-    group's in ascending order; provenance filled by callers."""
+    group's in ascending order; provenance filled by callers.
+
+    With k > 1, `relation` stacks k samples of n rows each, sample i being
+    rows [i*n, (i+1)*n), and one pass answers for all of them: a group is
+    kept only if every sample gives it positive weight, and its values are
+    each sample's, summed in sample order and divided by k.
+    `dropped_groups` counts the groups only some samples held."""
     aggs = query.aggregates()
     _check_aggregates(query, schema_kinds(relation.schema))
     rows = (filter_rows(query.predicate, relation) if query.predicate
@@ -212,17 +219,26 @@ def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
             out_rows = sorted(set(out_rows))
         return QueryAnswer(list(cols), out_rows, "")
 
-    keys, members_of = [()], [rows]
+    # Segment g*k + i holds group g's rows of sample i; empty ones are skipped.
+    n = len(relation) // k
+    keys, segments, members_of = [()], [0], [rows]
     if query.group_by:
         by = relation.key_columns(query.group_by)
-        keys, group_ids, _ = group_rows([by[g] for g in query.group_by], rows)
-        bounds = np.cumsum(np.bincount(group_ids))[:-1]
-        members_of = [rows[members] for members in
-                      np.split(np.argsort(group_ids, kind="stable"), bounds)]
+        keys, ids, _ = group_rows([by[g] for g in query.group_by], rows)
+        if k > 1:
+            ids = ids * k + rows // n
+        counts = np.bincount(ids)
+        segments = np.flatnonzero(counts)
+        members_of = np.split(rows[np.argsort(ids, kind="stable")],
+                              np.cumsum(counts[segments])[:-1])
+        segments = segments.tolist()
+    elif k > 1:
+        segments = range(k)
+        members_of = np.split(rows, np.searchsorted(rows, n * np.arange(1, k)))
 
     columns = list(query.group_by) + [a.label() for a in aggs]
-    out_rows = []
-    for key, members in zip(keys, members_of):
+    held = []
+    for segment, members in zip(segments, members_of):
         w = relation.weights[members]
         total = float(w.sum())
         if total <= 0:
@@ -236,28 +252,33 @@ def evaluate_aggregates(relation: Relation, query: Select) -> QueryAnswer:
             values.append(weighted_sum if agg.func == "sum" else weighted_sum / total)
         if not all(math.isfinite(v) for v in values):
             raise TypeMismatchError("non-finite aggregate value")
-        out_rows.append(key + tuple(values))
-    return QueryAnswer(columns, out_rows, "")
+        held.append((segment, values))
+    if k == 1:
+        return QueryAnswer(columns, [keys[g] + tuple(values) for g, values in held], "")
+
+    sums = np.zeros((len(keys), len(aggs)))
+    held_by = np.zeros(len(keys), dtype=np.int64)  # samples holding each group
+    for segment, values in held:
+        sums[segment // k] += values
+        held_by[segment // k] += 1
+    kept = held_by == k
+    out_rows = [keys[g] + tuple(values) for g, values in
+                zip(np.flatnonzero(kept).tolist(), (sums[kept] / k).tolist())]
+    return QueryAnswer(columns, out_rows, "", {
+        "dropped_groups": int(np.count_nonzero(held_by)) - len(out_rows)})
 
 
-def _answer(query: Select, pop: PopulationDef, weighted: Iterable[Relation],
+def _answer(query: Select, pop: PopulationDef, relation: Relation,
             provenance: str, **diagnostics) -> QueryAnswer:
-    """The tail of every route: `query` over each weighted relation inside
+    """The tail of every route: `query` over the weighted relation inside
     the population's view (its predicate ANDed in front of the WHERE, one
-    filter pass), labelled with its provenance and diagnostics. OPEN
-    aggregates over several generated samples keep the groups all of them
-    show and average their values; `dropped_groups` counts the groups only
-    some of them show."""
+    filter pass), labelled with its provenance and diagnostics. OPEN's
+    relation stacks the `k` generated samples its diagnostics name, and
+    `evaluate_aggregates` answers over all of them at once."""
     if pop.predicate:
         where = query.predicate.atoms if query.predicate else ()
         query = replace(query, predicate=Predicate(pop.predicate.atoms + where))
-    answers = [evaluate_aggregates(relation, query) for relation in weighted]
-    answer = answers[0]
-    if provenance == PROVENANCE_OPEN and query.aggregates():
-        n_group = len(query.group_by)
-        answer = QueryAnswer(answer.columns, intersect_group_answers(answers, n_group), "")
-        held = set().union(*(each.group_keys(n_group) for each in answers))
-        diagnostics["dropped_groups"] = len(held) - len(answer.rows)
+    answer = evaluate_aggregates(relation, query, diagnostics.get("k", 1))
     answer.provenance = provenance
     answer.diagnostics.update(diagnostics)
     return answer
@@ -270,7 +291,7 @@ def execute_closed(query: Select, sample: SampleRelation,
                    catalog: Catalog) -> QueryAnswer:
     """Samples as-is: unit weights, zero false positives."""
     return _answer(query, catalog.population(query.source),
-                   [sample.reweighted(np.ones(len(sample)))], PROVENANCE_CLOSED)
+                   sample.reweighted(np.ones(len(sample))), PROVENANCE_CLOSED)
 
 
 def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
@@ -306,8 +327,8 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     options = options or ExecOptions()
     pop = catalog.population(query.source)
     if sample.mechanism is not None:
-        return _answer(query, pop, [sample.reweighted(
-            _mechanism_weights(sample, catalog))], PROVENANCE_MECHANISM)
+        return _answer(query, pop, sample.reweighted(
+            _mechanism_weights(sample, catalog)), PROVENANCE_MECHANISM)
     marginals, path, scope = applicable_marginals(catalog, pop)
     _check_metadata(Visibility.SEMI_OPEN, pop, sample, path)
 
@@ -324,7 +345,7 @@ def execute_semi_open(query: Select, sample: SampleRelation, catalog: Catalog,
     key = content_key(sample, marginals, scope, sorted(vars(options.ipf).items()))
     (weights, report), cache = _cached_fit(options.ipf_cache, sample, marginals,
                                            key, fit)
-    return _answer(query, pop, [sample.reweighted(weights)],
+    return _answer(query, pop, sample.reweighted(weights),
                    PROVENANCE_IPF_DIRECT if path == "direct" else PROVENANCE_IPF_GLOBAL,
                    ipf=report, ipf_cache=cache, metadata_path=path)
 
@@ -372,30 +393,36 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
                        population: str | None = None, log=None):
     """The generator for (sample, scope, marginals, TrainConfig), trained on
     the sample rows inside `scope`, the view of `population`; its first `k`
-    generated samples; and "hit" or "miss". The samples are kept in the
-    generator's cache slot and grow in place when a query needs more. Sample
-    i is generated from the i-th latent batch of an rng seeded by the
-    generator's key, one row per trained row, each weighted to the
-    population total, so the first k samples are the same for any k and any
-    history of queries."""
+    generated samples, stacked in one relation; and "hit" or "miss". The
+    stack is kept in the generator's cache slot and grows in place when a
+    query needs more samples. Sample i is generated from the i-th latent
+    batch of an rng seeded by the generator's key, one row per trained row,
+    each weighted to the population total, so the first k samples are the
+    same for any k and any history of queries."""
     key = fingerprint(sample, marginals, options.train_config, scope)
 
     def fit():
         rows = sample.take(_view_rows(sample, scope, population)) if scope else sample
-        return train(rows, marginals, options.train_config, log=log), len(rows), []
+        trained = train(rows, marginals, options.train_config, log=log)
+        return trained, len(rows), Relation.from_rows(trained.encoding.schema(), [])
 
-    (trained, n_generated, kept), cache = _cached_fit(
+    (trained, n_generated, stacked), cache = _cached_fit(
         options.generator_cache, sample, marginals, key, fit)
-    if len(kept) < k:
+    kept = len(stacked) // n_generated
+    if kept < k:
         rng = np.random.default_rng(int(key, 16))
-        weight = trained.population_total / n_generated
+        blocks = []
         for i in range(k):
             # Batches of samples already kept are drawn only to advance the rng.
             latents = rng.standard_normal((n_generated, trained.net.latent_dim))
-            if i >= len(kept):
-                rows = generate(trained, latents)
-                kept.append(rows.reweighted(np.full(len(rows), weight)))
-    return trained, kept[:k], cache
+            if i >= kept:
+                blocks.append(generate(trained, latents).columns)
+        stacked.append({name: np.concatenate([block[name] for block in blocks])
+                        for name in stacked.columns})
+        stacked.weights = np.full(len(stacked), trained.population_total / n_generated)
+    if kept > k:
+        stacked = stacked.take(slice(0, k * n_generated))
+    return trained, stacked, cache
 
 
 def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
@@ -412,27 +439,13 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     k = options.k_samples if aggs else 1
     trained, generated, cache = _trained_generator(sample, marginals, options, k,
                                                    scope, pop.name, log=log)
-    n_generated = len(generated[0])
+    n_generated = len(generated) // k
     return _answer(query, pop, generated, PROVENANCE_OPEN,
                    k=k, generated_rows=n_generated,
                    row_weight=trained.population_total / n_generated,
                    materialized=not aggs,
                    generator_params=trained.net.num_params(),
                    generator_cache=cache, metadata_path=path)
-
-
-def intersect_group_answers(answers: list[QueryAnswer], n_group: int) -> list[tuple]:
-    """Keep only group keys present in every answer; average their aggregates."""
-    common = set.intersection(*(answer.group_keys(n_group) for answer in answers))
-    sums: dict[tuple, np.ndarray] = {}
-    for answer in answers:
-        for row in answer.rows:
-            key = row[:n_group]
-            if key in common:
-                values = np.asarray(row[n_group:], dtype=float)
-                sums[key] = sums.get(key, 0.0) + values
-    k = len(answers)
-    return [key + tuple(float(v) / k for v in sums[key]) for key in sorted(sums)]
 
 
 def execute(query: Select, catalog: Catalog,

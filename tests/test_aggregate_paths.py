@@ -1,10 +1,12 @@
 """Aggregation over kept row indices and categorical codes.
 
 `evaluate_aggregates` reads the rows a WHERE keeps by index and compares and
-groups categorical columns by their memoized codes. `reference_aggregates`
+groups categorical columns by their memoized codes, and answers for the k
+stacked samples of an OPEN generator in one pass. `reference_aggregates`
 below is the evaluation it replaced: copy the kept rows (`Relation.take`,
-string comparisons), then group them. Every answer must match it byte for
-byte, on every route.
+string comparisons), then group them, one sample at a time, and keep the
+groups every sample holds. Every answer must match it byte for byte, on
+every route.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import csv
 import io
 import math
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -30,12 +33,14 @@ from openpop.catalog import (
     _category_codes,
     schema_kinds,
 )
+from openpop.dialect import parse_one
 from openpop.encoding import Encoding
 from openpop.engine import Engine
 from openpop.errors import CsvParseError, OpenPopError, TypeMismatchError
-from openpop.executor import QueryAnswer
+from openpop.executor import ExecOptions, QueryAnswer, execute
 from openpop.mswg import TrainConfig
 from openpop.predicate import Comparison, InList, Predicate, filter_rows
+from openpop_experiments import FlightsLikeSpec, flights_catalog, gen_flightslike
 
 # --- the evaluation before codes and kept-row indices ---------------------------
 
@@ -75,7 +80,30 @@ def reference_group_rows(columns, n):
     return keys, ids, first
 
 
-def reference_aggregates(relation, query):
+def intersect_group_answers(answers, n_group):
+    """Keep only group keys present in every answer; average their aggregates."""
+    common = set.intersection(*(answer.group_keys(n_group) for answer in answers))
+    sums = {}
+    for answer in answers:
+        for row in answer.rows:
+            key = row[:n_group]
+            if key in common:
+                values = np.asarray(row[n_group:], dtype=float)
+                sums[key] = sums.get(key, 0.0) + values
+    k = len(answers)
+    return [key + tuple(float(v) / k for v in sums[key]) for key in sorted(sums)]
+
+
+def reference_aggregates(relation, query, k=1):
+    if k > 1:  # each stacked sample alone, then the groups all of them hold
+        n = len(relation) // k
+        answers = [reference_aggregates(relation.take(np.arange(i * n, (i + 1) * n)),
+                                        query) for i in range(k)]
+        n_group = len(query.group_by)
+        rows = intersect_group_answers(answers, n_group)
+        held = set().union(*(answer.group_keys(n_group) for answer in answers))
+        return QueryAnswer(answers[0].columns, rows, "",
+                           {"dropped_groups": len(held) - len(rows)})
     aggs = query.aggregates()
     kinds = schema_kinds(relation.schema)
     for agg in aggs:
@@ -274,6 +302,100 @@ class TestKeptRowsOnly:
         monkeypatch.setattr(Relation, "take", no_take)
         for stmt in statements(("SEMI-OPEN",), ("P", "Big")):
             engine.run_script(stmt)
+
+
+# --- k stacked samples in one pass -----------------------------------------------
+
+STACK_SCHEMA = [AttributeDef("g", "categorical"), AttributeDef("h", "numeric"),
+                AttributeDef("x", "numeric")]
+GROUPINGS = [(), ("g",), ("h",), ("g", "h"), ("h", "g")]
+AGGREGATES = ["COUNT(*)", "SUM(x)", "AVG(x)", "AVG(h)"]
+WHERES = ["", " WHERE x > 0", " WHERE g = 'a'", " WHERE g IN ('b', 'c') AND x <= 5"]
+STACK_ROW = st.tuples(st.sampled_from(["a", "b", "c"]), st.sampled_from([1.0, 2.0]),
+                      st.floats(-10, 10), st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+
+
+def stack_query(group_by, aggregates, where) -> str:
+    return (f"SELECT {', '.join([*group_by, *aggregates])} FROM P{where}"
+            + (f" GROUP BY {', '.join(group_by)}" if group_by else ""))
+
+
+@st.composite
+def stacks(draw):
+    k, n = draw(st.integers(1, 10)), draw(st.integers(1, 5))
+    rows = draw(st.lists(STACK_ROW, min_size=k * n, max_size=k * n))
+    aggregates = draw(st.lists(st.sampled_from(AGGREGATES), min_size=1, max_size=3,
+                               unique=True))
+    return k, rows, stack_query(draw(st.sampled_from(GROUPINGS)), aggregates,
+                                draw(st.sampled_from(WHERES)))
+
+
+def one_pass(k, rows, text):
+    """The one-pass answer over `rows` stacked as k samples, after checking
+    it byte for byte against the reference's."""
+    relation = Relation.from_rows(STACK_SCHEMA, [row[:3] for row in rows],
+                                  [row[3] for row in rows])
+    query = parse_one(text)
+    got = openpop.executor.evaluate_aggregates(relation, query, k)
+    want = reference_aggregates(relation, query, k)
+    assert (got.columns, repr(got.rows), got.diagnostics, got.to_csv()) == \
+        (want.columns, repr(want.rows), want.diagnostics, want.to_csv())
+    return got
+
+
+class TestStackedSamplesMatchOneAtATime:
+    @given(stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal(self, case):
+        one_pass(*case)
+
+    def test_group_missing_from_a_sample_is_dropped(self):
+        # 'b' is in samples 0 and 1, not in sample 2; ('a', 2.0) only in 2.
+        rows = [("a", 1.0, 2.0, 1.0), ("b", 2.0, 3.0, 2.5)] * 2 + \
+            [("a", 1.0, 4.0, 0.5), ("a", 2.0, -1.0, 1.0)]
+        for group_by, kept, dropped in [(("g",), [("a",)], 1),
+                                        (("g", "h"), [("a", 1.0)], 2)]:
+            answer = one_pass(3, rows, stack_query(group_by, AGGREGATES, ""))
+            assert [row[:len(group_by)] for row in answer.rows] == kept
+            assert answer.diagnostics == {"dropped_groups": dropped}
+
+    def test_where_that_empties_a_sample(self):
+        rows = [("a", 1.0, 2.0, 1.0), ("b", 2.0, 3.0, 1.0),
+                ("a", 1.0, -2.0, 1.0), ("b", 2.0, -3.0, 1.0)]
+        for group_by in GROUPINGS:
+            answer = one_pass(2, rows, stack_query(group_by, AGGREGATES, " WHERE x > 0"))
+            assert answer.rows == []
+            assert answer.diagnostics == {"dropped_groups": 2 if group_by else 1}
+
+
+@pytest.fixture(scope="module")
+def flights():
+    """A 10,000-row flights sample whose (D, E) pairs fall in over 1,000
+    groups, and options that train a small generator once for every test."""
+    spec = FlightsLikeSpec(population_size=200_000, seed=0)
+    return flights_catalog(gen_flightslike(spec), spec), ExecOptions(train_config=TrainConfig(
+        epochs=1, layers=(8,), batch_size=2048, projections=4, seed=0))
+
+
+class TestManyGroups:
+    @pytest.mark.parametrize("visibility, k", [
+        ("CLOSED", 10), ("SEMI-OPEN", 10), ("OPEN", 1), ("OPEN", 10)])
+    def test_byte_equal(self, flights, monkeypatch, visibility, k):
+        catalog, options = flights
+        options = replace(options, k_samples=k)  # shares the generator cache
+        query = parse_one(f"SELECT {visibility} D, E, COUNT(*), SUM(I), AVG(O) "
+                          "FROM FlightsLike GROUP BY D, E")
+        answers = []
+        for evaluate in (openpop.executor.evaluate_aggregates, reference_aggregates):
+            monkeypatch.setattr(openpop.executor, "evaluate_aggregates", evaluate)
+            answer = execute(query, catalog, options)
+            answers.append((answer.to_text(), answer.to_csv(),
+                            answer.diagnostics.get("dropped_groups")))
+        assert answers[0] == answers[1]
+        # Over 1,000 groups held. Generated D and E are continuous, so on
+        # OPEN each row is a group of its own and ten samples share none.
+        groups = len(answer.rows) + (answer.diagnostics.get("dropped_groups") or 0)
+        assert groups >= 1_000
 
 
 class TestCodesFollowTheColumns:

@@ -1,7 +1,5 @@
 """Executor: planning, visibility semantics, aggregate rewriting."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -38,7 +36,6 @@ from openpop.executor import (
     execute_closed,
     execute_open,
     execute_semi_open,
-    intersect_group_answers,
     plan,
 )
 from openpop.ipf import IpfReport
@@ -626,12 +623,14 @@ class TestOpen:
             execute(query, catalog, small_options())
 
     def test_group_missing_from_one_answer_is_excluded(self):
-        full = [QueryAnswer(["g", "COUNT(*)"], [(("a",) + (10.0,)),
-                                                (("b",) + (20.0,))], "open")
-                for _ in range(9)]
-        partial = QueryAnswer(["g", "COUNT(*)"], [("a", 30.0)], "open")
-        rows = intersect_group_answers(full + [partial], 1)
-        assert rows == [("a", 12.0)]  # 'b' generated in only 9 of 10
+        # Ten stacked samples of two rows; 'b' is generated in only 9 of 10.
+        schema = [AttributeDef("g", "categorical")]
+        stacked = Relation.from_rows(schema, [("a",), ("b",)] * 9 + [("a",), ("a",)],
+                                     [10.0, 20.0] * 9 + [15.0, 15.0])
+        answer = evaluate_aggregates(
+            stacked, parse_one("SELECT OPEN g, COUNT(*) FROM P GROUP BY g"), 10)
+        assert answer.rows == [("a", 12.0)]
+        assert answer.diagnostics == {"dropped_groups": 1}
 
 
 def serial_open(query, catalog, options):
@@ -648,9 +647,10 @@ def serial_open(query, catalog, options):
     rng = np.random.default_rng(int(key, 16))
     generated = [generate(trained, rng.standard_normal((n, trained.net.latent_dim)))
                  for _ in range(k)]
-    weight = trained.population_total / n
-    return _answer(query, pop, [replace(rows, weights=np.full(len(rows), weight))
-                                for rows in generated], PROVENANCE_OPEN)
+    stacked = Relation(generated[0].schema, {
+        name: np.concatenate([rows.columns[name] for rows in generated])
+        for name in generated[0].columns}, np.full(k * n, trained.population_total / n))
+    return _answer(query, pop, stacked, PROVENANCE_OPEN, k=k)
 
 
 class TestOpenPool:
@@ -698,8 +698,12 @@ class TestOpenPool:
         ((_, _, n, kept),) = options.generator_cache.values()
         k = 1 if case == "materialized" else 3
         assert [a.diagnostics["k"] for a in answers] == [k, k]
-        assert calls == [n] * k and len(kept) == k
+        assert calls == [n] * k and len(kept) == k * n
         assert answers[0].to_csv() == answers[1].to_csv()
+
+
+def no_take(self, indices):
+    raise AssertionError("the query copied the kept samples")
 
 
 class TestKeptSamples:
@@ -742,13 +746,41 @@ class TestKeptSamples:
         ten = engine.execute_statement(query)
         assert ten.diagnostics["generator_cache"] == "hit"
         assert (ten.diagnostics["k"], trained) == (10, [])
-        ((_, _, _, kept),) = engine.options.generator_cache.values()
-        assert len(kept) == 10
-        want = _answer(query, catalog.population("Migrants"), kept[:3],
-                       PROVENANCE_OPEN)
+        ((_, _, n, kept),) = engine.options.generator_cache.values()
+        assert len(kept) == 10 * n
+        want = _answer(query, catalog.population("Migrants"),
+                       kept.take(slice(0, 3 * n)), PROVENANCE_OPEN, k=3)
         assert three.to_csv() == want.to_csv()
         engine.set_config("k_samples", "3")
         assert engine.execute_statement(query).to_text() == three.to_text()
+
+    def test_warm_aggregate_is_one_pass_over_the_kept_stack(self, monkeypatch):
+        # The k kept samples are aggregated as one relation: one filter and
+        # one evaluation, not one per sample, and nothing is copied.
+        catalog = open_world_catalog()
+        engine = self.engine(catalog)
+        query = parse_one("SELECT OPEN country, SUM(age) FROM Migrants "
+                          "WHERE age > 30 GROUP BY country")
+        cold = engine.execute_statement(query)
+        ((_, _, n, kept),) = engine.options.generator_cache.values()
+        assert len(kept) == 10 * n
+        calls = []
+
+        def recorded(name):
+            real = getattr(openpop.executor, name)
+
+            def wrapper(*args):
+                calls.append((name, any(arg is kept for arg in args)))
+                return real(*args)
+            return wrapper
+
+        for name in ("filter_rows", "evaluate_aggregates"):
+            monkeypatch.setattr(openpop.executor, name, recorded(name))
+        monkeypatch.setattr(Relation, "take", no_take)
+        warm = engine.execute_statement(query)
+        assert warm.diagnostics["generator_cache"] == "hit"
+        assert calls == [("evaluate_aggregates", True), ("filter_rows", True)]
+        assert warm.to_text() == cold.to_text()
 
     def test_warns_of_groups_only_some_samples_held(self, capsys):
         # 'b' is generated in 9 of the 10 samples.
@@ -757,7 +789,9 @@ class TestKeptSamples:
         partial = Relation.from_rows(schema, [("a",), ("a",), ("a",)])
         pop = PopulationDef("P", True, schema)
         query = parse_one("SELECT OPEN g, COUNT(*) FROM P GROUP BY g")
-        answer = _answer(query, pop, [full] * 9 + [partial], PROVENANCE_OPEN, k=10)
+        stack = lambda blocks: Relation.from_rows(  # noqa: E731
+            schema, [row for block in blocks for row in block.to_rows()])
+        answer = _answer(query, pop, stack([full] * 9 + [partial]), PROVENANCE_OPEN, k=10)
         warning = ("warning: OPEN dropped 1 group that only some of the 10 "
                    "generated samples held")
         assert answer.rows == [("a", 1.2)]
@@ -766,7 +800,7 @@ class TestKeptSamples:
         openpop.cli._print_answer(answer, "csv")
         out, err = capsys.readouterr()
         assert (out, err) == ("g,COUNT(*)\na,1.2\n", warning + "\n")
-        kept = _answer(query, pop, [full] * 10, PROVENANCE_OPEN, k=10)
+        kept = _answer(query, pop, stack([full] * 10), PROVENANCE_OPEN, k=10)
         assert kept.diagnostics["dropped_groups"] == 0
         assert kept.warnings() == []
         assert kept.to_text().endswith("(2 rows, open)")
