@@ -496,19 +496,12 @@ class Marginal:
         """Cell key -> its position in cell order."""
         return {key: i for i, key in enumerate(self.cells)}
 
-    @cached_property
-    def _positions(self) -> dict[str, np.ndarray]:
-        return {}
-
     def positions(self, attr: str) -> np.ndarray:
         """Numeric position of each cell on `attr`, in cell order: the bin
-        midpoint when binned, else the value; read-only."""
-        if attr not in self._positions:
-            binning = self.binnings.get(attr)
-            values = np.asarray(self.parts[attr], dtype=float)
-            self._positions[attr] = _read_only(
-                values if binning is None else binning.midpoint(values))
-        return self._positions[attr]
+        midpoint when binned, else the value."""
+        binning = self.binnings.get(attr)
+        values = np.asarray(self.parts[attr], dtype=float)
+        return values if binning is None else binning.midpoint(values)
 
     def cell_index(self, columns: dict[str, np.ndarray],
                    keys: list | None = None) -> tuple[np.ndarray, list]:

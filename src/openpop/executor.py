@@ -107,7 +107,7 @@ class ExecOptions:
     k_samples: int = 10
     train_config: TrainConfig = field(default_factory=TrainConfig)
     # (sample name, marginal owner) -> (content key, TrainedGenerator,
-    # rows per generated sample, the samples generated so far stacked in one
+    # rows n per generated sample, the samples kept, stacked in one
     # relation, sample i at rows [i*n, (i+1)*n))
     generator_cache: dict = field(default_factory=dict)
     # (sample name, marginal owner) -> (content key, weights, IpfReport)
@@ -392,13 +392,12 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
                        k: int = 0, scope: Predicate | None = None,
                        population: str | None = None, log=None):
     """The generator for (sample, scope, marginals, TrainConfig), trained on
-    the sample rows inside `scope`, the view of `population`; its first `k`
-    generated samples, stacked in one relation; and "hit" or "miss". The
-    stack is kept in the generator's cache slot and grows in place when a
-    query needs more samples. Sample i is generated from the i-th latent
-    batch of an rng seeded by the generator's key, one row per trained row,
-    each weighted to the population total, so the first k samples are the
-    same for any k and any history of queries."""
+    the n sample rows inside `scope`, the view of `population`; n; its first
+    `k` generated samples, stacked in one relation kept in its cache slot and
+    redrawn whole when a query needs more; and "hit" or "miss". Sample i is
+    the i-th latent batch of an rng seeded by the generator's key, generated
+    into n rows each weighted to the population total, so the first k
+    samples are the same for any k and any history of queries."""
     key = fingerprint(sample, marginals, options.train_config, scope)
 
     def fit():
@@ -406,23 +405,18 @@ def _trained_generator(sample: SampleRelation, marginals, options: ExecOptions,
         trained = train(rows, marginals, options.train_config, log=log)
         return trained, len(rows), Relation.from_rows(trained.encoding.schema(), [])
 
-    (trained, n_generated, stacked), cache = _cached_fit(
+    (trained, n, stacked), cache = _cached_fit(
         options.generator_cache, sample, marginals, key, fit)
-    kept = len(stacked) // n_generated
-    if kept < k:
+    if len(stacked) < k * n:
         rng = np.random.default_rng(int(key, 16))
-        blocks = []
-        for i in range(k):
-            # Batches of samples already kept are drawn only to advance the rng.
-            latents = rng.standard_normal((n_generated, trained.net.latent_dim))
-            if i >= kept:
-                blocks.append(generate(trained, latents).columns)
-        stacked.append({name: np.concatenate([block[name] for block in blocks])
-                        for name in stacked.columns})
-        stacked.weights = np.full(len(stacked), trained.population_total / n_generated)
-    if kept > k:
-        stacked = stacked.take(slice(0, k * n_generated))
-    return trained, stacked, cache
+        blocks = [generate(trained, rng.standard_normal((n, trained.net.latent_dim)))
+                  for _ in range(k)]
+        stacked.columns = {name: np.concatenate([block.columns[name] for block in blocks])
+                           for name in stacked.columns}
+        stacked.weights = np.full(k * n, trained.population_total / n)
+    if len(stacked) > k * n:
+        stacked = stacked.take(slice(0, k * n))
+    return trained, n, stacked, cache
 
 
 def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
@@ -437,12 +431,10 @@ def execute_open(query: Select, sample: SampleRelation, catalog: Catalog,
     _check_metadata(Visibility.OPEN, pop, sample, path)
     aggs = query.aggregates()
     k = options.k_samples if aggs else 1
-    trained, generated, cache = _trained_generator(sample, marginals, options, k,
-                                                   scope, pop.name, log=log)
-    n_generated = len(generated) // k
+    trained, n, generated, cache = _trained_generator(sample, marginals, options, k,
+                                                      scope, pop.name, log=log)
     return _answer(query, pop, generated, PROVENANCE_OPEN,
-                   k=k, generated_rows=n_generated,
-                   row_weight=trained.population_total / n_generated,
+                   k=k, generated_rows=n, row_weight=trained.population_total / n,
                    materialized=not aggs,
                    generator_params=trained.net.num_params(),
                    generator_cache=cache, metadata_path=path)

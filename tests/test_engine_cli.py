@@ -86,6 +86,30 @@ class TestEngineScript:
         assert semi.group_keys(2) <= sample_keys
         assert any(k not in sample_keys for k in openw.group_keys(2))
 
+    def test_temporary_table_is_kept_and_saved_like_any_table(self, tmp_path):
+        (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
+
+        def saved(create):
+            engine = Engine()
+            engine.run_script(f"""
+{create} Stats (a TEXT, n INT);
+INGEST Stats FROM '{tmp_path / "stats.csv"}';
+CREATE GLOBAL POPULATION P (a TEXT);
+CREATE METADATA P_a AS (SELECT a, n FROM Stats);
+""")
+            (marginal,) = engine.catalog.marginals_for("P")
+            assert marginal.cells == {"x": 5.0, "y": 3.0}
+            path = tmp_path / f"{create.split()[1]}.opc"
+            engine.catalog.save(path)
+            return path
+
+        path = saved("CREATE TEMPORARY TABLE")
+        loaded = Catalog.load(path)
+        assert loaded.aux["Stats"].to_rows() == [("x", 5.0), ("y", 3.0)]
+        loaded.save(tmp_path / "reloaded.opc")
+        assert (tmp_path / "reloaded.opc").read_bytes() == path.read_bytes()
+        assert saved("CREATE TABLE").read_bytes() == path.read_bytes()
+
     def test_metadata_count_star_form(self, tmp_path):
         engine = fast_engine()
         rows = tmp_path / "raw.csv"

@@ -754,6 +754,29 @@ class TestKeptSamples:
         engine.set_config("k_samples", "3")
         assert engine.execute_statement(query).to_text() == three.to_text()
 
+    def test_aggregate_after_plain_query_grows_the_kept_samples(self, monkeypatch):
+        # A plain OPEN query keeps sample 0 alone; the aggregate after it
+        # needs all ten, without training again.
+        catalog = open_world_catalog()
+        engine = self.engine(catalog)
+        engine.execute_statement(parse_one("SELECT OPEN country, age FROM Migrants"))
+        trained = []
+        real_train = openpop.executor.train
+        monkeypatch.setattr(openpop.executor, "train",
+                            lambda *a, **kw: trained.append(1) or real_train(*a, **kw))
+        grown = engine.execute_statement(parse_one(self.QUERY))
+        assert (grown.diagnostics["generator_cache"], trained) == ("hit", [])
+        fresh_engine = self.engine(catalog)
+        fresh = fresh_engine.execute_statement(parse_one(self.QUERY))
+        ((_, _, n, kept),) = engine.options.generator_cache.values()
+        ((_, _, _, want),) = fresh_engine.options.generator_cache.values()
+        assert len(kept) == len(want) == 10 * n
+        for name, column in want.columns.items():
+            assert kept.columns[name].tolist() == column.tolist()
+        assert kept.weights.tobytes() == want.weights.tobytes()
+        assert grown.to_text() == fresh.to_text()
+        assert grown.to_csv() == fresh.to_csv()
+
     def test_warm_aggregate_is_one_pass_over_the_kept_stack(self, monkeypatch):
         # The k kept samples are aggregated as one relation: one filter and
         # one evaluation, not one per sample, and nothing is copied.
