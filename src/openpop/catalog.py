@@ -43,7 +43,7 @@ from .errors import (
 from .predicate import Comparison, InList, Predicate, check_types
 
 FORMAT_TAG = "openpop-catalog v1"
-INGEST_CHUNK = 256  # records coerced, or lines parsed, at once; bounds the raw text held
+INGEST_CHUNK = 256  # lines the one-pass parse reads at once; bounds the raw text held
 # A CSV body holding one of these is not plain: csv's quote; NUL, which csv
 # rejects before Python 3.11; and \x1c-\x1f, which np.loadtxt strips around
 # a number but float() does not.
@@ -166,23 +166,11 @@ def group_rows(columns: list, rows=slice(None)):
     return keys, ids, first
 
 
-def _coerce_column(attr: AttributeDef, column: tuple):
-    """`column` coerced whole; ValueError unless every value is a str (or, if
-    numeric, a float) and every number finite. numpy parses a str as float()."""
-    if attr.kind == CATEGORICAL and set(map(type, column)) <= {str}:
-        return column
-    if attr.kind == NUMERIC and set(map(type, column)) <= {str, float}:
-        numbers = np.array(column, dtype=float)
-        if np.isfinite(numbers).all():
-            return numbers
-    raise ValueError(f"column '{attr.name}' needs the per-value loop")
-
-
 def _csv_records(handle):
     """(line, record) for the header of a CSV file and each non-blank record
     after it, where line is the one the record starts on; lines count from
-    1, blank ones included. An error of the reader ends the records with
-    (line, CsvParseError) for the record it stopped in."""
+    1, blank ones included. An error of the reader raises CsvParseError
+    at the line of the record it stopped in."""
     reader, line = csv.reader(handle), 1
     try:
         for record in reader:
@@ -190,7 +178,7 @@ def _csv_records(handle):
                 yield line, record
             line = reader.line_num + 1
     except csv.Error as exc:
-        yield line, CsvParseError(str(exc), line)
+        raise CsvParseError(str(exc), line) from exc
 
 
 def _plain_csv_batch(handle, schema: Schema, positions: list[int]):
@@ -785,45 +773,33 @@ class Catalog:
         return self._ingest(rel, enumerate(rows, start=1), range(len(rel.schema)))
 
     def _ingest(self, rel: Relation, records, positions) -> int:
-        """Coerce every (line, row) record, whose i-th field is the attribute
-        at schema position positions[i], then commit them all. The first bad
-        record raises before the relation or a domain changes; a last record
-        (line, CsvParseError) raises after any bad record before it."""
+        """Coerce each (line, row) record, whose i-th field is the attribute
+        at schema position positions[i], as it arrives; then commit them all.
+        The first bad record raises before the relation or a domain changes."""
         attrs = [rel.schema[pos] for pos in positions]
-        batches = []
-        for chunk in iter(lambda: list(itertools.islice(records, INGEST_CHUNK)), []):
-            error = chunk.pop()[1] if isinstance(chunk[-1][1], CsvParseError) else None
-            try:  # strict zips raise ValueError on a record of the wrong length
-                columns = {a.name: _coerce_column(a, c) for a, c in zip(
-                    attrs, zip(*(row for _, row in chunk), strict=True), strict=True)}
-            except ValueError:  # the per-value loop raises on the first bad record
-                columns = {attr.name: [] for attr in attrs}
-                for lineno, row in chunk:
-                    if len(row) != len(attrs):
-                        raise CsvParseError(
-                            f"expected {len(attrs)} fields, got {len(row)}", lineno)
-                    for attr, raw in zip(attrs, row):
-                        columns[attr.name].append(self._coerce(attr, raw, lineno))
-            if error is not None:
-                raise error
-            batches.append(Relation(rel.schema, columns, np.ones(len(chunk))))
-        return self._commit(rel, batches)
+        columns = {attr.name: [] for attr in attrs}
+        count = 0
+        for lineno, row in records:
+            if len(row) != len(attrs):
+                raise CsvParseError(f"expected {len(attrs)} fields, got {len(row)}", lineno)
+            for attr, raw in zip(attrs, row):
+                columns[attr.name].append(self._coerce(attr, raw, lineno))
+            count += 1
+        return self._commit(rel, Relation(rel.schema, columns, np.ones(count)))
 
-    def _commit(self, rel: Relation, batches: list[Relation]) -> int:
-        """Append the rows of coerced, unit-weight batches, and grow the
-        categorical domains they reach: the relation's own and, since sample
+    def _commit(self, rel: Relation, batch: Relation) -> int:
+        """Append the rows of a coerced, unit-weight batch, and grow the
+        categorical domains it reaches: the relation's own and, since sample
         tuples exist in the global population, the global population's."""
-        added = {name: np.concatenate([col[:0]] + [b.columns[name] for b in batches])
-                 for name, col in rel.columns.items()}
-        rel.append(added)
-        first_seen = {a.name: dict.fromkeys(added[a.name].tolist())
+        rel.append(batch.columns)
+        first_seen = {a.name: dict.fromkeys(batch.columns[a.name].tolist())
                       for a in rel.schema if a.kind == CATEGORICAL}
         reached = rel.schema + (self.global_population().schema
                                 if isinstance(rel, SampleRelation) else [])
         for attr in reached:
             if attr.kind == CATEGORICAL and attr.name in first_seen:
                 attr.extend_domain(first_seen[attr.name])
-        return sum(map(len, batches))
+        return len(batch)
 
     def ingest_csv(self, target: str, path) -> int:
         rel = self._target_relation(target)
@@ -834,8 +810,6 @@ class Catalog:
                     _, header = next(records)
                 except StopIteration:
                     return 0
-                if isinstance(header, CsvParseError):
-                    raise header
                 index = {a.name: i for i, a in enumerate(rel.schema)}
                 cols = []
                 for name in header:
@@ -850,7 +824,7 @@ class Catalog:
                 if handle.seekable():
                     batch = _plain_csv_batch(handle, rel.schema, cols)
                     if batch is not None:
-                        return self._commit(rel, [batch])
+                        return self._commit(rel, batch)
                     handle.seek(0)  # the record loop reads the file from the start
                     records = _csv_records(handle)
                     next(records)

@@ -96,7 +96,9 @@ def run_script(path: str, engine: Engine, output: str) -> int:
 
 
 def _handle_meta(engine: Engine, line: str, args) -> bool:
-    """Returns False when the REPL should stop."""
+    """Returns False when the REPL should stop. Status lines go to stderr
+    under --output csv, so stdout holds only the CSV answers."""
+    status = sys.stderr if args.output == "csv" else sys.stdout
     parts = line[1:].split()
     command = parts[0] if parts else ""
     if command in ("quit", "q", "exit"):
@@ -118,14 +120,15 @@ def _handle_meta(engine: Engine, line: str, args) -> bool:
                   file=sys.stderr)
         else:
             engine.catalog.save(path)
-            print(f"saved catalog to {path}")
+            print(f"saved catalog to {path}", file=status)
     elif command == "seed":
         engine.set_seed(parse_setting("seed", engine.seed, parts[1]))
     elif command == "config":
         engine.set_config(parts[1], parts[2])
     elif command == "train":
         trained = engine.force_train(parts[1])
-        print(f"trained generator ({trained.net.num_params()} parameters)")
+        print(f"trained generator ({trained.net.num_params()} parameters)",
+              file=status)
     return True
 
 

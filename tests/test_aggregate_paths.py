@@ -524,9 +524,9 @@ def reference_ingest(catalog, rel, records, positions) -> int:
             raise CsvParseError(f"expected {len(fields)} fields, got {len(row)}", lineno)
         for (attr, column), raw in zip(fields, row):
             column.append(catalog._coerce(attr, raw, lineno))
-    return catalog._commit(rel, [Relation(
+    return catalog._commit(rel, Relation(
         rel.schema, {a.name: v for a, v in zip(rel.schema, values)},
-        np.ones(len(values[0])))])
+        np.ones(len(values[0]))))
 
 
 def ingest_outcome(ingest, reference: bool):

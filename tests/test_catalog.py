@@ -2,11 +2,13 @@
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import re
 import stat
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -634,8 +636,8 @@ class TestAtomicIngest:
 
     def test_reader_error_at_its_line_after_earlier_bad_values(self, tmp_path):
         # A field over the csv module's 131,072-character limit stops the
-        # reader; a bad value in an earlier record of the same chunk, or a
-        # full chunk before it, does not change which error is reported.
+        # reader; a bad value in an earlier record is reported instead, and
+        # a long run of good records before it changes neither error.
         huge = "NL," + "9" * 200_000
         cat = self.build()
         before = self.state(cat)
@@ -689,6 +691,25 @@ class TestAtomicIngest:
             cat.ingest_rows("S", [("NL", 2.0), ("FR", "oops")])
         assert self.state(cat) == before
 
+    def test_rows_are_drawn_one_at_a_time(self):
+        # The bad second row raises before a third is drawn, so an endless
+        # iterable stops there.
+        cat = self.build()
+        before = self.state(cat)
+        drawn = []
+
+        def rows():
+            for row in itertools.chain([("NL", 2.0), ("UK", "x")],
+                                       itertools.repeat(("FR", 3.0))):
+                drawn.append(row)
+                yield row
+
+        with pytest.raises(CsvParseError, match=re.escape(
+                "line 2: non-numeric value 'x' in numeric column 'n'")):
+            cat.ingest_rows("S", rows())
+        assert len(drawn) == 2
+        assert self.state(cat) == before
+
     def test_commit_grows_both_domains_in_order(self, tmp_path):
         cat = self.build()
         path = tmp_path / "good.csv"
@@ -700,10 +721,9 @@ class TestAtomicIngest:
         assert weights == [1.0] * 4
 
     def test_domains_grow_once_per_commit_as_batch_by_batch(self, tmp_path, monkeypatch):
-        # Records are coerced INGEST_CHUNK at a time; each domain is extended
-        # once over the whole committed column, in the order a batch-by-batch
-        # build gives. New values first appear in later batches, some sorting
-        # before the earlier ones.
+        # Each domain is extended once over the whole committed column, in
+        # the order a batch-by-batch build gives. New values first appear in
+        # later batches, some sorting before the earlier ones.
         cat = self.build()
         rng = np.random.default_rng(5)
         pool = ["UK", "NL", "FR", "AT", "ZA", "BE", "DE"]
@@ -729,6 +749,59 @@ class TestAtomicIngest:
         assert sample_domains[0] == global_domains[0] == expected.domain
         assert len(expected.domain) > 4
         assert calls == ["country", "country"]  # the sample's and the global one
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestIngestFromPipe:
+    """A pipe cannot seek back, so INGEST reads it through the record loop
+    alone; it must give what the same text gives from a regular file."""
+
+    def outcome(self, path, text: str, pipe: bool):
+        cat = Catalog()
+        cat.create_population(PopulationDef("P", True, [
+            AttributeDef("country", "categorical"), AttributeDef("n", "numeric")]))
+        cat.create_sample("S")
+        cat.ingest_rows("S", [("UK", 1.0)])
+        before = cat.sample("S").to_rows()
+
+        def write():
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+        if pipe:
+            os.mkfifo(path)
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+        else:
+            write()
+        try:
+            count = cat.ingest_csv("S", path)
+        except CsvParseError as exc:
+            assert cat.sample("S").to_rows() == before
+            count = (str(exc), exc.line)
+        if pipe:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        return (count, [repr(row) for row in cat.sample("S").to_rows()],
+                [list(a.domain) for a in cat.sample("S").schema],
+                [list(a.domain) for a in cat.global_population().schema])
+
+    @pytest.mark.parametrize("text", [
+        'country,n\nNL,2\n"F,R",3\n\nDE,4\n',
+        "n,country\n2,NL\n3,FR\n",
+    ])
+    def test_pipe_commits_what_a_file_does(self, tmp_path, text):
+        piped = self.outcome(tmp_path / "pipe.csv", text, pipe=True)
+        assert piped == self.outcome(tmp_path / "file.csv", text, pipe=False)
+        assert piped[0] == len(piped[1]) - 1
+
+    def test_bad_value_in_a_pipe_keeps_the_catalog(self, tmp_path):
+        text = "country,n\nNL,2\nFR,x\n"
+        piped = self.outcome(tmp_path / "pipe.csv", text, pipe=True)
+        assert piped == self.outcome(tmp_path / "file.csv", text, pipe=False)
+        assert piped[:2] == (
+            ("line 3: non-numeric value 'x' in numeric column 'n'", 3), ["('UK', 1.0)"])
+        assert piped[2][0] == piped[3][0] == ["UK"]
 
 
 # Pieces of CSV bodies: csv's quoting and line ends, the whitespace and

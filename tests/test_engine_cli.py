@@ -395,6 +395,27 @@ class TestCli:
             "warning: IPF dropped 450 target mass in 1 structural-zero cells"]
         assert table.splitlines()[-1] == answer.warnings()[0]
 
+    def test_csv_output_keeps_meta_command_status_off_stdout(self, tmp_path):
+        # A piped session's stdout holds the CSV answers alone: the status
+        # lines of \train and \save go to stderr, after the IPF warning.
+        write_fixture_files(tmp_path)
+        text = migrants_script(tmp_path).rsplit("SELECT OPEN", 1)[0]
+        code, expected, _ = self.run_cli(["--script", self.script_path(tmp_path, text),
+                                          "--quiet", "--output", "csv"])
+        assert code == 0 and expected
+        config = tmp_path / "fast.conf"
+        config.write_text("train.epochs = 2\ntrain.batch_size = 16\n"
+                          "train.layers = 8\ntrain.projections = 4\n", encoding="utf-8")
+        catalog_path = tmp_path / "cat.opc"
+        code, out, err = self.run_cli(
+            ["--quiet", "--output", "csv", "--config", str(config)],
+            stdin=text + f"\\train YahooUsers\n\\save {catalog_path}\n")
+        assert code == 0 and out == expected
+        warning, trained, saved = err.splitlines()
+        assert warning.startswith("warning: IPF dropped")
+        assert re.fullmatch(r"trained generator \(\d+ parameters\)", trained)
+        assert saved == f"saved catalog to {catalog_path}" and catalog_path.exists()
+
     def non_utf8_ingest(self, tmp_path) -> str:
         (tmp_path / "latin.csv").write_bytes(b"country,email\nUK,Yahoo\n\xff\xfe,Yahoo\n")
         return (migrants_script(tmp_path).rsplit("SELECT SEMI-OPEN", 1)[0]

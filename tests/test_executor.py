@@ -314,6 +314,35 @@ class TestSemiOpenMechanism:
             execute_semi_open(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"),
                               catalog.sample("Yahoo"), catalog)
 
+    @pytest.mark.parametrize("cells, stratum", [
+        ({"UK": 60.0, "FR": 0.0}, "FR"),   # FR's stratum has no mass
+        ({"UK": 60.0, "FR": 40.0}, "DE"),  # DE is not in the marginal at all
+    ])
+    def test_stratified_rejects_empty_stratum(self, tmp_path, capsys, cells, stratum):
+        message = f"sample tuple falls in stratum '{stratum}' with no marginal mass"
+        catalog = fresh_catalog(
+            mechanism=Mechanism("stratified", 20.0, "country"), marginals=False)
+        catalog.ingest_rows("Yahoo", [("DE", "Yahoo", 35.0)])
+        catalog.create_metadata("Migrants", ("country",), cells)
+        with pytest.raises(NoMetadataError, match=message):
+            execute(parse_one("SELECT SEMI-OPEN COUNT(*) FROM Migrants"), catalog)
+        (tmp_path / "stats.csv").write_text(
+            "country,n\n" + "".join(f"{k},{v:g}\n" for k, v in cells.items()),
+            encoding="utf-8")
+        (tmp_path / "rows.csv").write_text("country\nUK\nFR\nDE\n", encoding="utf-8")
+        script = tmp_path / "strata.opq"
+        script.write_text(f"""
+CREATE TABLE Stats (country TEXT, n INT);
+INGEST Stats FROM '{tmp_path / "stats.csv"}';
+CREATE GLOBAL POPULATION P (country TEXT);
+CREATE METADATA P_ByCountry AS (SELECT country, n FROM Stats);
+CREATE SAMPLE S AS (SELECT * FROM P USING MECHANISM STRATIFIED ON country PERCENT 20);
+INGEST S FROM '{tmp_path / "rows.csv"}';
+SELECT SEMI-OPEN COUNT(*) FROM P;
+""", encoding="utf-8")
+        assert openpop.cli.main(["--quiet", "--script", str(script)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_stratified_inverse_weights(self):
         catalog = fresh_catalog(
             mechanism=Mechanism("stratified", 20.0, "country"))
