@@ -20,6 +20,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from numbers import Integral, Real
+from operator import itemgetter
 
 import numpy as np
 
@@ -140,6 +141,8 @@ def _group_codes(columns: list, rows=slice(None)):
     ids = 0
     parts = []
     for col in columns:
+        if len(parts) > 1:  # renumber densely, so the product below stays small
+            _, ids = np.unique(ids, return_inverse=True)
         if isinstance(col, tuple):
             distinct, codes = col[0], col[1][rows]
         elif col.dtype == object:
@@ -148,8 +151,6 @@ def _group_codes(columns: list, rows=slice(None)):
             distinct, codes = np.unique(col[rows], return_inverse=True)
             distinct = distinct.tolist()
         ids = ids * len(distinct) + codes
-        if parts:  # renumber densely, so the next product stays small
-            _, ids = np.unique(ids, return_inverse=True)
         parts.append((distinct, codes))
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
     return [(distinct, codes[first]) for distinct, codes in parts], ids, first
@@ -379,6 +380,31 @@ class AuxRelation(Relation):
     name: str
 
 
+def _check_attributes(attributes: tuple) -> None:
+    if not (1 <= len(attributes) <= 2):
+        raise TooManyAttributesError(
+            f"marginals take 1 or 2 attributes, got {len(attributes)}")
+    if len(set(attributes)) != len(attributes):
+        raise DuplicateNameError("marginal attributes must be distinct")
+
+
+def _cells_of(attributes, binnings: dict, columns: dict) -> tuple[list, np.ndarray]:
+    """The one cell rule, over whole columns: (keys, ids) such that row r
+    falls in cell keys[ids[r]], keys in the order rows first reach them.
+    A numeric attribute in `binnings` keys as its bin id; an unbinned whole
+    number keys as an int, made so once per distinct value; two attributes
+    key as a pair."""
+    parts, ids, first = _group_codes([binnings[a].cells(columns[a]) if a in binnings
+                                      else columns[a] for a in attributes])
+    order = np.argsort(first)
+    values = []
+    for distinct, codes in parts:
+        plain = np.array([int(v) if isinstance(v, float) and v.is_integer() else v
+                          for v in distinct], dtype=object)
+        values.append(plain[codes[order]].tolist())
+    return (values[0] if len(values) == 1 else list(zip(*values))), np.argsort(order)[ids]
+
+
 # Bins of each NumericBinning that build_marginal attaches; a saved catalog
 # carries its own count.
 MARGINAL_BINS = 64
@@ -428,11 +454,7 @@ class Marginal:
     name: str | None = None
 
     def __post_init__(self):
-        if not (1 <= len(self.attributes) <= 2):
-            raise TooManyAttributesError(
-                f"marginals take 1 or 2 attributes, got {len(self.attributes)}")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise DuplicateNameError("marginal attributes must be distinct")
+        _check_attributes(self.attributes)
         pair = len(self.attributes) == 2
         # The one check of cell keys and counts. Keys are tested by their
         # types and lengths, float counts as one array; if a test fails, or
@@ -470,14 +492,19 @@ class Marginal:
     @cached_property
     def parts(self) -> dict[str, tuple]:
         """Attribute -> its value in each cell key, in cell order."""
-        keys = self.cells if len(self.attributes) == 2 else zip(self.cells)
-        columns = tuple(zip(*keys)) or ((),) * len(self.attributes)
-        return dict(zip(self.attributes, columns))
+        if len(self.attributes) == 1:
+            return {self.attributes[0]: tuple(self.cells)}
+        return {attr: tuple(map(itemgetter(i), self.cells))
+                for i, attr in enumerate(self.attributes)}
 
     @cached_property
     def counts(self) -> np.ndarray:
         """The cell counts as float64, in cell order; read-only."""
         return _read_only(np.fromiter(self.cells.values(), float, len(self.cells)))
+
+    def targets(self, n_keys: int) -> np.ndarray:
+        """The cell counts, then zeros up to `n_keys` (`Relation.cell_ids`)."""
+        return np.concatenate([self.counts, np.zeros(n_keys - len(self.counts))])
 
     @cached_property
     def key_ids(self) -> dict:
@@ -493,31 +520,20 @@ class Marginal:
 
     def cell_index(self, columns: dict[str, np.ndarray],
                    keys: list | None = None) -> tuple[np.ndarray, list]:
-        """The cell rule, over whole columns: (ids, keys) such that row r
-        falls in cell keys[ids[r]]. The ids continue `keys`, the numbering of
-        earlier rows (by default the cells): a cell first reached here takes
-        the next id in a copy of `keys`. Numeric attributes are binned when
-        the marginal has a binning; an unbinned whole number keys as an int,
-        made so once per distinct value."""
-        cols = [self.binnings[a].cells(columns[a]) if a in self.binnings
-                else columns[a] for a in self.attributes]
-        parts, row_groups, first = _group_codes(cols)
-        values = []
-        for distinct, codes in parts:  # each distinct value made plain once
-            plain = [int(v) if isinstance(v, float) and v.is_integer() else v
-                     for v in distinct]
-            values.append(list(map(plain.__getitem__, codes.tolist())))
-        found = values[0] if len(values) == 1 else list(zip(*values))
+        """The cell rule (`_cells_of`) under this marginal's binnings: (ids,
+        keys) such that row r falls in cell keys[ids[r]]. The ids continue
+        `keys`, the numbering of earlier rows (by default the cells): a cell
+        first reached here takes the next id in a copy of `keys`."""
+        found, row_cells = _cells_of(self.attributes, self.binnings, columns)
         keys = list(self.cells) if keys is None else keys
         index = (self.key_ids if len(keys) == len(self.cells)  # no sample-only keys yet
                  else dict(zip(keys, range(len(keys)))))
         ids = np.fromiter(map(index.get, found, itertools.repeat(-1)), np.int64, len(found))
-        new = np.flatnonzero(ids < 0)
-        new = new[np.argsort(first[new])]  # in the order rows first reach them
+        new = np.flatnonzero(ids < 0)  # in the order rows first reach them
         ids[new] = np.arange(len(keys), len(keys) + len(new))
         if len(new):
             keys = keys + [found[i] for i in new.tolist()]
-        return ids[row_groups], keys
+        return ids[row_cells], keys
 
 
 def content_key(relation: Relation, marginals, *settings) -> str:
@@ -536,21 +552,21 @@ def build_marginal(owner, attributes, relation: Relation, name=None,
                    weights=None) -> Marginal:
     """Aggregate a relation's rows (unit weights unless given) into a
     marginal, attaching equi-width binning (MARGINAL_BINS bins) to any
-    numeric attribute whose values are not whole numbers."""
+    numeric attribute whose values are not whole numbers. Rows of one cell
+    add up, and cells keep the order in which rows first reach them."""
     attributes = tuple(attributes)
     kinds = schema_kinds(relation.schema)
+    binnings: dict[str, NumericBinning] = {}
     for attr in attributes:
         if attr not in kinds:
             raise UnknownAttributeError(f"unknown attribute '{attr}'")
-    binnings: dict[str, NumericBinning] = {}
-    for attr in attributes:
         col = relation.columns[attr]
         if (kinds[attr] == NUMERIC and len(col)
                 and not np.array_equal(col, np.trunc(col))):
             binnings[attr] = NumericBinning(float(col.min()), float(col.max()),
                                             MARGINAL_BINS)
-    ids, keys = Marginal(owner, attributes, {}, binnings, name).cell_index(
-        relation.columns)
+    _check_attributes(attributes)
+    keys, ids = _cells_of(attributes, binnings, relation.columns)
     weights = np.ones(len(relation)) if weights is None else weights
     counts = np.bincount(ids, weights=weights, minlength=len(keys))
     return Marginal(owner, attributes, dict(zip(keys, counts.tolist())),
@@ -676,8 +692,15 @@ class Catalog:
     def create_metadata(self, owner: str, attributes, cells,
                         binnings: dict[str, NumericBinning] | None = None,
                         name: str | None = None) -> Marginal:
-        pop = self.population(owner)
+        """Add the marginal of `cells` to population `owner`. An unknown
+        owner or attribute, or a name in use, is named before a bad cell."""
         attributes = tuple(attributes)
+        self._metadata_owner(owner, attributes, name)
+        return self.add_marginal(
+            Marginal(owner, attributes, dict(cells), dict(binnings or {}), name))
+
+    def _metadata_owner(self, owner: str, attributes: tuple, name) -> PopulationDef:
+        pop = self.population(owner)
         kinds = schema_kinds(pop.schema)
         for attr in attributes:
             if attr not in kinds:
@@ -685,7 +708,13 @@ class Catalog:
                     f"attribute '{attr}' not in schema of population '{owner}'")
         if name:
             self._check_new_name(name)
-        marginal = Marginal(owner, attributes, dict(cells), dict(binnings or {}), name)
+        return pop
+
+    def add_marginal(self, marginal: Marginal) -> Marginal:
+        """Add a built marginal to its owner, under `create_metadata`'s checks."""
+        pop = self._metadata_owner(marginal.owner, marginal.attributes, marginal.name)
+        attributes = marginal.attributes
+        kinds = schema_kinds(pop.schema)
         if not marginal.cells:
             raise CatalogError(f"marginal over {attributes} has no cells")
         for attr in attributes:
@@ -780,8 +809,13 @@ class Catalog:
         columns = {attr.name: [] for attr in attrs}
         count = 0
         for lineno, row in records:
-            if len(row) != len(attrs):
-                raise CsvParseError(f"expected {len(attrs)} fields, got {len(row)}", lineno)
+            try:
+                n_fields = len(row)
+            except TypeError:
+                raise CsvParseError(f"expected a row of {len(attrs)} fields, got "
+                                    f"{_shown(row)}", lineno) from None
+            if n_fields != len(attrs):
+                raise CsvParseError(f"expected {len(attrs)} fields, got {n_fields}", lineno)
             for attr, raw in zip(attrs, row):
                 columns[attr.name].append(self._coerce(attr, raw, lineno))
             count += 1

@@ -169,10 +169,8 @@ class Engine:
                 raise TypeMismatchError(
                     f"count column '{stmt.count_column}' must be numeric")
             weights = aux.columns[stmt.count_column]
-        marginal = build_marginal(owner, stmt.attributes, aux, name=stmt.name,
-                                  weights=weights)
-        self.catalog.create_metadata(owner, marginal.attributes, marginal.cells,
-                                     marginal.binnings, name=stmt.name)
+        self.catalog.add_marginal(build_marginal(owner, stmt.attributes, aux,
+                                                 name=stmt.name, weights=weights))
 
     # --- direct operations (REPL meta-commands) ---------------------------
 

@@ -58,9 +58,6 @@ class QueryAnswer:
     provenance: str
     diagnostics: dict = field(default_factory=dict)
 
-    def group_keys(self, n_group: int) -> set[tuple]:
-        return {row[:n_group] for row in self.rows}
-
     def to_text(self) -> str:
         cells = [[format_cell(v) for v in row] for row in self.rows]
         widths = [max([len(c)] + [len(row[i]) for row in cells])
@@ -311,7 +308,7 @@ def _mechanism_weights(sample: SampleRelation, catalog: Catalog) -> np.ndarray:
     k = np.count_nonzero(marginal.counts > 0)
     n_pop = marginal.total()
     ids, keys = sample.cell_ids(marginal)
-    stratum = np.pad(marginal.counts, (0, len(keys) - len(marginal.counts)))[ids]
+    stratum = marginal.targets(len(keys))[ids]
     empty = np.flatnonzero(stratum <= 0)
     if len(empty):
         raise NoMetadataError(f"sample tuple falls in stratum "

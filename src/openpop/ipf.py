@@ -92,7 +92,7 @@ def _index_cells(sample: Relation, marginal: Marginal):
     """Map target cells and sample rows into dense ids; id 0..k-1 are the
     marginal's cells, further ids are sample-only cells (implicit target 0)."""
     row_ids, keys = sample.cell_ids(marginal)
-    return keys, np.pad(marginal.counts, (0, len(keys) - len(marginal.counts))), row_ids
+    return keys, marginal.targets(len(keys)), row_ids
 
 
 def discrepancy(sample: Relation, weights, marginal: Marginal) -> float:

@@ -303,8 +303,7 @@ def flights_catalog(data: FlightsLikeData, spec: FlightsLikeSpec) -> Catalog:
     catalog.create_sample("FlightsSample")
     catalog.ingest_rows("FlightsSample", data.sample.to_rows())
     for marginal in flights_pair_marginals(data):
-        catalog.create_metadata(marginal.owner, marginal.attributes,
-                                marginal.cells, name=marginal.name)
+        catalog.add_marginal(marginal)
     return catalog
 
 

@@ -18,6 +18,11 @@ def record_acceptance(line: str) -> None:
     ACCEPTANCE_LINES.append(line)
 
 
+def group_keys(answer, n_group: int) -> set[tuple]:
+    """The group keys of an answer: the first `n_group` values of each row."""
+    return {row[:n_group] for row in answer.rows}
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -47,7 +47,7 @@ from openpop_experiments import (
     w1_to_marginal,
 )
 
-from conftest import record_acceptance
+from conftest import group_keys, record_acceptance
 from test_totals import random_catalog
 from test_transport import lp_transport_cost
 
@@ -325,9 +325,9 @@ def test_criterion_5_visibility_contract():
             if n_group:
                 sample_keys = set(zip(*(sample.columns[g].tolist()
                                         for g in query.group_by)))
-                if not closed.group_keys(n_group) <= sample_keys:
+                if not group_keys(closed, n_group) <= sample_keys:
                     violations += 1
-                if not fitted.group_keys(n_group) <= sample_keys:
+                if not group_keys(fitted, n_group) <= sample_keys:
                     violations += 1
             # unit weights: SEMI-OPEN must coincide with CLOSED
             unweighted = execute_semi_open(semi, unit, catalog)
@@ -372,7 +372,7 @@ def test_visibility_contract_over_derived_populations():
             n_group = len(query.group_by)
             for answer in (execute_closed(closed, sample, catalog),
                            execute_semi_open(semi, sample, catalog, options)):
-                violations += not answer.group_keys(n_group) <= inside_keys
+                violations += not group_keys(answer, n_group) <= inside_keys
                 checked += 1
     assert checked > 500
     assert violations == 0
@@ -503,8 +503,8 @@ def test_criterion_8_end_to_end_script(tmp_path):
     semi, open_answer = answers
     sample_keys = {(row[0], row[1])
                    for row in engine.catalog.sample("YahooUsers").to_rows()}
-    semi_new = {k for k in semi.group_keys(2) if k not in sample_keys}
-    open_new = {k for k in open_answer.group_keys(2) if k not in sample_keys}
+    semi_new = {k for k in group_keys(semi, 2) if k not in sample_keys}
+    open_new = {k for k in group_keys(open_answer, 2) if k not in sample_keys}
     ok = not semi_new and bool(open_new)
     report("criterion-8 end-to-end", ok,
            f"semi-open new groups {sorted(semi_new)}; "

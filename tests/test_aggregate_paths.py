@@ -42,6 +42,8 @@ from openpop.mswg import TrainConfig
 from openpop.predicate import Comparison, InList, Predicate, filter_rows
 from openpop_experiments import FlightsLikeSpec, flights_catalog, gen_flightslike
 
+from conftest import group_keys
+
 # --- the evaluation before codes and kept-row indices ---------------------------
 
 
@@ -82,7 +84,7 @@ def reference_group_rows(columns, n):
 
 def intersect_group_answers(answers, n_group):
     """Keep only group keys present in every answer; average their aggregates."""
-    common = set.intersection(*(answer.group_keys(n_group) for answer in answers))
+    common = set.intersection(*(group_keys(answer, n_group) for answer in answers))
     sums = {}
     for answer in answers:
         for row in answer.rows:
@@ -101,7 +103,7 @@ def reference_aggregates(relation, query, k=1):
                                         query) for i in range(k)]
         n_group = len(query.group_by)
         rows = intersect_group_answers(answers, n_group)
-        held = set().union(*(answer.group_keys(n_group) for answer in answers))
+        held = set().union(*(group_keys(answer, n_group) for answer in answers))
         return QueryAnswer(answers[0].columns, rows, "",
                            {"dropped_groups": len(held) - len(rows)})
     aggs = query.aggregates()

@@ -508,6 +508,72 @@ class TestCellIndexMatchesPerGroupLoop:
         assert marginal.counts.tolist() == [3.0, 2.0, 0.5]
 
 
+def reference_build_marginal(owner, attributes, relation, weights=None):
+    """`build_marginal` through `cell_index`: an empty marginal with the same
+    binnings numbers the cells, then one bincount sums the weights."""
+    binnings = {}
+    for attr in attributes:
+        col = relation.columns[attr]
+        if col.dtype != object and len(col) and not np.array_equal(col, np.trunc(col)):
+            binnings[attr] = NumericBinning(float(col.min()), float(col.max()),
+                                            MARGINAL_BINS)
+    ids, keys = Marginal(owner, attributes, {}, binnings).cell_index(relation.columns)
+    weights = np.ones(len(relation)) if weights is None else weights
+    counts = np.bincount(ids, weights=weights, minlength=len(keys))
+    return Marginal(owner, attributes, dict(zip(keys, counts.tolist())), binnings)
+
+
+class TestBuildMarginalMatchesCellIndex:
+    """A built marginal's cells, in order, and so its digest, which seeds
+    OPEN's kept samples, are those `cell_index` gives the same rows."""
+
+    SCHEMA = [AttributeDef("c", "categorical"), AttributeDef("x", "numeric"),
+              AttributeDef("n", "numeric")]
+    ROWS = [("UK", 250.0, 300.0), ("FR", 3.0, 300.0), ("UK", 250.0, 200.0),
+            ("DE", 3.0, 200.0), ("FR", 7.0, 1.0)]
+    FRACTIONS = [("UK", 9.75, 1.0), ("FR", 0.25, 2.0), ("UK", 0.3, 3.0)]
+
+    @staticmethod
+    def key_types(marginal):
+        return [tuple(map(type, key)) if isinstance(key, tuple) else type(key)
+                for key in marginal.cells]
+
+    @pytest.mark.parametrize("rows, attributes, counted, cells", [
+        (ROWS, ("c",), False, [("UK", 2.0), ("FR", 2.0), ("DE", 1.0)]),
+        (ROWS, ("c",), True, [("UK", 500.0), ("FR", 301.0), ("DE", 200.0)]),
+        (ROWS, ("x",), False, [(250, 2.0), (3, 2.0), (7, 1.0)]),
+        (FRACTIONS, ("x",), True, [(MARGINAL_BINS - 1, 1.0), (0, 5.0)]),
+        (ROWS, ("x", "c"), True, [((250, "UK"), 500.0), ((3, "FR"), 300.0),
+                                  ((3, "DE"), 200.0), ((7, "FR"), 1.0)]),
+        (FRACTIONS, ("c", "x"), False, [(("UK", MARGINAL_BINS - 1), 1.0),
+                                        (("FR", 0), 1.0), (("UK", 0), 1.0)]),
+    ], ids=["first_reach_order", "count_column_sums_duplicates", "whole_floats_as_int",
+            "fractions_binned", "numeric_categorical_pair", "categorical_binned_pair"])
+    def test_cells_order_types_and_digest(self, rows, attributes, counted, cells):
+        relation = Relation.from_rows(self.SCHEMA, rows)
+        weights = relation.columns["n"] if counted else None
+        built = build_marginal("P", attributes, relation, weights=weights)
+        expected = reference_build_marginal("P", attributes, relation, weights)
+        assert list(built.cells.items()) == cells
+        assert list(built.cells.items()) == list(expected.cells.items())
+        assert self.key_types(built) == self.key_types(expected)
+        assert built.binnings == expected.binnings
+        assert built.digest == expected.digest
+
+    def test_empty_table_has_no_cells(self):
+        relation = Relation.from_rows(self.SCHEMA, [])
+        built = build_marginal("P", ("c", "x"), relation, weights=relation.columns["n"])
+        expected = reference_build_marginal("P", ("c", "x"), relation)
+        assert built.cells == expected.cells == {}
+        assert built.binnings == expected.binnings == {}
+        assert built.digest == expected.digest
+        catalog = Catalog()
+        catalog.create_population(PopulationDef("P", True, self.SCHEMA[:2]))
+        with pytest.raises(CatalogError, match=r"marginal over \('c', 'x'\) has no cells"):
+            catalog.create_metadata("P", built.attributes, built.cells, built.binnings)
+        assert not catalog.marginals
+
+
 class TestIngestCsv:
     def test_csv_round(self, catalog, tmp_path):
         path = tmp_path / "rows.csv"
@@ -689,6 +755,18 @@ class TestAtomicIngest:
         before = self.state(cat)
         with pytest.raises(CsvParseError):
             cat.ingest_rows("S", [("NL", 2.0), ("FR", "oops")])
+        assert self.state(cat) == before
+
+    @pytest.mark.parametrize("row, shown", [
+        (5, "5"), (None, "None"), (iter(("FR", 3.0)), "<tuple_iterator object at ")],
+        ids=["int", "none", "iterator"])
+    def test_row_without_length_rejected(self, row, shown):
+        # Each used to raise a bare TypeError from len().
+        cat = self.build()
+        before = self.state(cat)
+        with pytest.raises(CsvParseError, match=re.escape(
+                f"line 2: expected a row of 2 fields, got {shown}")):
+            cat.ingest_rows("S", [("NL", 2.0), row])
         assert self.state(cat) == before
 
     def test_rows_are_drawn_one_at_a_time(self):

@@ -31,6 +31,8 @@ from openpop.executor import ExecOptions
 from openpop.ipf import IpfConfig
 from openpop.mswg import TrainConfig
 
+from conftest import group_keys
+
 COUNTRY_CSV = "country,reported_count\nUK,600\nFR,400\n"
 EMAIL_CSV = "email,reported_count\nYahoo,550\nAOL,450\n"
 
@@ -83,8 +85,8 @@ class TestEngineScript:
         assert semi.provenance == "semi_open_ipf_direct"
         assert openw.provenance == "open"
         sample_keys = {(r[0], r[1]) for r in engine.catalog.sample("YahooUsers").to_rows()}
-        assert semi.group_keys(2) <= sample_keys
-        assert any(k not in sample_keys for k in openw.group_keys(2))
+        assert group_keys(semi, 2) <= sample_keys
+        assert any(k not in sample_keys for k in group_keys(openw, 2))
 
     def test_temporary_table_is_kept_and_saved_like_any_table(self, tmp_path):
         (tmp_path / "stats.csv").write_text("a,n\nx,5\ny,3\n", encoding="utf-8")
