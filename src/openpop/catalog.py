@@ -134,10 +134,13 @@ def _category_codes(column, values=(), codes=np.empty(0, np.int64)):
         map(position.__getitem__, column), np.int64, len(column))])
 
 
-def _group_codes(columns: list, rows=slice(None)):
-    """`group_rows` before its keys are built: (parts, ids, first), where
-    parts holds, per column, its distinct values as plain Python values and
-    each group's index into them."""
+def group_codes(columns: list, rows=slice(None)):
+    """Group the rows at `rows` (all by default) by their values in `columns`,
+    each an array or an encoding from `Relation.key_columns`: (parts, ids,
+    first), where groups are in sorted key order, the r-th row is in group
+    ids[r], first[g] is group g's first row, and parts holds, per column,
+    its distinct values as plain Python values and each group's index into
+    them."""
     ids = 0
     parts = []
     for col in columns:
@@ -154,17 +157,6 @@ def _group_codes(columns: list, rows=slice(None)):
         parts.append((distinct, codes))
     _, first, ids = np.unique(ids, return_index=True, return_inverse=True)
     return [(distinct, codes[first]) for distinct, codes in parts], ids, first
-
-
-def group_rows(columns: list, rows=slice(None)):
-    """Group the rows at `rows` (all by default) by their values in `columns`,
-    each an array or an encoding from `Relation.key_columns`: (keys, ids,
-    first), where keys are the sorted distinct value tuples, as plain Python
-    values, the r-th row is in group ids[r], and first[g] is group g's first."""
-    parts, ids, first = _group_codes(columns, rows)
-    keys = list(zip(*(map(distinct.__getitem__, codes.tolist())
-                      for distinct, codes in parts)))
-    return keys, ids, first
 
 
 def _csv_records(handle):
@@ -293,7 +285,7 @@ class Relation:
         return {}
 
     def key_columns(self, names) -> dict:
-        """`names` as `group_rows` reads them fastest: categorical ones encoded."""
+        """`names` as `group_codes` reads them fastest: categorical ones encoded."""
         for name in names:
             if self.columns[name].dtype == object and name not in self.memo:
                 self.memo[name] = _category_codes(self.columns[name])
@@ -309,23 +301,21 @@ class Relation:
             entry = self.memo[marginal.digest] = (marginal, _read_only(ids), keys)
         return entry[1], entry[2]
 
-    def append(self, columns: dict) -> None:
-        """Append rows, given as one array per attribute, at weight 1. Each
-        memo entry is extended over the appended rows alone into a new memo,
-        so a copy that shares the old one keeps it."""
-        n = len(next(iter(columns.values()), ()))
-        added = Relation(self.schema, columns, np.ones(n))
+    def append(self, batch: Relation) -> None:
+        """Append the rows of `batch`, a relation of this schema, with their
+        weights. Each memo entry is extended over the appended rows alone
+        into a new memo, so a copy that shares the old one keeps it."""
         memo = {}
         for key, entry in self.memo.items():
             if isinstance(key, str):
-                memo[key] = _category_codes(added.columns[key], *entry)
+                memo[key] = _category_codes(batch.columns[key], *entry)
             else:
                 marginal, ids, keys = entry
-                new_ids, keys = marginal.cell_index(added.columns, keys)
+                new_ids, keys = marginal.cell_index(batch.columns, keys)
                 memo[key] = (marginal, _read_only(np.concatenate([ids, new_ids])), keys)
-        self.columns = {name: np.concatenate([col, added.columns[name]])
+        self.columns = {name: np.concatenate([col, batch.columns[name]])
                         for name, col in self.columns.items()}
-        self.weights = np.concatenate([self.weights, added.weights])
+        self.weights = np.concatenate([self.weights, batch.weights])
         self.__dict__["memo"] = memo
 
     def reweighted(self, weights) -> "Relation":
@@ -394,8 +384,8 @@ def _cells_of(attributes, binnings: dict, columns: dict) -> tuple[list, np.ndarr
     A numeric attribute in `binnings` keys as its bin id; an unbinned whole
     number keys as an int, made so once per distinct value; two attributes
     key as a pair."""
-    parts, ids, first = _group_codes([binnings[a].cells(columns[a]) if a in binnings
-                                      else columns[a] for a in attributes])
+    parts, ids, first = group_codes([binnings[a].cells(columns[a]) if a in binnings
+                                     else columns[a] for a in attributes])
     order = np.argsort(first)
     values = []
     for distinct, codes in parts:
@@ -825,7 +815,7 @@ class Catalog:
         """Append the rows of a coerced, unit-weight batch, and grow the
         categorical domains it reaches: the relation's own and, since sample
         tuples exist in the global population, the global population's."""
-        rel.append(batch.columns)
+        rel.append(batch)
         first_seen = {a.name: dict.fromkeys(batch.columns[a.name].tolist())
                       for a in rel.schema if a.kind == CATEGORICAL}
         reached = rel.schema + (self.global_population().schema
@@ -906,22 +896,30 @@ class Catalog:
         return records
 
     def save(self, path) -> None:
-        # Write beside the target, then rename: a failed save leaves the old
-        # file whole. The rename would replace a device, pipe or directory
-        # with a regular file, so only a regular file or a new path is written.
+        # Write beside the target, flush it to disk, then rename: a failed
+        # save leaves the old file whole and no temp file behind, and a temp
+        # file the user already has fails the save untouched. The rename would
+        # replace a device, pipe or directory with a regular file, so only a
+        # regular file or a new path is written.
         if os.path.exists(path) and not os.path.isfile(path):
             raise CatalogIoError(f"cannot write '{path}': not a regular file")
         tmp = f"{os.fspath(path)}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
+            with open(tmp, "x", encoding="utf-8") as handle:
                 handle.write(FORMAT_TAG + "\n")
-                for record in self.to_jsonable():
+                for line, record in enumerate(self.to_jsonable(), start=2):
                     handle.write(json.dumps(record) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
-        except OSError as exc:
+        except FileExistsError as exc:
+            raise CatalogIoError(f"cannot write '{path}': {exc}") from exc
+        except (OSError, TypeError, ValueError) as exc:  # TypeError: not JSON
             if os.path.exists(tmp):
                 os.remove(tmp)
-            raise CatalogIoError(f"cannot write '{path}': {exc}") from exc
+            where = ("" if isinstance(exc, OSError)
+                     else f"line {line}, a {record['kind']} record: ")
+            raise CatalogIoError(f"cannot write '{path}': {where}{exc}") from exc
 
     @classmethod
     def load(cls, path) -> "Catalog":

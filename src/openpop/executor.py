@@ -26,7 +26,7 @@ from .catalog import (
     Relation,
     SampleRelation,
     content_key,
-    group_rows,
+    group_codes,
     schema_kinds,
 )
 from .dialect import Select, Visibility
@@ -221,7 +221,9 @@ def evaluate_aggregates(relation: Relation, query: Select, k: int = 1) -> QueryA
     keys, segments, members_of = [()], [0], [rows]
     if query.group_by:
         by = relation.key_columns(query.group_by)
-        keys, ids, _ = group_rows([by[g] for g in query.group_by], rows)
+        parts, ids, _ = group_codes([by[g] for g in query.group_by], rows)
+        keys = list(zip(*(np.array(distinct, dtype=object)[codes].tolist()
+                          for distinct, codes in parts)))
         if k > 1:
             ids = ids * k + rows // n
         counts = np.bincount(ids)
@@ -235,21 +237,26 @@ def evaluate_aggregates(relation: Relation, query: Select, k: int = 1) -> QueryA
 
     columns = list(query.group_by) + [a.label() for a in aggs]
     held = []
-    for segment, members in zip(segments, members_of):
-        w = relation.weights[members]
-        total = float(w.sum())
-        if total <= 0:
-            continue
-        values = []
-        for agg in aggs:
-            if agg.func == "count":
-                values.append(total)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        for segment, members in zip(segments, members_of):
+            w = relation.weights[members]
+            total = float(w.sum())
+            if total <= 0:
                 continue
-            weighted_sum = float(np.dot(w, relation.columns[agg.arg][members]))
-            values.append(weighted_sum if agg.func == "sum" else weighted_sum / total)
-        if not all(math.isfinite(v) for v in values):
-            raise TypeMismatchError("non-finite aggregate value")
-        held.append((segment, values))
+            values = []
+            for agg in aggs:
+                if agg.func == "count":
+                    values.append(total)
+                    continue
+                weighted_sum = float(np.dot(w, relation.columns[agg.arg][members]))
+                values.append(weighted_sum if agg.func == "sum" else weighted_sum / total)
+            for agg, value in zip(aggs, values):
+                if not math.isfinite(value):
+                    group = ", ".join(f"{g} = {v!r}" for g, v in
+                                      zip(query.group_by, keys[segment // k]))
+                    raise TypeMismatchError(f"non-finite aggregate value: {agg.label()}"
+                                            + (f" in group ({group})" if group else ""))
+            held.append((segment, values))
     if k == 1:
         return QueryAnswer(columns, [keys[g] + tuple(values) for g, values in held], "")
 

@@ -88,18 +88,12 @@ class IpfReport:
         return max(self.discrepancies) if self.discrepancies else 0.0
 
 
-def _index_cells(sample: Relation, marginal: Marginal):
-    """Map target cells and sample rows into dense ids; id 0..k-1 are the
-    marginal's cells, further ids are sample-only cells (implicit target 0)."""
-    row_ids, keys = sample.cell_ids(marginal)
-    return keys, marginal.targets(len(keys)), row_ids
-
-
 def discrepancy(sample: Relation, weights, marginal: Marginal) -> float:
     """Max over cells of |weighted_count - target| / max(target, eps), taken
-    over the union of target cells and cells carrying sample mass."""
+    over the union of target cells and cells carrying sample mass (target 0)."""
     weights = np.asarray(weights, dtype=float)
-    _, targets, row_ids = _index_cells(sample, marginal)
+    row_ids, keys = sample.cell_ids(marginal)
+    targets = marginal.targets(len(keys))
     counts = np.bincount(row_ids, weights=weights, minlength=len(targets))
     return float(np.max(np.abs(counts - targets) / np.maximum(targets, EPS)))
 
@@ -123,7 +117,8 @@ def ipf_fit(sample: SampleRelation, marginals: list[Marginal],
     structural: list[tuple[int, object]] = []
     dropped: list[float] = []
     for m_pos, marginal in enumerate(marginals):
-        keys, targets, row_ids = _index_cells(sample, marginal)
+        row_ids, keys = sample.cell_ids(marginal)
+        targets = marginal.targets(len(keys))
         occupied = np.bincount(row_ids, minlength=len(targets)) > 0
         zero_cells = np.flatnonzero((targets > 0) & ~occupied)
         drop = 0.0

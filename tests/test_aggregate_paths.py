@@ -370,6 +370,58 @@ class TestStackedSamplesMatchOneAtATime:
             assert answer.diagnostics == {"dropped_groups": 2 if group_by else 1}
 
 
+# --- GROUP BY over three or more attributes --------------------------------------
+
+WIDE_SCHEMA = [AttributeDef(name, kind) for name, kind in [
+    ("c0", "categorical"), ("n0", "numeric"), ("c1", "categorical"),
+    ("n1", "numeric"), ("c2", "categorical"), ("n2", "numeric"), ("x", "numeric")]]
+
+
+def wide_rows(n, distinct, rng):
+    """n rows whose six grouping columns are independent permutations of n
+    values, `distinct` of them different, and a numeric x."""
+    columns = []
+    for attr in WIDE_SCHEMA[:-1]:
+        values = np.resize(np.arange(distinct), n)[rng.permutation(n)]
+        columns.append([f"v{v:04d}" for v in values.tolist()]
+                       if attr.kind == "categorical" else values.astype(float).tolist())
+    columns.append(rng.normal(size=n).round(3).tolist())
+    return list(zip(*columns))
+
+
+class TestWideGroupBy:
+    """Past two attributes the grouping renumbers its ids densely. Without
+    that, six columns of 1,500 distinct values each would multiply into
+    1,500**6 ids, past int64, and the groups would come out unsorted."""
+
+    @pytest.mark.parametrize("group_by, n, distinct, where", [
+        (("c0", "n0", "c1"), 300, 4, ""),
+        (("n1", "c0", "n0", "c2"), 300, 4, " WHERE x > 0"),
+        (("c0", "n0", "c1", "n1", "c2", "n2"), 1_500, 1_500, ""),
+    ], ids=["three", "four", "six"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_byte_equal(self, group_by, n, distinct, where, k):
+        rng = np.random.default_rng(len(group_by))
+        rows = wide_rows(n, distinct, rng)
+        # k = 3 stacks the rows three times, each in its own order, and
+        # zero weights leave some groups out of some samples.
+        rows = rows if k == 1 else [rows[i] for _ in range(k)
+                                    for i in rng.permutation(n).tolist()]
+        weights = (np.ones(n) if k == 1
+                   else rng.choice([0.0, 0.5, 1.0, 2.5], size=k * n))
+        relation = Relation.from_rows(WIDE_SCHEMA, rows, weights)
+        query = parse_one(f"SELECT {', '.join(group_by)}, COUNT(*), SUM(x), AVG(x) "
+                          f"FROM P{where} GROUP BY {', '.join(group_by)}")
+        got = openpop.executor.evaluate_aggregates(relation, query, k)
+        want = reference_aggregates(relation, query, k)
+        assert (got.columns, repr(got.rows), got.diagnostics, got.to_csv()) == \
+            (want.columns, repr(want.rows), want.diagnostics, want.to_csv())
+        held = len(got.rows) + got.diagnostics.get("dropped_groups", 0)
+        assert 0 < len(got.rows) and held <= distinct ** len(group_by)
+        if distinct == n and k == 1:  # every row a group of its own
+            assert held == n
+
+
 @pytest.fixture(scope="module")
 def flights():
     """A 10,000-row flights sample whose (D, E) pairs fall in over 1,000

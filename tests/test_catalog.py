@@ -354,7 +354,7 @@ class TestCellIds:
 
 
 def reference_group_rows(columns):
-    """`group_rows` over all rows, its keys built one group at a time."""
+    """`group_codes` over all rows, with keys built one group at a time."""
     ids = 0
     parts = []
     for col in columns:
@@ -1186,6 +1186,50 @@ class TestPersistence:
             self.build_catalog().save(fifo)
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.parametrize("cells", [{np.int64(1): 5.0}, {1: np.int64(5)}],
+                             ids=["key", "count"])
+    def test_unwritable_cell_fails_like_a_write(self, tmp_path, cells):
+        # A numpy int key or count is a valid cell, but JSON cannot write it.
+        cat = Catalog()
+        cat.create_population(PopulationDef("P", True, [AttributeDef("x", "numeric")]))
+        path = tmp_path / "catalog.opc"
+        cat.save(path)
+        old = path.read_bytes()
+        cat.create_metadata("P", ("x",), cells)
+        with pytest.raises(CatalogIoError, match=re.escape(
+                f"cannot write '{path}': line 4, a marginal record: "
+                "Object of type int64 is not JSON serializable")):
+            cat.save(path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.opc"]
+
+    def test_existing_temp_file_is_never_touched(self, tmp_path):
+        path = tmp_path / "catalog.opc"
+        tmp = tmp_path / "catalog.opc.tmp"
+        tmp.write_bytes(b"a file of the user's\n")
+        with pytest.raises(CatalogIoError, match=re.escape(f"'{tmp}'")):
+            self.build_catalog().save(path)
+        assert tmp.read_bytes() == b"a file of the user's\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.opc.tmp"]
+
+    def test_temp_file_reaches_the_disk_before_the_rename(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.path.getsize(src)))
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "catalog.opc"
+        self.build_catalog().save(path)
+        size = path.stat().st_size
+        assert calls == [("fsync", size), ("replace", size)]
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.opc"

@@ -1160,15 +1160,33 @@ CREATE METADATA P_age AS (SELECT age, n FROM Ages);
         assert err == ("error: line 2: malformed catalog record (ConfigError: "
                        "seed must be a non-negative integer, got -1)\n")
 
-    def test_entry_point_runs(self):
-        # The child imports the same openpop as this test, PYTHONPATH or not.
+    def run_entry_point(self, *args):
+        """`python -m openpop.cli` in a child process, which imports the same
+        openpop as this test, PYTHONPATH or not."""
         src = os.path.dirname(os.path.dirname(openpop.executor.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "openpop.cli", "--help"],
+        return subprocess.run(
+            [sys.executable, "-m", "openpop.cli", *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+    def test_entry_point_runs(self):
+        result = self.run_entry_point("--help")
         assert result.returncode == 0
         assert "--catalog" in result.stdout
+
+    def test_non_finite_aggregate_prints_one_error_line(self, tmp_path):
+        # numpy's overflow warning, with its source line, is not printed.
+        rows = tmp_path / "rows.csv"
+        rows.write_text("c,x\na,1e308\na,1e308\nb,1.0\n", encoding="utf-8")
+        script = self.script_path(tmp_path, (
+            "CREATE GLOBAL POPULATION P (c TEXT, x REAL);\n"
+            "CREATE SAMPLE S AS (SELECT * FROM P);\n"
+            f"INGEST S FROM '{rows}';\n"
+            "SELECT CLOSED c, SUM(x) FROM P GROUP BY c;\n"))
+        result = self.run_entry_point("--quiet", "--script", script)
+        assert result.returncode == 1
+        assert result.stderr == ("error: non-finite aggregate value: SUM(x) in "
+                                 "group (c = 'a')\n")
 
 
 # Error-free CLOSED statements as tokens; string literals hold `;`, `--`,

@@ -1,5 +1,8 @@
 """Executor: planning, visibility semantics, aggregate rewriting."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,24 @@ class TestClosed:
         catalog = fresh_catalog()
         with pytest.raises(TypeMismatchError):
             execute(parse_one("SELECT AVG(country) FROM Migrants"), catalog)
+
+    @pytest.mark.parametrize("query, message", [
+        ("SELECT SUM(x) FROM P", "SUM(x)"),
+        ("SELECT c, COUNT(*), AVG(x) FROM P GROUP BY c", "AVG(x) in group (c = 'a')"),
+        ("SELECT c, x, SUM(x) FROM P GROUP BY c, x",
+         "SUM(x) in group (c = 'a', x = 1e+308)"),
+    ], ids=["whole", "group", "two_attributes"])
+    def test_non_finite_value_names_aggregate_and_group(self, query, message):
+        catalog = Catalog()
+        catalog.create_population(PopulationDef("P", True, [
+            AttributeDef("c", "categorical"), AttributeDef("x", "numeric")]))
+        catalog.create_sample("S")
+        catalog.ingest_rows("S", [("b", 1.0), ("a", 1e308), ("a", 1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning is not shown
+            with pytest.raises(TypeMismatchError, match=re.escape(
+                    f"non-finite aggregate value: {message}") + "$"):
+                execute(parse_one(query), catalog)
 
     @pytest.mark.parametrize("where, rows", [
         ("age < 1{zeros}", [(5.0,)]), ("age <= 1{zeros}", [(5.0,)]),
