@@ -1,5 +1,6 @@
 """Finite-difference validation of every analytic gradient in the trainer."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 import openpop.mswg
 from openpop.catalog import AttributeDef, Marginal, Relation, SampleRelation
 from openpop.encoding import Encoding
+from openpop.errors import EmptyDistributionError
 from openpop.mswg import (
+    COVERAGE_BLOCK,
     TRANSPORT_BLOCK,
     coverage_penalty,
     loss_and_grad,
@@ -83,6 +86,107 @@ class TestCoverageGradient:
         _, grad = coverage_penalty(batch, refs)
         numeric = finite_diff(lambda: coverage_penalty(batch, refs)[0], batch)
         assert_close(grad, numeric)
+
+
+
+def reference_coverage_penalty(batch, refs):
+    """The whole-matrix coverage penalty `coverage_penalty` must equal byte
+    for byte: both broadcast sums and the product alive at once."""
+    batch = np.atleast_2d(np.asarray(batch, dtype=float))
+    refs = np.atleast_2d(np.asarray(refs, dtype=float))
+    if batch.size == 0 or refs.size == 0:
+        raise EmptyDistributionError("coverage penalty needs nonempty inputs")
+    d2 = (np.sum(batch ** 2, axis=1)[:, None]
+          + np.sum(refs ** 2, axis=1)[None, :]
+          - 2.0 * batch @ refs.T)
+    np.maximum(d2, 0.0, out=d2)
+    nearest = np.argmin(d2, axis=1)
+    dist = np.sqrt(d2[np.arange(len(batch)), nearest])
+    grad = np.zeros_like(batch)
+    hit = dist > 0
+    grad[hit] = (batch[hit] - refs[nearest[hit]]) / dist[hit, None]
+    grad /= len(batch)
+    return float(dist.mean()), grad
+
+
+def assert_same_penalty(batch, refs):
+    value, grad = coverage_penalty(batch, refs)
+    ref_value, ref_grad = reference_coverage_penalty(batch, refs)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert grad.dtype == ref_grad.dtype and grad.shape == ref_grad.shape
+    assert grad.tobytes() == ref_grad.tobytes()
+    return value, grad
+
+
+class TestCoverageBlocks:
+    """The blocked distance pass gives the whole-matrix penalty's bytes."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 24])
+    @pytest.mark.parametrize("rows", [1, 2, COVERAGE_BLOCK - 1, COVERAGE_BLOCK,
+                                      COVERAGE_BLOCK + 1, 500])
+    def test_matches_reference_bytes(self, rows, dim):
+        rng = np.random.default_rng(rows * 100 + dim)
+        batch = rng.normal(size=(rows, dim))
+        for refs_rows in (1, 7, 1250, 2000, 2048):
+            assert_same_penalty(batch, rng.normal(size=(refs_rows, dim)))
+
+    def test_duplicate_refs_first_index_wins(self):
+        rng = np.random.default_rng(3)
+        refs = rng.normal(size=(40, 2))
+        refs = np.concatenate([refs, refs, refs[:5]])
+        batch = np.concatenate([rng.normal(size=(COVERAGE_BLOCK + 3, 2)),
+                                refs[:4] + 0.25])
+        assert_same_penalty(batch, refs)
+        # Two refs at the same distance: the gradient points from the first.
+        _, grad = assert_same_penalty(np.zeros((COVERAGE_BLOCK + 1, 2)),
+                                      np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.all(grad == [-1.0 / (COVERAGE_BLOCK + 1), 0.0])
+
+    def test_batch_row_on_a_ref_has_zero_gradient(self):
+        rng = np.random.default_rng(4)
+        refs = rng.normal(size=(300, 3))
+        batch = rng.normal(size=(COVERAGE_BLOCK + 5, 3))
+        batch[COVERAGE_BLOCK + 2] = refs[17]
+        _, grad = assert_same_penalty(batch, refs)
+        assert np.all(grad[COVERAGE_BLOCK + 2] == 0.0)
+        assert np.all(np.any(np.delete(grad, COVERAGE_BLOCK + 2, 0) != 0, 1))
+
+    def test_far_points_clamp_negative_expansions(self):
+        # At 1e8 the expansion |b|^2 + |r|^2 - 2 b.r loses every digit of a
+        # small distance, so some entries round below zero and are clamped.
+        rng = np.random.default_rng(5)
+        refs = 1e8 + rng.uniform(0, 1, size=(200, 2))
+        batch = 1e8 + rng.uniform(0, 1, size=(3 * COVERAGE_BLOCK + 1, 2))
+        expansion = (np.sum(batch ** 2, axis=1)[:, None]
+                     + np.sum(refs ** 2, axis=1)[None, :]
+                     - 2.0 * batch @ refs.T)
+        assert np.any(expansion < 0)
+        assert_same_penalty(batch, refs)
+
+    def test_nan_batch_row(self):
+        rng = np.random.default_rng(6)
+        refs = rng.normal(size=(100, 2))
+        batch = rng.normal(size=(COVERAGE_BLOCK + 2, 2))
+        batch[COVERAGE_BLOCK] = np.nan
+        value, grad = assert_same_penalty(batch, refs)
+        assert np.isnan(value)
+        assert np.all(grad[COVERAGE_BLOCK] == 0.0)
+
+    def test_one_batch_by_refs_matrix_at_a_time(self):
+        # The product is the only batch x refs matrix; the whole-matrix
+        # expression holds two (the broadcast sum and the product) at once.
+        rng = np.random.default_rng(0)
+        batch, refs = rng.normal(size=(500, 2)), rng.normal(size=(2000, 2))
+        coverage_penalty(batch, refs)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            coverage_penalty(batch, refs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        full = 500 * 2000 * 8
+        assert peak < 1.3 * full, f"peak {peak / full:.2f} full matrices"
 
 
 def small_problem(rng, projections=4):
